@@ -18,6 +18,7 @@ from scipy import stats
 from .numerics import q_function, regularized_upper_gamma
 
 LOG2E_SQ = math.log2(math.e) ** 2
+SQRT2 = math.sqrt(2.0)
 
 _ERLANG_TAIL_MASS = 1e-10
 
@@ -96,12 +97,20 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     """
     if rate <= 0:
         raise ValueError("coding rate must be positive")
-    dist = stats.gamma(a=cfg.antennas, scale=cfg.snr_linear)
-    hi = float(dist.isf(_ERLANG_TAIL_MASS))
+    ell, g0, n = cfg.antennas, cfg.snr_linear, cfg.blocklength
+    hi = float(stats.gamma.isf(_ERLANG_TAIL_MASS, a=ell, scale=g0))
     knee = 2.0 ** rate - 1.0  # SNR where capacity meets the rate
+    log_norm = math.lgamma(ell) + ell * math.log(g0)
 
     def integrand(g):
-        return packet_loss(g, cfg.blocklength, rate) * dist.pdf(g)
+        # packet_loss(g, n, rate) times the Erlang(ell, g0) density, written
+        # in scalar math: quad calls it a few hundred times, and the per-call
+        # overhead of numpy and scipy.stats dominated the work.
+        if g <= 0.0:
+            return 1.0 / g0 if ell == 1 else 0.0
+        v = g * (2.0 + g) / (1.0 + g) ** 2 * LOG2E_SQ
+        loss = 0.5 * math.erfc(math.sqrt(n / v) * (math.log2(1.0 + g) - rate) / SQRT2)
+        return loss * math.exp((ell - 1) * math.log(g) - g / g0 - log_norm)
 
     points = [knee] if 0.0 < knee < hi else None
     val, err = integrate.quad(integrand, 0.0, hi, points=points, limit=300,

@@ -8,7 +8,6 @@ import json
 import sys
 
 from . import harness
-from . import optimizer as opt
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -45,10 +44,7 @@ def _build_config(args: argparse.Namespace, extra: dict | None = None) -> harnes
 
 
 def _cmd_optimize(args) -> int:
-    config = _build_config(args, extra={"policy": "adaptive"})
-    params = harness.build_params(config)
-    continuous = opt.gradient_ascent(params)
-    decision = opt.round_rate(continuous, params)
+    decision = harness.decide(_build_config(args, extra={"policy": "adaptive"}))
     print(json.dumps({
         "continuous_rate": decision.continuous_rate,
         "bits_per_feature": decision.bits_per_feature,

@@ -2,10 +2,14 @@
 
 The objective is a concave surrogate ln[(1 - e^{-D(Rc)/4})(1 - eps(Rc))]
 combining the distortion-degraded discriminant gain with the closed-form
-average packet loss. Its approximate gradient is available in closed form,
-so the rate is optimized by plain gradient ascent and then rounded to an
-integer bits-per-feature level. Benchmark policies (exhaustive search,
-reliability-first, fixed resolution) share the same decision record.
+average packet loss. Its approximate gradient is available in closed form
+and, since the surrogate is concave, decreases monotonically on the rate
+domain. The rate is therefore the gradient's root, found by one bracketed
+Brent solve (or the domain edge where the gradient keeps its sign), and is
+then rounded to an integer bits-per-feature level. Fixed-step gradient
+ascent on the same gradient is kept for the convergence study. Benchmark
+policies (exhaustive search, reliability-first, fixed resolution) share the
+same decision record.
 """
 
 from __future__ import annotations
@@ -94,7 +98,10 @@ def sigma_q2_of_rate(rate: float, params: TradeoffParams) -> float:
     if rate <= 0:
         raise ValueError("coding rate must be positive")
     bits = params.channel.blocklength * rate / params.dim
-    return params.clip ** 2 / (3.0 * np.expm1(bits * LN2) ** 2)
+    # past about 512 bits the denominator overflows to inf and the variance
+    # is its limit, 0
+    with np.errstate(over="ignore"):
+        return params.clip ** 2 / (3.0 * np.expm1(bits * LN2) ** 2)
 
 
 def surrogate(rate: float, params: TradeoffParams) -> float:
@@ -113,6 +120,9 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     The distortion term is exact; the channel term uses the incomplete-gamma
     approximation of the loss, whose relative error is O(1/N). The channel
     ratio is evaluated in log space so large antenna counts do not overflow.
+    The distortion factor 2^b / (2^b - 1)^3 is written as
+    2^{-2b} / (1 - 2^{-b})^3, which underflows to 0 at hundreds of bits per
+    feature instead of overflowing.
     """
     n = params.channel.blocklength
     d = params.dim
@@ -123,8 +133,8 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     dm = params.model.mu1 - params.model.mu2
     cov = params.model.sigma + s2 * np.eye(d)
     w = np.linalg.solve(cov, dm)
-    pow_r = 2.0 ** bits
-    d_prime = (n * params.clip ** 2 * pow_r * LN2) / (3.0 * (pow_r - 1.0) ** 3 * d) * float(w @ w)
+    distortion = 2.0 ** (-2.0 * bits) / (-math.expm1(-bits * LN2)) ** 3
+    d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * float(w @ w)
     phi1_prime = d_prime / (4.0 * math.expm1(gain / 4.0))
 
     g0 = params.channel.snr_linear
@@ -155,6 +165,22 @@ def rate_domain(params: TradeoffParams) -> tuple[float, float]:
             break
     hi = sciopt.brentq(excess, lo, hi) if excess(lo) < 0.0 else lo
     return lo, hi
+
+
+def solve_rate(params: TradeoffParams) -> float:
+    """Maximize the surrogate by a bracketed root-find of its gradient.
+
+    The surrogate is concave on ``rate_domain``, so its gradient is monotone
+    there: a gradient <= 0 at the lower edge or >= 0 at the upper edge puts
+    the maximizer at that edge, and otherwise Brent's method finds the one
+    sign change. This is the point fixed-step gradient ascent approaches.
+    """
+    lo, hi = rate_domain(params)
+    if surrogate_gradient(lo, params) <= 0.0:
+        return lo
+    if surrogate_gradient(hi, params) >= 0.0:
+        return hi
+    return sciopt.brentq(surrogate_gradient, lo, hi, args=(params,))
 
 
 def gradient_ascent(params: TradeoffParams, settings: OptimizerSettings = OptimizerSettings(),

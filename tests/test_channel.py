@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 from senselink import channel as ch
 
@@ -125,6 +125,33 @@ class TestAveragePacketLoss:
         losses = ch.packet_loss(draws, cfg4.blocklength, 1.5)
         se = losses.std() / math.sqrt(draws.size)
         assert abs(losses.mean() - ch.avg_packet_loss_exact(cfg4, 1.5)) <= 3.0 * se
+
+    def test_exact_matches_scipy_integrand(self):
+        # reference: the same quadrature over packet_loss times the frozen
+        # scipy Erlang density; L = 1 has a nonzero density at g = 0
+        def reference(cfg, rate):
+            dist = stats.gamma(a=cfg.antennas, scale=cfg.snr_linear)
+            hi = float(dist.isf(1e-10))
+            knee = 2.0 ** rate - 1.0
+            points = [knee] if 0.0 < knee < hi else None
+            val, _ = integrate.quad(
+                lambda g: ch.packet_loss(g, cfg.blocklength, rate) * dist.pdf(g),
+                0.0, hi, points=points, limit=300, epsabs=1e-10, epsrel=1e-9)
+            return min(max(val, 0.0), 1.0)
+
+        checked = 0
+        for antennas in (1, 2, 4, 8, 64):
+            for snr_db in (-30.0, 2.0, 40.0):
+                for n in (10, 100, 2000):
+                    cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+                    for outage in (1e-5, 1e-2, 0.5, 0.9):
+                        rate = math.log2(1.0 + cfg.snr_linear * special.gammaincinv(antennas, outage))
+                        ref = reference(cfg, rate)
+                        if not 1e-6 <= ref < 1.0:
+                            continue
+                        assert ch.avg_packet_loss_exact(cfg, rate) == pytest.approx(ref, rel=1e-12)
+                        checked += 1
+        assert checked >= 150
 
     def test_approx_tracks_exact_at_moderate_loss(self, cfg4):
         # the closed form is loose at very small losses (~20% relative near

@@ -208,6 +208,13 @@ class TestValidate:
         assert "quantization_noise_statistics" in failed
         assert not report.passed
 
+    def test_zero_closed_form_error_fails_scaling_check(self, monkeypatch):
+        monkeypatch.setattr(ch, "avg_packet_loss_approx", ch.avg_packet_loss_exact)
+        report = harness.validate(0)
+        check = next(c for c in report.checks if c.name == "avg_loss_error_scaling")
+        assert not check.passed and "undefined" in check.detail
+        assert not report.passed
+
 
 class TestCli:
     def test_optimize_outputs_decision(self, capsys):
@@ -217,6 +224,10 @@ class TestCli:
                             "predicted_bound", "predicted_exact"}
         assert out["bits_per_feature"] >= 1
         assert 0.0 <= out["predicted_exact"] <= out["predicted_bound"] <= 1.0
+
+    def test_optimize_at_high_snr(self, capsys):
+        assert cli.main(["optimize", "--snr-db", "40"]) == 0
+        assert json.loads(capsys.readouterr().out)["bits_per_feature"] == 15
 
     def test_simulate_outputs_row(self, capsys):
         assert cli.main(["simulate", "--policy", "bits:4", "--trials", "200",

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from senselink import channel as ch
 from senselink import gmm
+from senselink import harness
 from senselink import optimizer as opt
 
 
@@ -192,6 +194,72 @@ class TestGradientAscent:
         with pytest.raises(opt.ConvergenceError) as err:
             opt.gradient_ascent(params, opt.OptimizerSettings(step=1e-8, max_iters=5))
         assert err.value.last_rate > 0
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """Records the rate of every surrogate_gradient call the optimizer makes."""
+    calls = []
+    gradient = opt.surrogate_gradient
+
+    def counted(rate, p):
+        calls.append(rate)
+        return gradient(rate, p)
+
+    monkeypatch.setattr(opt, "surrogate_gradient", counted)
+    return calls
+
+
+class TestSolveRate:
+    def test_matches_gradient_ascent(self, params):
+        # the criterion-7 operating point
+        rate = opt.solve_rate(params)
+        ascent = opt.gradient_ascent(params, opt.OptimizerSettings(step=0.01))
+        assert abs(rate - ascent) <= 1e-4
+        assert opt.round_rate(rate, params).bits_per_feature == \
+            opt.round_rate(ascent, params).bits_per_feature
+
+    @pytest.mark.parametrize("field,value,bits", [("snr_db", 40.0, 15), ("antennas", 64, 11)])
+    def test_matches_brute_force_where_ascent_stalls(self, field, value, bits, gradient_calls):
+        config = harness.ExperimentConfig(policy="adaptive", **{field: value})
+        start = time.process_time()
+        decision = harness.decide(config)
+        assert time.process_time() - start < 1.0
+        assert 0 < len(gradient_calls) <= 60
+        brute = harness.decide(harness.ExperimentConfig(policy="brute", **{field: value}))
+        assert decision.bits_per_feature == brute.bits_per_feature == bits
+
+    @pytest.mark.parametrize("overrides", [{"dim": 1}, {"blocklength": 400, "dim": 4}])
+    def test_many_channel_uses_per_feature(self, overrides, gradient_calls):
+        # N/d = 100 puts the upper edge of the domain near 556 bits per
+        # feature, where 2^b / (2^b - 1)^3 no longer fits a float; gradient
+        # ascent, which never goes there, also settles on 13 bits
+        p = harness.build_params(harness.ExperimentConfig(policy="adaptive", **overrides))
+        _, hi = opt.rate_domain(p)
+        assert p.channel.blocklength * hi / p.dim > 500
+        assert math.isfinite(opt.surrogate_gradient(hi, p))
+        decision = harness.decide(harness.ExperimentConfig(policy="adaptive", **overrides))
+        assert decision.bits_per_feature == 13
+        assert hi in gradient_calls
+
+    def test_lower_edge_when_gradient_negative_throughout(self):
+        # at -10 dB the one-bit rate already loses most packets, and a wide
+        # class separation leaves the gain little to win from more bits
+        p = make_params(snr_db=-10.0, centroid=0.5)
+        lo, _ = opt.rate_domain(p)
+        assert opt.surrogate_gradient(lo, p) < 0.0
+        assert opt.solve_rate(p) == opt.gradient_ascent(p) == lo
+
+    def test_upper_edge_when_gradient_positive_throughout(self, params, monkeypatch):
+        # the real gradient turns steeply negative as the loss nears 1 at the
+        # upper edge, so a constant positive gradient stands in for it
+        monkeypatch.setattr(opt, "surrogate_gradient", lambda rate, p: 1.0)
+        _, hi = opt.rate_domain(params)
+        assert opt.solve_rate(params) == opt.gradient_ascent(params) == hi
+
+    def test_gradient_call_budget(self, gradient_calls):
+        harness.decide(harness.ExperimentConfig(policy="adaptive"))
+        assert 0 < len(gradient_calls) <= 60
 
 
 class TestRounding:
