@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 from scipy import stats
 
-from .numerics import q_function, regularized_upper_gamma
+from .numerics import q_function, regularized_upper_gamma, require_finite
 
 LOG2E_SQ = math.log2(math.e) ** 2
 SQRT2 = math.sqrt(2.0)
@@ -32,6 +32,8 @@ class ChannelConfig:
     blocklength: int
 
     def __post_init__(self):
+        require_finite(antennas=self.antennas, snr_linear=self.snr_linear,
+                       blocklength=self.blocklength)
         if self.antennas < 1 or int(self.antennas) != self.antennas:
             raise ValueError("antennas must be a positive integer")
         if self.snr_linear <= 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import poisson_binomial_pmf, q_function
+from .numerics import poisson_binomial_pmf, q_function, require_finite
 
 _MIN_EIGENVALUE = 1e-12
 
@@ -21,9 +21,9 @@ _MIN_EIGENVALUE = 1e-12
 class InferenceModel:
     """Binary Gaussian class-conditional model with shared covariance.
 
-    The covariance must be symmetric positive definite; its inverse and a
-    lower Cholesky factor are cached at construction. Instances are immutable
-    and safe to share across threads.
+    Entries must be finite and the covariance symmetric positive definite;
+    its inverse and a lower Cholesky factor are cached at construction.
+    Instances are immutable and safe to share across threads.
     """
 
     mu1: np.ndarray
@@ -39,6 +39,7 @@ class InferenceModel:
         d = mu1.size
         if mu1.shape != (d,) or mu2.shape != (d,) or sigma.shape != (d, d):
             raise ValueError("inconsistent model dimensions")
+        require_finite(mu1=mu1, mu2=mu2, sigma=sigma)
         if not np.allclose(sigma, sigma.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         eigmin = np.linalg.eigvalsh(sigma)[0]

@@ -3,9 +3,23 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import special
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is NaN or infinite.
+
+    Integers are finite by type (a seed may exceed the float range); anything
+    else is checked entry by entry as float.
+    """
+    for name, value in values.items():
+        if isinstance(value, numbers.Integral):
+            continue
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite")
 
 
 def q_function(x):

@@ -122,7 +122,8 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     ratio is evaluated in log space so large antenna counts do not overflow.
     The distortion factor 2^b / (2^b - 1)^3 is written as
     2^{-2b} / (1 - 2^{-b})^3, which underflows to 0 at hundreds of bits per
-    feature instead of overflowing.
+    feature instead of overflowing. The distortion term is 0 wherever the
+    gain derivative is 0, including at zero class separation.
     """
     n = params.channel.blocklength
     d = params.dim
@@ -135,7 +136,9 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     w = np.linalg.solve(cov, dm)
     distortion = 2.0 ** (-2.0 * bits) / (-math.expm1(-bits * LN2)) ** 3
     d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * float(w @ w)
-    phi1_prime = d_prime / (4.0 * math.expm1(gain / 4.0))
+    # with no class separation the gain and its derivative are both 0; the
+    # distortion term then contributes nothing
+    phi1_prime = 0.0 if d_prime == 0.0 else d_prime / (4.0 * math.expm1(gain / 4.0))
 
     g0 = params.channel.snr_linear
     ell = params.channel.antennas
@@ -240,24 +243,29 @@ def brute_force_rate(params: TradeoffParams, evaluator=None) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
     ``evaluator`` maps a coding rate to an error figure; the default is the
-    semi-analytic exact error at the quadrature-evaluated average loss.
+    semi-analytic exact error at the quadrature-evaluated average loss. With
+    the default, the chosen level's error and gain are reused for its
+    predictions instead of being evaluated again.
     """
-    if evaluator is None:
-        def evaluator(rate):
-            gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
-            eps = avg_packet_loss_exact(params.channel, rate)
-            return semi_analytic_error(gain, [eps] * params.observations)
-
-    best_bits, best_err = None, math.inf
+    k = params.observations
+    best_bits, best_err, best_gain, best_eps = None, math.inf, None, None
     for bits in range(1, 65):
         rate = bits * params.dim / params.max_blocklength
-        err = evaluator(rate)
+        eps_approx = avg_packet_loss_approx(params.channel, rate)
+        if evaluator is None:
+            gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
+            err = semi_analytic_error(gain, [avg_packet_loss_exact(params.channel, rate)] * k)
+        else:
+            gain, err = None, evaluator(rate)
         if err < best_err:
-            best_bits, best_err = bits, err
-        if avg_packet_loss_approx(params.channel, rate) > 0.999:
+            best_bits, best_err, best_gain, best_eps = bits, err, gain, eps_approx
+        if eps_approx > 0.999:
             break
     rate = best_bits * params.dim / params.max_blocklength
-    bound, exact = _predictions(rate, params)
+    if evaluator is None:
+        bound, exact = sensing_error_bound(best_gain, best_eps, k), best_err
+    else:
+        bound, exact = _predictions(rate, params)
     return RateDecision(rate, best_bits, rate, bound, exact)
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import require_finite
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
@@ -25,6 +27,7 @@ class QuantizerConfig:
     basis: np.ndarray
 
     def __post_init__(self):
+        require_finite(clip=self.clip, bits=self.bits, basis=self.basis)
         if self.clip <= 0:
             raise ValueError("clip range U must be positive")
         if self.bits < 1 or int(self.bits) != self.bits:
@@ -65,14 +68,19 @@ def scalar_quantize(v, config: QuantizerConfig):
     """Map values to the grid point whose half-open cell [u - d/2, u + d/2) holds them.
 
     Out-of-range inputs saturate to the extreme grid points -U and +U.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; the input is not modified. The output array
+    is allocated once and every later step works in it in place.
     """
     delta = config.resolution
     u = config.clip
-    v = np.asarray(v, dtype=float)
-    idx = np.floor((v + u) / delta + 0.5)
-    idx = np.clip(idx, 0, 2 ** config.bits - 1)
-    out = -u + idx * delta
+    out = np.array(v, dtype=float)
+    out += u
+    out /= delta
+    out += 0.5
+    np.floor(out, out=out)
+    np.clip(out, 0, 2 ** config.bits - 1, out=out)
+    out *= delta
+    out += -u
     if out.ndim == 0:
         return float(out)
     return out

@@ -233,3 +233,10 @@ class TestChannelConfig:
             ch.ChannelConfig(4, 0.0, 100)
         with pytest.raises(ValueError):
             ch.ChannelConfig(4, 1.0, 0)
+
+    @pytest.mark.parametrize("field", ["antennas", "snr_linear", "blocklength"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"antennas": 4, "snr_linear": 1.0, "blocklength": 100, field: value}
+        with pytest.raises(ValueError, match=field):
+            ch.ChannelConfig(**fields)

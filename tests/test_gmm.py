@@ -32,6 +32,15 @@ class TestInferenceModel:
         with pytest.raises(ValueError):
             gmm.InferenceModel(np.zeros(3), np.ones(2), np.eye(2))
 
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"mu1": np.zeros(2), "mu2": np.ones(2), "sigma": np.eye(2)}
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = value
+        with pytest.raises(ValueError, match=field):
+            gmm.InferenceModel(**fields)
+
     def test_inverse_cached(self, default_model):
         ident = default_model.sigma @ default_model.sigma_inv
         assert np.max(np.abs(ident - np.eye(50))) <= 1e-8

@@ -29,6 +29,13 @@ class TestConfigAndModel:
         with pytest.raises(ValueError):
             harness.ExperimentConfig(noise_model="gaussianish")
 
+    @pytest.mark.parametrize("field", ["dim", "centroid", "clip", "antennas", "snr_db",
+                                       "blocklength", "observations", "trials", "seed"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            harness.ExperimentConfig(**{field: value})
+
     def test_build_model_defaults(self, default_config):
         model = harness.build_model(default_config)
         assert model.dim == 50
@@ -104,7 +111,65 @@ class TestRunTrial:
         assert spread <= rows[0].ci95 + rows[1].ci95
 
 
+def reference_error(config, decision, trials, seed):
+    """Literal per-trial simulation in the feature coordinates, kept as the
+    engine's reference: sample, encode, decode, score and classify one
+    episode at a time."""
+    model = harness.build_model(config)
+    channel = harness.build_params(config, model).channel
+    bits, k = decision.bits_per_feature, config.observations
+    qc = quant.QuantizerConfig(config.clip, bits, quant.klt_basis(model.sigma))
+    s2 = quant.noise_variance(bits, config.clip)
+    score_model = gmm.InferenceModel(model.mu1, model.mu2, model.sigma + s2 * np.eye(model.dim))
+    rng = np.random.default_rng(seed)
+    wrong = 0
+    for _ in range(trials):
+        true_class = int(rng.integers(1, 3))
+        x = gmm.sample_features(model, true_class, k, rng)
+        if config.noise_model == "quantizer":
+            decoded = quant.decode(quant.encode(x, qc)[0], qc)
+        else:
+            decoded = x + math.sqrt(s2) * rng.standard_normal(x.shape)
+        snrs = ch.sample_post_mrc_snr(channel, rng, size=k)
+        success = rng.random(k) >= ch.packet_loss(snrs, config.blocklength,
+                                                  decision.rounded_rate)
+        if success.any():
+            decided = gmm.classify(gmm.discriminant_score(decoded[success], score_model))
+        else:
+            decided = int(rng.integers(1, 3))
+        wrong += decided != true_class
+    return wrong / trials
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("noise_model", ["quantizer", "lemma1"])
+    def test_dense_covariance(self, noise_model):
+        # a spread spectrum, so a score that ignored the covariance would show,
+        # and about one packet in five lost, so would one that ignored losses
+        sigma = harness._random_spd(np.random.default_rng(31), 20, (0.1, 5.0))
+        cfg = harness.ExperimentConfig(dim=20, centroid=0.15, sigma_spec=sigma.tolist(),
+                                       antennas=1, snr_db=1.0, observations=5,
+                                       policy="bits:2", noise_model=noise_model)
+        decision = harness.decide(cfg)
+        trials = 10_000
+        engine = harness.estimate_error(cfg, decision, trials, seed=17).error
+        reference = reference_error(cfg, decision, trials, seed=17)
+        spread = math.sqrt((engine * (1 - engine) + reference * (1 - reference)) / trials)
+        assert abs(engine - reference) <= 3.0 * spread
+
+
 class TestEstimateError:
+    def test_partial_block_and_single_trial(self, default_config, default_decision):
+        # blocks keep their streams, so one more trial than a block adds a
+        # second block and leaves the first one's outcomes as they were
+        size = harness._BLOCK_VALUES // (default_config.observations * default_config.dim)
+        full = harness.estimate_error(default_config, default_decision, size, seed=6)
+        more = harness.estimate_error(default_config, default_decision, size + 1, seed=6)
+        extra = round(more.error * (size + 1)) - round(full.error * size)
+        assert more.trials == size + 1 and extra in (0, 1)
+        one = harness.estimate_error(default_config, default_decision, 1, seed=6)
+        assert one.trials == 1 and one.error in (0.0, 1.0)
+
     def test_deterministic(self, default_config, default_decision):
         a = harness.estimate_error(default_config, default_decision, 500, seed=11)
         b = harness.estimate_error(default_config, default_decision, 500, seed=11)

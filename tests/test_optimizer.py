@@ -257,6 +257,16 @@ class TestSolveRate:
         _, hi = opt.rate_domain(params)
         assert opt.solve_rate(params) == opt.gradient_ascent(params) == hi
 
+    def test_zero_separation_is_one_bit_coin_flip(self):
+        # the gain and its derivative vanish together; the distortion term
+        # contributes 0 and the channel term pulls the rate to the lower edge
+        config = harness.ExperimentConfig(centroid=0.0)
+        params = harness.build_params(config)
+        assert math.isfinite(opt.surrogate_gradient(opt.rate_domain(params)[0], params))
+        decision = harness.decide(config)
+        assert decision.bits_per_feature == 1
+        assert decision.predicted_exact == 0.5
+
     def test_gradient_call_budget(self, gradient_calls):
         harness.decide(harness.ExperimentConfig(policy="adaptive"))
         assert 0 < len(gradient_calls) <= 60
@@ -289,6 +299,19 @@ class TestBenchmarkPolicies:
         adaptive = opt.round_rate(opt.gradient_ascent(params_1db), params_1db)
         brute = opt.brute_force_rate(params_1db)
         assert abs(brute.bits_per_feature - adaptive.bits_per_feature) <= 1
+
+    def test_brute_force_reuses_chosen_level(self, params, monkeypatch):
+        # one quadrature per searched level, and the chosen level's
+        # predictions are those of a fixed-bits decision at that level
+        calls = []
+        real = opt.avg_packet_loss_exact
+        monkeypatch.setattr(opt, "avg_packet_loss_exact",
+                            lambda cfg, rate: calls.append(rate) or real(cfg, rate))
+        brute = opt.brute_force_rate(params)
+        assert len(calls) == len(set(calls))
+        fixed = opt.fixed_bits_rate(brute.bits_per_feature, params)
+        assert (brute.predicted_bound, brute.predicted_exact) == (
+            fixed.predicted_bound, fixed.predicted_exact)
 
     def test_brute_force_constant_evaluator_tie_break(self, params):
         assert opt.brute_force_rate(params, evaluator=lambda r: 0.25).bits_per_feature == 1

@@ -60,6 +60,13 @@ class TestScalarQuantize:
         # boundary at 0 belongs to the upper cell
         assert quant.scalar_quantize(0.0, cfg) == 1.0
 
+    def test_input_left_unchanged(self):
+        cfg = quant.QuantizerConfig(3.0, 2, np.eye(1))
+        v = np.array([[0.2, -0.2], [7.0, -7.0]])
+        before = v.copy()
+        np.testing.assert_array_equal(quant.scalar_quantize(v, cfg), [[1.0, -1.0], [3.0, -3.0]])
+        np.testing.assert_array_equal(v, before)
+
     def test_grid_points_are_fixed(self):
         cfg = quant.QuantizerConfig(5.0, 3, np.eye(1))
         grid = -5.0 + cfg.resolution * np.arange(2 ** 3)
@@ -158,3 +165,13 @@ class TestQuantizerConfig:
             quant.QuantizerConfig(-1.0, 2, np.eye(2))
         with pytest.raises(ValueError):
             quant.QuantizerConfig(1.0, 0, np.eye(2))
+
+    @pytest.mark.parametrize("field", ["clip", "bits", "basis"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        basis = np.eye(2)
+        basis[0, 0] = value
+        fields = {"clip": 1.0, "bits": 2, "basis": np.eye(2),
+                  field: basis if field == "basis" else value}
+        with pytest.raises(ValueError, match=field):
+            quant.QuantizerConfig(**fields)
