@@ -9,18 +9,21 @@ and as the closed-form incomplete-gamma approximation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
+from scipy import integrate, special
 
-from .numerics import q_function, regularized_upper_gamma, require_finite
+from .numerics import q_function, require_finite
 
+LN2 = math.log(2.0)
 LOG2E_SQ = math.log2(math.e) ** 2
 SQRT2 = math.sqrt(2.0)
 
 _ERLANG_TAIL_MASS = 1e-10
+_MAX_FINITE_DB = 10.0 * math.log10(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,16 @@ class ChannelConfig:
         if self.blocklength < 1 or int(self.blocklength) != self.blocklength:
             raise ValueError("blocklength must be a positive integer")
 
+    @cached_property
+    def erlang_tail(self) -> float:
+        """SNR above which the Erlang(L, gamma0) tail mass is below 1e-10."""
+        return float(special.gammainccinv(self.antennas, _ERLANG_TAIL_MASS)) * self.snr_linear
+
 
 def snr_from_db(db: float) -> float:
-    """Convert an SNR in decibels to a linear power ratio."""
+    """Convert an SNR in decibels to a linear power ratio, which must be a finite float."""
+    if not db < _MAX_FINITE_DB:  # also rejects NaN
+        raise ValueError(f"SNR of {db} dB is not a finite linear ratio")
     return 10.0 ** (db / 10.0)
 
 
@@ -100,8 +110,9 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     if rate <= 0:
         raise ValueError("coding rate must be positive")
     ell, g0, n = cfg.antennas, cfg.snr_linear, cfg.blocklength
-    hi = float(stats.gamma.isf(_ERLANG_TAIL_MASS, a=ell, scale=g0))
-    knee = 2.0 ** rate - 1.0  # SNR where capacity meets the rate
+    hi = cfg.erlang_tail
+    # SNR where capacity meets the rate; 2^rate overflows a float from 1024 on
+    knee = 2.0 ** rate - 1.0 if rate < 1024.0 else math.inf
     log_norm = math.lgamma(ell) + ell * math.log(g0)
 
     def integrand(g):
@@ -138,11 +149,19 @@ def avg_packet_loss_approx(cfg: ChannelConfig, rate: float) -> float:
     p is the density of u. At N = 100 the form plus c1 / N is within a few
     percent of quadrature for losses from 1e-3 to 0.99; the bare form is
     within 5% only above a loss of about 0.12.
+
+    It is evaluated as the regularized lower incomplete gamma P(L, beta),
+    beta = expm1(rate ln 2) / gamma0, which keeps its relative precision at
+    small losses and small rates. Accepts a scalar rate or an array of rates.
     """
-    if rate <= 0:
+    rate = np.asarray(rate, dtype=float)
+    if np.any(rate <= 0):
         raise ValueError("coding rate must be positive")
-    beta = (2.0 ** rate - 1.0) / cfg.snr_linear
-    return 1.0 - regularized_upper_gamma(cfg.antennas, beta)
+    with np.errstate(over="ignore"):  # from 1024 bits per use on, beta is inf and the loss 1
+        out = special.gammainc(cfg.antennas, np.expm1(rate * LN2) / cfg.snr_linear)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def simulate_slot(loss_prob: float, rng: np.random.Generator) -> bool:

@@ -57,8 +57,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    decision = harness.decide(config)
-    row = harness.estimate_error(config, decision, config.trials, config.seed)
+    params = harness.build_params(config)
+    row = harness.estimate_error(config, harness.decide(config, params), config.trials,
+                                 config.seed, params=params)
     print(json.dumps(dataclasses.asdict(row), indent=2))
     return 0
 

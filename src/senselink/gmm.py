@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import poisson_binomial_pmf, q_function, require_finite
+from .numerics import binomial_pmf, poisson_binomial_pmf, q_function, require_finite
+from .quant import klt
 
 _MIN_EIGENVALUE = 1e-12
 
@@ -21,16 +23,19 @@ _MIN_EIGENVALUE = 1e-12
 class InferenceModel:
     """Binary Gaussian class-conditional model with shared covariance.
 
-    Entries must be finite and the covariance symmetric positive definite;
-    its inverse and a lower Cholesky factor are cached at construction.
-    Instances are immutable and safe to share across threads.
+    Entries must be finite and the covariance symmetric positive definite.
+    One eigendecomposition is cached at construction, as ``quant.klt``
+    orders it (``eigvals``, ``basis``), with ``gap`` = basis @ (mu1 - mu2);
+    the inverse and a Cholesky factor, which only scoring and sampling use,
+    on first use. Instances are immutable and safe to share across threads.
     """
 
     mu1: np.ndarray
     mu2: np.ndarray
     sigma: np.ndarray
-    sigma_inv: np.ndarray = field(init=False, repr=False)
-    chol: np.ndarray = field(init=False, repr=False)
+    eigvals: np.ndarray = field(init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
+    gap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu1 = np.asarray(self.mu1, dtype=float)
@@ -40,42 +45,44 @@ class InferenceModel:
         if mu1.shape != (d,) or mu2.shape != (d,) or sigma.shape != (d, d):
             raise ValueError("inconsistent model dimensions")
         require_finite(mu1=mu1, mu2=mu2, sigma=sigma)
-        if not np.allclose(sigma, sigma.T, atol=1e-10):
-            raise ValueError("covariance must be symmetric")
-        eigmin = np.linalg.eigvalsh(sigma)[0]
-        if eigmin <= _MIN_EIGENVALUE:
-            raise ValueError(f"covariance not positive definite (min eig {eigmin:g})")
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_inv", np.linalg.inv(sigma))
-        object.__setattr__(self, "chol", np.linalg.cholesky(sigma))
+        eigvals, basis = klt(sigma)
+        if eigvals[-1] <= _MIN_EIGENVALUE:
+            raise ValueError(f"covariance not positive definite (min eig {eigvals[-1]:g})")
+        for name, value in (("mu1", mu1), ("mu2", mu2), ("sigma", sigma), ("eigvals", eigvals),
+                            ("basis", basis), ("gap", basis @ (mu1 - mu2))):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.mu1.size
 
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """Inverse of the covariance."""
+        return np.linalg.inv(self.sigma)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of the covariance."""
+        return np.linalg.cholesky(self.sigma)
+
 
 def discriminant_gain(model: InferenceModel) -> float:
     """Half the squared Mahalanobis distance between the class centroids."""
-    dm = model.mu1 - model.mu2
-    return 0.5 * float(dm @ model.sigma_inv @ dm)
+    return effective_discriminant_gain(model, 0.0)
 
 
 def effective_discriminant_gain(model: InferenceModel, sigma_q2: float) -> float:
     """Discriminant gain after inflating the covariance by isotropic noise.
 
-    Returns (1/2) dm^T (Sigma + sigma_q2 I)^{-1} dm; reduces to
-    ``discriminant_gain`` at sigma_q2 = 0 and is strictly decreasing in
-    sigma_q2 whenever the centroids differ.
+    Returns (1/2) dm^T (Sigma + sigma_q2 I)^{-1} dm, evaluated in O(d) as
+    (1/2) sum_i c_i^2 / (lambda_i + sigma_q2) over the cached eigenbasis
+    (c = ``model.gap``); at sigma_q2 = 0 it is the discriminant gain, and it
+    is strictly decreasing in sigma_q2 whenever the centroids differ.
     """
     if sigma_q2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    dm = model.mu1 - model.mu2
-    if sigma_q2 == 0.0:
-        return discriminant_gain(model)
-    cov = model.sigma + sigma_q2 * np.eye(model.dim)
-    return 0.5 * float(dm @ np.linalg.solve(cov, dm))
+    return 0.5 * float(np.sum(model.gap ** 2 / (model.eigvals + sigma_q2)))
 
 
 def dg_reduction_bounds(model: InferenceModel, sigma_q2: float) -> tuple[float, float]:
@@ -86,12 +93,8 @@ def dg_reduction_bounds(model: InferenceModel, sigma_q2: float) -> tuple[float, 
     """
     if sigma_q2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    if sigma_q2 == 0.0:
-        return (0.0, 0.0)
-    cov = model.sigma + sigma_q2 * np.eye(model.dim)
-    lower = sigma_q2 / float(np.trace(cov))
-    upper = sigma_q2 * float(np.trace(np.linalg.inv(cov)))
-    return (lower, upper)
+    inflated = model.eigvals + sigma_q2
+    return (sigma_q2 / float(np.sum(inflated)), sigma_q2 * float(np.sum(1.0 / inflated)))
 
 
 def discriminant_score(x, model: InferenceModel):
@@ -157,10 +160,18 @@ def semi_analytic_error(gain: float, loss_probs) -> float:
 
     Mixes the conditional Bayes error Q(sqrt(m D / 2)) over the distribution
     of the received count m; the m = 0 term contributes a random guess (1/2).
+    The count is binomial when every slot has the same loss and
+    Poisson-binomial otherwise. The error is 1/2 at zero gain and at most 1/2
+    otherwise, however the pmf's sum rounds.
     """
-    loss = np.asarray(loss_probs, dtype=float)
-    pmf = poisson_binomial_pmf(1.0 - loss)
+    success = 1.0 - np.asarray(loss_probs, dtype=float)
+    if success.ndim == 1 and success.size and np.all(success == success[0]):
+        pmf = binomial_pmf(float(success[0]), success.size)
+    else:
+        pmf = poisson_binomial_pmf(success)
+    if gain == 0.0:
+        return 0.5
     m = np.arange(pmf.size)
     cond = q_function(np.sqrt(m * gain / 2.0))
     cond[0] = 0.5
-    return float(pmf @ cond)
+    return min(float(pmf @ cond), 0.5)

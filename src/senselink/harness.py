@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -58,10 +59,10 @@ class ExperimentConfig:
     model_file: str | None = None
 
     def __post_init__(self):
-        require_finite(dim=self.dim, centroid=self.centroid, clip=self.clip,
-                       antennas=self.antennas, snr_db=self.snr_db,
-                       blocklength=self.blocklength, observations=self.observations,
-                       trials=self.trials, seed=self.seed)
+        require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
+        for name in ("dim", "antennas", "blocklength", "observations", "trials", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1 or self.observations < 1 or self.dim < 1:
             raise ValueError("invalid experiment configuration")
         if self.noise_model not in ("quantizer", "lemma1"):
@@ -130,7 +131,8 @@ def build_params(config: ExperimentConfig, model: gmm.InferenceModel | None = No
 
 
 def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -> opt.RateDecision:
-    """Resolve the policy string into a rate decision."""
+    """Resolve the policy string into a rate decision; decisions that share
+    ``params`` share its bit-level table."""
     if params is None:
         params = build_params(config)
     policy = config.policy
@@ -156,12 +158,13 @@ class _TrialContext:
     with w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1).
     """
 
-    def __init__(self, config: ExperimentConfig, decision: opt.RateDecision):
+    def __init__(self, config: ExperimentConfig, decision: opt.RateDecision,
+                 params: opt.TradeoffParams | None = None):
         self.config = config
         self.decision = decision
-        model = build_model(config)
-        self.channel = build_params(config, model).channel
-        basis = quant.klt_basis(model.sigma)
+        params = params or build_params(config)
+        model, self.channel = params.model, params.channel
+        basis = model.basis
         self.quantizer = quant.QuantizerConfig(config.clip, decision.bits_per_feature, basis)
         s2 = quant.noise_variance(decision.bits_per_feature, config.clip)
         self.sigma_q = math.sqrt(s2)
@@ -221,11 +224,13 @@ def run_trial(config: ExperimentConfig, decision: opt.RateDecision,
 
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                    trials: int, seed: int, cell: int = 0,
-                   param: str = "", value: float | None = None) -> ResultRow:
-    """Aggregate the error rate over independent trials, one stream per block."""
+                   param: str = "", value: float | None = None,
+                   params: opt.TradeoffParams | None = None) -> ResultRow:
+    """Aggregate the error rate over independent trials, one stream per block.
+    ``params``, when given, supplies the model and channel of ``config``."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    ctx = _TrialContext(config, decision)
+    ctx = _TrialContext(config, decision, params)
     wrong = 0
     for block, start in enumerate(range(0, trials, ctx.block_size)):
         rng = np.random.default_rng([seed, cell, block])
@@ -261,13 +266,16 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     rows = []
     for vi, value in enumerate(values):
         cast = int(value) if attr in ("observations", "antennas", "blocklength") else float(value)
+        params = None  # one model, channel and bit-level table for the value's policies
         for pi, policy in enumerate(policies):
             cfg = replace(config, **{attr: cast, "policy": policy})
             try:
-                decision = decide(cfg)
+                if params is None:
+                    params = build_params(cfg)
+                decision = decide(cfg, params)
                 row = estimate_error(cfg, decision, trials, seed,
                                      cell=vi * len(policies) + pi,
-                                     param=param, value=float(value))
+                                     param=param, value=float(value), params=params)
             except Exception as exc:
                 raise RuntimeError(f"sweep cell ({param}={value}, policy={policy}) failed") from exc
             rows.append(row)
@@ -369,7 +377,7 @@ def _gain_curvature_prediction(params: opt.TradeoffParams, grid) -> tuple[np.nda
     bits = params.channel.blocklength * np.asarray(grid) / params.dim
     noise = params.clip ** 2 / 3.0 / (2.0 ** bits - 1.0) ** 2
     x2 = 2.0 ** (bits + 1.0)
-    margin = np.linalg.eigvalsh(params.model.sigma)[:, None] * (x2 + 1.0) / (x2 - 1.0) - noise
+    margin = params.model.eigvals[:, None] * (x2 + 1.0) / (x2 - 1.0) - noise
     concave, convex = np.all(margin >= 0.0, axis=0), np.all(margin < 0.0, axis=0)
     return (concave[2:] & concave[1:-1] & concave[:-2],
             convex[2:] & convex[1:-1] & convex[:-2])
@@ -402,7 +410,7 @@ def validate(seed: int = 0) -> ValidationReport:
     # Quantization-distortion statistics (mixing transform, d = 50).
     sigma = _random_spd(rng, 50, (0.5, 2.0))
     model = gmm.InferenceModel(0.1 * np.ones(50), -0.1 * np.ones(50), sigma)
-    qc = quant.QuantizerConfig(5.0, 4, quant.klt_basis(sigma))
+    qc = quant.QuantizerConfig(5.0, 4, model.basis)
     x = gmm.sample_features(model, 1, 100_000, rng)
     z = quant.decode(quant.encode(x, qc)[0], qc) - x
     var_dev = float(np.max(np.abs(z.var(axis=0) / quant.noise_variance(4, 5.0) - 1.0)))

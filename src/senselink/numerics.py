@@ -8,6 +8,8 @@ import numbers
 import numpy as np
 from scipy import special
 
+_LOG_TAIL_SWITCH = 1e-300  # below it, gammaincc nears the subnormal range
+
 
 def require_finite(**values) -> None:
     """Raise ValueError naming the first value that is NaN or infinite.
@@ -38,31 +40,42 @@ def q_function(x):
 def regularized_upper_gamma(shape: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(shape, x) for integer shape >= 1.
 
-    For integer shape the function reduces to the finite Poisson tail sum
-    exp(-x) * sum_{k=0}^{shape-1} x^k / k!, which is evaluated term by term in
-    log space so large arguments neither overflow nor lose the exponential
-    scaling. Monotone nonincreasing in x; equals 1 at x = 0.
+    Monotone nonincreasing in x; equals 1 at x = 0.
+    """
+    return math.exp(log_regularized_upper_gamma(shape, x))
+
+
+def log_regularized_upper_gamma(shape: int, x: float) -> float:
+    """log Q(shape, x) for integer shape, stable far into the tail.
+
+    Where Q is a normal float this is the log of scipy's ``gammaincc``;
+    further out, the Poisson tail sum exp(-x) sum_{k<shape} x^k / k! is
+    added up in log space, relative to its largest term.
     """
     if shape < 1 or int(shape) != shape:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
-        return 1.0
-    return math.exp(log_regularized_upper_gamma(int(shape), x))
-
-
-def log_regularized_upper_gamma(shape: int, x: float) -> float:
-    """log Q(shape, x) for integer shape, stable far into the tail."""
-    if shape < 1 or int(shape) != shape:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
         return 0.0
+    q = float(special.gammaincc(shape, x))
+    if q > _LOG_TAIL_SWITCH:
+        return math.log(q)
     lx = math.log(x)
     terms = [k * lx - math.lgamma(k + 1) for k in range(int(shape))]
-    return min(special.logsumexp(terms) - x, 0.0)
+    top = max(terms)
+    return min(top + math.log(math.fsum(math.exp(t - top) for t in terms)) - x, 0.0)
+
+
+def binomial_pmf(success_prob: float, trials: int) -> np.ndarray:
+    """The equal-probability case of ``poisson_binomial_pmf`` in O(K), in log
+    space so no binomial coefficient overflows; indexed by the count m = 0..K."""
+    if trials < 1 or not 0.0 <= success_prob <= 1.0:
+        raise ValueError("need trials >= 1 and a success probability in [0, 1]")
+    m = np.arange(trials + 1)
+    log_comb = special.gammaln(trials + 1) - special.gammaln(m + 1) - special.gammaln(trials - m + 1)
+    return np.exp(log_comb + special.xlogy(m, success_prob)
+                  + special.xlog1py(trials - m, -success_prob))
 
 
 def poisson_binomial_pmf(success_probs) -> np.ndarray:

@@ -7,29 +7,39 @@ and, since the surrogate is concave, decreases monotonically on the rate
 domain. The rate is therefore the gradient's root, found by one bracketed
 Brent solve (or the domain edge where the gradient keeps its sign), and is
 then rounded to an integer bits-per-feature level. Fixed-step gradient
-ascent on the same gradient is kept for the convergence study. Benchmark
-policies (exhaustive search, reliability-first, fixed resolution) share the
-same decision record.
+ascent on the same gradient is kept for the convergence study.
+
+Every policy (adaptive rounding, exhaustive search, reliability-first,
+fixed resolution) ends in a lookup in one bit-level table per operating
+point, ``TradeoffParams.table``. The upper edge of the rate domain
+and the reliability-first rate are closed-form inverses of the closed-form
+loss through scipy's inverse incomplete gamma functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize as sciopt
+from scipy import special
 
-from .channel import ChannelConfig, avg_packet_loss_approx, avg_packet_loss_exact
+from .channel import LN2, ChannelConfig, avg_packet_loss_approx, avg_packet_loss_exact
 from .gmm import InferenceModel, effective_discriminant_gain, semi_analytic_error, sensing_error_bound
 from .numerics import log_regularized_upper_gamma
 
-LN2 = math.log(2.0)
+_MAX_BITS = 64  # brute force searches at most the bit levels 1.._MAX_BITS
+_BRUTE_STOP_LOSS = 0.999
+_EDGE_SURVIVAL = 1e-9  # the rate domain ends where the closed-form loss is 1 - this
 
 
 @dataclass(frozen=True)
 class TradeoffParams:
-    """Everything the surrogate and the optimizer consume."""
+    """Everything the surrogate and the optimizer consume, plus the operating
+    point's bit-level table. The table holds numbers only, so no reference
+    cycle keeps a model alive until the cycle collector runs."""
 
     model: InferenceModel
     clip: float
@@ -45,6 +55,21 @@ class TradeoffParams:
             raise ValueError("blocklength exceeds the channel-use budget")
         if self.model.dim != self.dim:
             raise ValueError("model dimension mismatch")
+
+    def level_rate(self, bits):
+        """Coding rate of an integer bits-per-feature level: bits d / Nmax."""
+        return bits * self.dim / self.max_blocklength
+
+    @cached_property
+    def level_losses(self) -> np.ndarray:
+        """Closed-form loss of the bit levels 1.._MAX_BITS, from one vectorised call."""
+        return avg_packet_loss_approx(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+
+    @cached_property
+    def table(self) -> dict[int, tuple[float, float]]:
+        """The bit-level table: (error bound, exact error) of each level a policy
+        has asked for, shared by every policy that decides with these parameters."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -131,11 +156,10 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     s2 = sigma_q2_of_rate(rate, params)
     gain = effective_discriminant_gain(params.model, s2)
 
-    dm = params.model.mu1 - params.model.mu2
-    cov = params.model.sigma + s2 * np.eye(d)
-    w = np.linalg.solve(cov, dm)
+    # w = (Sigma + s2 I)^{-1} (mu1 - mu2) has |w|^2 = sum c_i^2 / (lambda_i + s2)^2
+    w_norm2 = float(np.sum((params.model.gap / (params.model.eigvals + s2)) ** 2))
     distortion = 2.0 ** (-2.0 * bits) / (-math.expm1(-bits * LN2)) ** 3
-    d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * float(w @ w)
+    d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * w_norm2
     # with no class separation the gain and its derivative are both 0; the
     # distortion term then contributes nothing
     phi1_prime = 0.0 if d_prime == 0.0 else d_prime / (4.0 * math.expm1(gain / 4.0))
@@ -149,25 +173,21 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     return phi1_prime + phi2_prime
 
 
+def _rate_at_outage_threshold(channel: ChannelConfig, beta: float) -> float:
+    """log2(1 + gamma0 beta), the rate whose closed-form loss is P(L, beta)."""
+    return math.log1p(channel.snr_linear * beta) / LN2
+
+
 def rate_domain(params: TradeoffParams) -> tuple[float, float]:
     """Feasible continuous-rate interval [d/N, R_hi].
 
     The lower edge is the one-bit-per-feature rate; the upper edge is where
-    the closed-form average loss reaches 1 - 1e-9.
+    the closed-form average loss reaches 1 - 1e-9, or the lower edge if the
+    loss there is already higher.
     """
     lo = params.dim / params.channel.blocklength
-    target = 1.0 - 1e-9
-
-    def excess(r):
-        return avg_packet_loss_approx(params.channel, r) - target
-
-    hi = max(lo, 1.0)
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            break
-    hi = sciopt.brentq(excess, lo, hi) if excess(lo) < 0.0 else lo
-    return lo, hi
+    beta = float(special.gammainccinv(params.channel.antennas, _EDGE_SURVIVAL))
+    return lo, max(lo, _rate_at_outage_threshold(params.channel, beta))
 
 
 def solve_rate(params: TradeoffParams) -> float:
@@ -215,13 +235,23 @@ def gradient_ascent(params: TradeoffParams, settings: OptimizerSettings = Optimi
     raise ConvergenceError(rate, grad, settings.max_iters)
 
 
-def _predictions(rounded_rate: float, params: TradeoffParams) -> tuple[float, float]:
-    gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rounded_rate, params))
-    eps_approx = avg_packet_loss_approx(params.channel, rounded_rate)
-    eps_exact = avg_packet_loss_exact(params.channel, rounded_rate)
-    bound = sensing_error_bound(gain, eps_approx, params.observations)
-    exact = semi_analytic_error(gain, [eps_exact] * params.observations)
-    return bound, exact
+def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | None = None,
+                    infeasible: bool = False) -> RateDecision:
+    """The decision at a bit level. Its predictions, the error bound at the
+    closed-form loss and the exact error at the quadrature loss, both at the
+    distortion-degraded gain, come from ``params.table``; a level missing
+    there is computed once and added, so no level is integrated twice."""
+    rate = params.level_rate(bits)
+    if bits not in params.table:
+        approx = float(params.level_losses[bits - 1]) if bits <= _MAX_BITS else \
+            avg_packet_loss_approx(params.channel, rate)
+        gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
+        exact = avg_packet_loss_exact(params.channel, rate)
+        params.table[bits] = (sensing_error_bound(gain, approx, params.observations),
+                              semi_analytic_error(gain, [exact] * params.observations))
+    bound, exact = params.table[bits]
+    return RateDecision(rate if continuous_rate is None else continuous_rate,
+                        bits, rate, bound, exact, infeasible)
 
 
 def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
@@ -233,75 +263,48 @@ def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
     if continuous_rate <= 0:
         raise ValueError("coding rate must be positive")
     raw = continuous_rate * params.max_blocklength / params.dim
-    bits = max(int(math.floor(raw + 0.5)), 1)
-    rounded = bits * params.dim / params.max_blocklength
-    bound, exact = _predictions(rounded, params)
-    return RateDecision(continuous_rate, bits, rounded, bound, exact)
+    return _level_decision(max(int(math.floor(raw + 0.5)), 1), params, continuous_rate)
 
 
 def brute_force_rate(params: TradeoffParams, evaluator=None) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
     ``evaluator`` maps a coding rate to an error figure; the default is the
-    semi-analytic exact error at the quadrature-evaluated average loss. With
-    the default, the chosen level's error and gain are reused for its
-    predictions instead of being evaluated again.
+    semi-analytic exact error at the quadrature-evaluated average loss, read
+    from the bit-level table. The search stops after the first level whose
+    closed-form loss exceeds 0.999.
     """
-    k = params.observations
-    best_bits, best_err, best_gain, best_eps = None, math.inf, None, None
-    for bits in range(1, 65):
-        rate = bits * params.dim / params.max_blocklength
-        eps_approx = avg_packet_loss_approx(params.channel, rate)
+    past = np.flatnonzero(params.level_losses > _BRUTE_STOP_LOSS)
+    levels = range(1, int(past[0]) + 2 if past.size else _MAX_BITS + 1)
+
+    def error(bits):
         if evaluator is None:
-            gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
-            err = semi_analytic_error(gain, [avg_packet_loss_exact(params.channel, rate)] * k)
-        else:
-            gain, err = None, evaluator(rate)
-        if err < best_err:
-            best_bits, best_err, best_gain, best_eps = bits, err, gain, eps_approx
-        if eps_approx > 0.999:
-            break
-    rate = best_bits * params.dim / params.max_blocklength
-    if evaluator is None:
-        bound, exact = sensing_error_bound(best_gain, best_eps, k), best_err
-    else:
-        bound, exact = _predictions(rate, params)
-    return RateDecision(rate, best_bits, rate, bound, exact)
+            return _level_decision(bits, params).predicted_exact
+        return evaluator(params.level_rate(bits))
+
+    return _level_decision(min(levels, key=error), params)
 
 
 def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:
     """Largest integer-bit rate keeping the average loss under the threshold.
 
+    The largest rate is the closed-form inverse of the closed-form loss.
     Flags infeasibility (and still transmits at one bit per feature) when even
     the one-bit rate violates the threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    cfg = params.channel
-
-    def excess(r):
-        return avg_packet_loss_approx(cfg, r) - threshold
-
-    lo = 1e-9
-    hi = 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-    r_max = sciopt.brentq(excess, lo, hi) if excess(lo) < 0.0 else lo
+    beta = float(special.gammaincinv(params.channel.antennas, threshold))
+    r_max = _rate_at_outage_threshold(params.channel, beta)
     bits = int(math.floor(r_max * params.max_blocklength / params.dim))
-    infeasible = bits < 1
-    bits = max(bits, 1)
-    rate = bits * params.dim / params.max_blocklength
-    bound, exact = _predictions(rate, params)
-    return RateDecision(r_max, bits, rate, bound, exact, infeasible=infeasible)
+    return _level_decision(max(bits, 1), params, r_max, infeasible=bits < 1)
 
 
 def fixed_bits_rate(bits: int, params: TradeoffParams) -> RateDecision:
     """Decision pinned at a fixed bits-per-feature resolution."""
     if bits < 1 or int(bits) != bits:
         raise ValueError("bits must be a positive integer")
-    rate = bits * params.dim / params.max_blocklength
-    bound, exact = _predictions(rate, params)
-    return RateDecision(rate, int(bits), rate, bound, exact)
+    return _level_decision(int(bits), params)
 
 
 def default_log_accuracy(bits: float) -> float:

@@ -43,8 +43,9 @@ class QuantizerConfig:
         return 2.0 * self.clip / (2 ** self.bits - 1)
 
 
-def klt_basis(sigma: np.ndarray) -> np.ndarray:
-    """Orthogonal basis whose rows are eigenvectors of sigma, eigenvalues descending.
+def klt(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of sigma in descending order and the orthogonal basis whose
+    rows are the matching eigenvectors, from one symmetric eigendecomposition.
 
     Sign convention: the first entry of each row exceeding 1e-12 in magnitude
     is made positive, so the basis is reproducible across platforms. Ties in
@@ -57,11 +58,15 @@ def klt_basis(sigma: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sigma)
     order = np.argsort(-vals, kind="stable")
     rows = vecs[:, order].T.copy()
-    for row in rows:
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-    return rows
+    significant = np.abs(rows) > 1e-12
+    lead = rows[np.arange(rows.shape[0]), np.argmax(significant, axis=1)]
+    rows[significant.any(axis=1) & (lead < 0)] *= -1.0
+    return vals[order], rows
+
+
+def klt_basis(sigma: np.ndarray) -> np.ndarray:
+    """The KLT basis of ``klt``: eigenvectors of sigma as rows, eigenvalues descending."""
+    return klt(sigma)[1]
 
 
 def scalar_quantize(v, config: QuantizerConfig):

@@ -36,6 +36,16 @@ class TestConfigAndModel:
         with pytest.raises(ValueError, match=field):
             harness.ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["dim", "antennas", "blocklength", "observations",
+                                       "trials", "seed"])
+    def test_rejects_non_integer_counts(self, field):
+        with pytest.raises(ValueError, match=field):
+            harness.ExperimentConfig(**{field: 2.5})
+
+    def test_decide_rejects_snr_beyond_float_range(self):
+        with pytest.raises(ValueError, match="dB"):
+            harness.decide(harness.ExperimentConfig(snr_db=4000.0, policy="bits:4"))
+
     def test_build_model_defaults(self, default_config):
         model = harness.build_model(default_config)
         assert model.dim == 50

@@ -9,6 +9,7 @@ from scipy import special, stats
 from scipy.special import logsumexp
 
 from senselink.numerics import (
+    binomial_pmf,
     log_regularized_upper_gamma,
     poisson_binomial_pmf,
     q_function,
@@ -91,6 +92,20 @@ class TestRegularizedUpperGamma:
     def test_vanishes_in_tail(self):
         assert regularized_upper_gamma(4, 800.0) < 1e-300
 
+    def test_log_form_matches_mpmath(self):
+        # independent oracle: mpmath's regularized upper incomplete gamma at 50
+        # digits, deep into the tail. log Q reaches about -9980 at x = 1e4,
+        # where floats are 1.8e-12 apart, so past |log Q| = 1 the bound is
+        # relative
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for shape in (1, 2, 4, 64, 256):
+            for x in list(np.geomspace(1e-6, 1e4, 41)) + [shape - 0.5, shape, shape + 1.0]:
+                expected = float(mpmath.log(mpmath.gammainc(
+                    shape, mpmath.mpf(float(x)), mpmath.inf, regularized=True)))
+                assert abs(log_regularized_upper_gamma(shape, float(x)) - expected) <= \
+                    1e-13 * max(1.0, abs(expected))
+
     def test_log_form_deep_tail(self):
         # log of the exact Poisson tail sum e^(-x) * sum_{k<4} x^k / k!
         x = 800.0
@@ -134,3 +149,19 @@ class TestPoissonBinomial:
             poisson_binomial_pmf([0.5, 1.2])
         with pytest.raises(ValueError):
             poisson_binomial_pmf([])
+
+
+class TestBinomialPmf:
+    @pytest.mark.parametrize("k", [1, 2, 10, 20, 200])
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.3, 0.9, 1.0 - 1e-9, 1.0])
+    def test_matches_scipy_and_poisson_binomial(self, k, p):
+        pmf = binomial_pmf(p, k)
+        np.testing.assert_allclose(pmf, stats.binom.pmf(np.arange(k + 1), k, p),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(pmf, poisson_binomial_pmf([p] * k), rtol=1e-12, atol=1e-15)
+
+    def test_rejects_invalid(self):
+        with pytest.raises(ValueError):
+            binomial_pmf(1.2, 3)
+        with pytest.raises(ValueError):
+            binomial_pmf(0.5, 0)

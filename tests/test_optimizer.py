@@ -1,12 +1,18 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+from scipy.optimize import brentq
 
 from senselink import channel as ch
 from senselink import gmm
 from senselink import harness
+from senselink import numerics
 from senselink import optimizer as opt
 
 
@@ -377,3 +383,170 @@ class TestAccuracySurrogate:
     def test_fitted_maximizer_exceeds_urllc_rate(self, params):
         best = opt.maximize_accuracy_surrogate(opt.default_log_accuracy, params)
         assert best > opt.urllc_rate(params).rounded_rate
+
+
+POLICIES = ["adaptive", "brute", "urllc", "bits:32", "bits:16", "bits:4"]
+
+
+def reference_decisions(config):
+    """The decision layer as it was before the bit-level table, written out.
+
+    Every prediction is recomputed per call: the closed-form loss as
+    1 - Q(L, (2^R - 1) / gamma0), the gain by a dense solve, the exact error
+    over the Poisson-binomial DP. Brute force walks the levels one by one
+    (ties to fewer bits, stop after a closed-form loss past 0.999); urllc and
+    the rate domain bracket by doubling and solve with brentq. Returns
+    policy -> (bits, predicted_bound, predicted_exact).
+    """
+    params = harness.build_params(config)
+    model, cfg, k = params.model, params.channel, params.observations
+    n_max, d = params.max_blocklength, params.dim
+
+    def approx(rate):
+        return 1.0 - special.gammaincc(cfg.antennas, (2.0 ** rate - 1.0) / cfg.snr_linear)
+
+    def gain(rate):
+        dm = model.mu1 - model.mu2
+        cov = model.sigma + opt.sigma_q2_of_rate(rate, params) * np.eye(d)
+        return 0.5 * float(dm @ np.linalg.solve(cov, dm))
+
+    def exact_error(g, eps):
+        if g == 0.0:
+            # no separation: a coin flip whatever arrives. The old code mixed
+            # 1/2 over the pmf, and the rounding of its sum picked brute
+            # force's level at centroid 0 (6 bits there, now 1)
+            return 0.5
+        pmf = numerics.poisson_binomial_pmf([1.0 - eps] * k)
+        cond = numerics.q_function(np.sqrt(np.arange(k + 1) * g / 2.0))
+        cond[0] = 0.5
+        return float(pmf @ cond)
+
+    def predicted(bits):
+        rate = bits * d / n_max
+        g = gain(rate)
+        return (bits, gmm.sensing_error_bound(g, approx(rate), k),
+                exact_error(g, ch.avg_packet_loss_exact(cfg, rate)))
+
+    def bracket_root(f, lo, hi):
+        while f(hi) < 0.0:
+            hi *= 2.0
+        return brentq(f, lo, hi) if f(lo) < 0.0 else lo
+
+    best, best_err = None, math.inf
+    for bits in range(1, 65):
+        err = predicted(bits)[2]
+        if err < best_err:
+            best, best_err = bits, err
+        if approx(bits * d / n_max) > 0.999:
+            break
+    r_max = bracket_root(lambda r: approx(r) - 1e-5, 1e-9, 1.0)
+    lo = d / cfg.blocklength
+    hi = bracket_root(lambda r: approx(r) - (1.0 - 1e-9), lo, max(lo, 1.0))
+    if opt.surrogate_gradient(lo, params) <= 0.0:
+        rate = lo
+    elif opt.surrogate_gradient(hi, params) >= 0.0:
+        rate = hi
+    else:
+        rate = brentq(opt.surrogate_gradient, lo, hi, args=(params,))
+    levels = {"adaptive": max(int(math.floor(rate * n_max / d + 0.5)), 1), "brute": best,
+              "urllc": max(int(math.floor(r_max * n_max / d)), 1),
+              "bits:32": 32, "bits:16": 16, "bits:4": 4}
+    return {policy: predicted(bits) for policy, bits in levels.items()}
+
+
+def dense_sigma_spec(dim=20, seed=5):
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    sigma = (basis * rng.uniform(0.1, 5.0, dim)) @ basis.T
+    return (0.5 * (sigma + sigma.T)).tolist()
+
+
+class TestRateTable:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"snr_db": 1.0}, {"snr_db": 40.0}, {"antennas": 1}, {"antennas": 64},
+        {"dim": 1}, {"blocklength": 400, "dim": 4}, {"centroid": 0.0},
+        {"dim": 20, "sigma_spec": dense_sigma_spec()},
+    ], ids=["default", "1dB", "40dB", "L1", "L64", "d1", "N400d4", "centroid0", "dense20"])
+    def test_matches_reference(self, overrides):
+        config = harness.ExperimentConfig(**overrides)
+        expected = reference_decisions(config)
+        params = harness.build_params(config)
+        for policy in POLICIES:
+            decision = harness.decide(replace(config, policy=policy), params)
+            bits, bound, exact = expected[policy]
+            assert decision.bits_per_feature == bits, policy
+            assert decision.rounded_rate == bits * config.dim / config.blocklength
+            assert decision.predicted_bound == pytest.approx(bound, rel=1e-12, abs=0.0), policy
+            assert decision.predicted_exact == pytest.approx(exact, rel=1e-12, abs=0.0), policy
+
+    def test_sweep_point_builds_once(self, monkeypatch):
+        # one model and one quadrature per distinct bit level for all the
+        # policies of a swept value
+        rates, models = [], []
+        real_exact = opt.avg_packet_loss_exact
+        monkeypatch.setattr(opt, "avg_packet_loss_exact",
+                            lambda cfg, rate: rates.append(rate) or real_exact(cfg, rate))
+        real_init = gmm.InferenceModel.__post_init__
+        monkeypatch.setattr(gmm.InferenceModel, "__post_init__",
+                            lambda model: models.append(model) or real_init(model))
+        rows = harness.sweep(harness.ExperimentConfig(), "snr-db", [2.0], POLICIES,
+                             trials=20, seed=0)
+        assert len(models) == 1
+        assert len(rates) == len(set(rates))
+        assert {row.rate for row in rows} <= set(rates)
+
+    @pytest.mark.parametrize("antennas", [1, 4, 64, 256])
+    def test_closed_form_inverses_round_trip(self, antennas):
+        # the domain edge and the urllc rate are inverses of the closed-form loss
+        for snr_db in np.linspace(-30.0, 60.0, 10):
+            params = make_params(snr_db=float(snr_db), antennas=antennas)
+            lo, hi = opt.rate_domain(params)
+            if hi > lo:
+                assert ch.avg_packet_loss_approx(params.channel, hi) == pytest.approx(
+                    1.0 - 1e-9, rel=1e-12, abs=0.0)
+            else:
+                assert ch.avg_packet_loss_approx(params.channel, lo) >= 1.0 - 1e-9
+            for threshold in (1e-5, 0.01, 0.5):
+                rate = opt.urllc_rate(params, threshold).continuous_rate
+                assert ch.avg_packet_loss_approx(params.channel, rate) == pytest.approx(
+                    threshold, rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(snr_db=st.floats(-30.0, 60.0), antennas=st.integers(1, 256),
+       blocklength=st.integers(10, 2000), dim=st.integers(1, 512),
+       observations=st.integers(1, 200), centroid=st.floats(0.0, 2.0))
+def test_decide_over_operating_envelope(snr_db, antennas, blocklength, dim, observations,
+                                        centroid):
+    # every policy either raises ValueError or decides within 1 s of CPU,
+    # with a consistent record; brute force is never beaten on its own levels
+    config = harness.ExperimentConfig(dim=dim, centroid=centroid, antennas=antennas,
+                                      snr_db=snr_db, blocklength=blocklength,
+                                      observations=observations)
+    try:
+        params = harness.build_params(config)
+    except ValueError:
+        return
+    decisions = {}
+    for policy in POLICIES:
+        # this thread's CPU time: BLAS worker threads still spinning after the
+        # model's eigendecomposition would otherwise be charged to decide
+        start = time.thread_time()
+        try:
+            decision = harness.decide(replace(config, policy=policy), params)
+        except ValueError:
+            continue
+        assert time.thread_time() - start < 1.0, policy
+        assert decision.bits_per_feature >= 1
+        assert decision.rounded_rate == decision.bits_per_feature * dim / blocklength
+        assert 0.0 <= decision.predicted_exact <= 0.5
+        decisions[policy] = decision
+    # brute force searched every level up to the first whose closed-form loss
+    # passed 0.999, and at most 64
+    searched = "brute" in decisions and "adaptive" in decisions and \
+        decisions["adaptive"].bits_per_feature <= 64 and \
+        np.all(params.level_losses[:decisions["adaptive"].bits_per_feature - 1] <= 0.999)
+    if searched:
+        assert decisions["brute"].predicted_exact <= \
+            decisions["adaptive"].predicted_exact + 1e-12
+
