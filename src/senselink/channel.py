@@ -162,10 +162,3 @@ def avg_packet_loss_approx(cfg: ChannelConfig, rate: float) -> float:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def simulate_slot(loss_prob: float, rng: np.random.Generator) -> bool:
-    """Bernoulli packet realization: True (success) with probability 1 - loss_prob."""
-    if not 0.0 <= loss_prob <= 1.0:
-        raise ValueError("loss probability must lie in [0, 1]")
-    return bool(rng.random() >= loss_prob)

@@ -1,8 +1,8 @@
 """Binary Gaussian inference core.
 
-Discriminant gain and its distortion-degraded variant, score functions,
-Bayes error, and the closed-form error expressions for sequential sensing
-over a lossy link.
+Discriminant gain and its distortion-degraded variant, feature sampling,
+and the closed-form error expressions for sequential sensing over a lossy
+link.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class InferenceModel:
     Entries must be finite and the covariance symmetric positive definite.
     One eigendecomposition is cached at construction, as ``quant.klt``
     orders it (``eigvals``, ``basis``), with ``gap`` = basis @ (mu1 - mu2);
-    the inverse and a Cholesky factor, which only scoring and sampling use,
-    on first use. Instances are immutable and safe to share across threads.
+    a Cholesky factor, which only sampling uses, on first use. Instances are
+    immutable and safe to share across threads.
     """
 
     mu1: np.ndarray
@@ -55,11 +55,6 @@ class InferenceModel:
     @property
     def dim(self) -> int:
         return self.mu1.size
-
-    @cached_property
-    def sigma_inv(self) -> np.ndarray:
-        """Inverse of the covariance."""
-        return np.linalg.inv(self.sigma)
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -97,22 +92,6 @@ def dg_reduction_bounds(model: InferenceModel, sigma_q2: float) -> tuple[float, 
     return (sigma_q2 / float(np.sum(inflated)), sigma_q2 * float(np.sum(1.0 / inflated)))
 
 
-def discriminant_score(x, model: InferenceModel):
-    """Minus-log likelihood ratio; negative values favor class 1.
-
-    Accepts a single feature vector or a 2-D array of row vectors.
-    """
-    w = model.sigma_inv @ (model.mu2 - model.mu1)
-    const = 0.5 * float(
-        model.mu1 @ model.sigma_inv @ model.mu1 - model.mu2 @ model.sigma_inv @ model.mu2
-    )
-    x = np.asarray(x, dtype=float)
-    out = x @ w + const
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def sample_features(
     model: InferenceModel, class_label: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -124,24 +103,6 @@ def sample_features(
     mu = model.mu1 if class_label == 1 else model.mu2
     z = rng.standard_normal((count, model.dim))
     return mu + z @ model.chol.T
-
-
-def classify(scores) -> int:
-    """Decide the class from accumulated scores: class 1 iff the sum is < 0.
-
-    A zero sum resolves to class 2 (the comparison is strict).
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("scores must be nonempty; a no-information slot is the caller's case")
-    return 1 if float(scores.sum()) < 0.0 else 2
-
-
-def bayes_error_single(gain: float) -> float:
-    """Bayes error of a single observation at discriminant gain D: Q(sqrt(D/2))."""
-    if gain < 0:
-        raise ValueError("discriminant gain must be nonnegative")
-    return q_function(math.sqrt(gain / 2.0))
 
 
 def sensing_error_bound(gain: float, eps_bar: float, observations: int) -> float:

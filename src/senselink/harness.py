@@ -70,17 +70,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    true_class: int
-    bits_per_feature: int
-    slot_snrs: np.ndarray
-    slot_success: np.ndarray
-    received: int
-    decision: int
-    correct: bool
-
-
-@dataclass(frozen=True)
 class ResultRow:
     param: str
     value: float | None
@@ -116,8 +105,12 @@ def _sigma_from_spec(spec, dim: int) -> np.ndarray:
 
 
 def build_model(config: ExperimentConfig) -> gmm.InferenceModel:
+    """The model of ``config``; one read from ``model_file`` must have ``config.dim``."""
     if config.model_file is not None:
-        return load_model_file(config.model_file)
+        model = load_model_file(config.model_file)
+        if model.dim != config.dim:
+            raise ValueError(f"model file has dimension {model.dim}, not dim={config.dim}")
+        return model
     mu = config.centroid * np.ones(config.dim)
     return gmm.InferenceModel(mu, -mu, _sigma_from_spec(config.sigma_spec, config.dim))
 
@@ -126,8 +119,7 @@ def build_params(config: ExperimentConfig, model: gmm.InferenceModel | None = No
     if model is None:
         model = build_model(config)
     cfg = ch.ChannelConfig(config.antennas, ch.snr_from_db(config.snr_db), config.blocklength)
-    return opt.TradeoffParams(model, config.clip, config.dim, cfg,
-                              config.observations, config.blocklength)
+    return opt.TradeoffParams(model, config.clip, cfg, config.observations)
 
 
 def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -> opt.RateDecision:
@@ -212,16 +204,6 @@ def _simulate_block(ctx: _TrialContext, n: int, rng: np.random.Generator):
     return classes, snrs, success, decisions
 
 
-def run_trial(config: ExperimentConfig, decision: opt.RateDecision,
-              rng: np.random.Generator) -> TrialRecord:
-    """Simulate one sensing episode end to end: a block of one trial."""
-    classes, snrs, success, decisions = _simulate_block(
-        _TrialContext(config, decision), 1, rng)
-    true_class, decided = int(classes[0]), int(decisions[0])
-    return TrialRecord(true_class, decision.bits_per_feature, snrs[0], success[0],
-                       int(success[0].sum()), decided, decided == true_class)
-
-
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                    trials: int, seed: int, cell: int = 0,
                    param: str = "", value: float | None = None,
@@ -245,13 +227,8 @@ def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                      trials, seed)
 
 
-_SWEEP_FIELDS = {
-    "observations": "observations",
-    "snr-db": "snr_db",
-    "snr_db": "snr_db",
-    "antennas": "antennas",
-    "blocklength": "blocklength",
-}
+_SWEEP_FIELDS = {"observations": "observations", "snr-db": "snr_db",
+                 "antennas": "antennas", "blocklength": "blocklength"}
 
 
 def sweep(config: ExperimentConfig, param: str, values, policies,

@@ -37,14 +37,6 @@ def q_function(x):
     return out
 
 
-def regularized_upper_gamma(shape: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(shape, x) for integer shape >= 1.
-
-    Monotone nonincreasing in x; equals 1 at x = 0.
-    """
-    return math.exp(log_regularized_upper_gamma(shape, x))
-
-
 def log_regularized_upper_gamma(shape: int, x: float) -> float:
     """log Q(shape, x) for integer shape, stable far into the tail.
 

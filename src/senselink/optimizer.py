@@ -30,7 +30,7 @@ from .channel import LN2, ChannelConfig, avg_packet_loss_approx, avg_packet_loss
 from .gmm import InferenceModel, effective_discriminant_gain, semi_analytic_error, sensing_error_bound
 from .numerics import log_regularized_upper_gamma
 
-_MAX_BITS = 64  # brute force searches at most the bit levels 1.._MAX_BITS
+_MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
 _BRUTE_STOP_LOSS = 0.999
 _EDGE_SURVIVAL = 1e-9  # the rate domain ends where the closed-form loss is 1 - this
 
@@ -43,22 +43,20 @@ class TradeoffParams:
 
     model: InferenceModel
     clip: float
-    dim: int
     channel: ChannelConfig
     observations: int
-    max_blocklength: int
 
     def __post_init__(self):
-        if self.clip <= 0 or self.dim < 1 or self.observations < 1:
+        if self.clip <= 0 or self.observations < 1:
             raise ValueError("invalid tradeoff parameters")
-        if self.channel.blocklength > self.max_blocklength:
-            raise ValueError("blocklength exceeds the channel-use budget")
-        if self.model.dim != self.dim:
-            raise ValueError("model dimension mismatch")
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
 
     def level_rate(self, bits):
-        """Coding rate of an integer bits-per-feature level: bits d / Nmax."""
-        return bits * self.dim / self.max_blocklength
+        """Coding rate of an integer bits-per-feature level: bits d / N."""
+        return bits * self.dim / self.channel.blocklength
 
     @cached_property
     def level_losses(self) -> np.ndarray:
@@ -217,7 +215,7 @@ def gradient_ascent(params: TradeoffParams, settings: OptimizerSettings = Optimi
     lo, hi = rate_domain(params)
     rate = settings.init_rate
     if rate is None:
-        rate = 4.0 * params.dim / params.max_blocklength  # 4-bit level
+        rate = params.level_rate(4.0)
     rate = min(max(rate, lo), hi)
     if on_iterate is not None:
         on_iterate(rate)
@@ -243,8 +241,7 @@ def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | 
     there is computed once and added, so no level is integrated twice."""
     rate = params.level_rate(bits)
     if bits not in params.table:
-        approx = float(params.level_losses[bits - 1]) if bits <= _MAX_BITS else \
-            avg_packet_loss_approx(params.channel, rate)
+        approx = float(params.level_losses[bits - 1])
         gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
         exact = avg_packet_loss_exact(params.channel, rate)
         params.table[bits] = (sensing_error_bound(gain, approx, params.observations),
@@ -257,76 +254,46 @@ def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | 
 def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
     """Round the continuous rate to the nearest integer bits-per-feature level.
 
-    R* = max(round_half_up(Rc * Nmax / d), 1); the carried rate is then
-    R* d / Nmax.
+    R* = round_half_up(Rc * N / d), clamped to 1.._MAX_BITS; the carried rate
+    is then R* d / N.
     """
     if continuous_rate <= 0:
         raise ValueError("coding rate must be positive")
-    raw = continuous_rate * params.max_blocklength / params.dim
-    return _level_decision(max(int(math.floor(raw + 0.5)), 1), params, continuous_rate)
+    raw = continuous_rate * params.channel.blocklength / params.dim
+    return _level_decision(min(max(int(math.floor(raw + 0.5)), 1), _MAX_BITS), params,
+                           continuous_rate)
 
 
-def brute_force_rate(params: TradeoffParams, evaluator=None) -> RateDecision:
+def brute_force_rate(params: TradeoffParams) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
-    ``evaluator`` maps a coding rate to an error figure; the default is the
-    semi-analytic exact error at the quadrature-evaluated average loss, read
-    from the bit-level table. The search stops after the first level whose
-    closed-form loss exceeds 0.999.
+    Each level's figure is the semi-analytic exact error at the
+    quadrature-evaluated average loss, read from the bit-level table. The
+    search stops after the first level whose closed-form loss exceeds 0.999.
     """
     past = np.flatnonzero(params.level_losses > _BRUTE_STOP_LOSS)
     levels = range(1, int(past[0]) + 2 if past.size else _MAX_BITS + 1)
-
-    def error(bits):
-        if evaluator is None:
-            return _level_decision(bits, params).predicted_exact
-        return evaluator(params.level_rate(bits))
-
-    return _level_decision(min(levels, key=error), params)
+    return _level_decision(
+        min(levels, key=lambda bits: _level_decision(bits, params).predicted_exact), params)
 
 
 def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:
     """Largest integer-bit rate keeping the average loss under the threshold.
 
-    The largest rate is the closed-form inverse of the closed-form loss.
-    Flags infeasibility (and still transmits at one bit per feature) when even
-    the one-bit rate violates the threshold.
+    The largest rate is the closed-form inverse of the closed-form loss, and
+    the level is at most _MAX_BITS. Flags infeasibility (and still transmits
+    at one bit per feature) when even the one-bit rate violates the threshold.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     beta = float(special.gammaincinv(params.channel.antennas, threshold))
     r_max = _rate_at_outage_threshold(params.channel, beta)
-    bits = int(math.floor(r_max * params.max_blocklength / params.dim))
-    return _level_decision(max(bits, 1), params, r_max, infeasible=bits < 1)
+    bits = int(math.floor(r_max * params.channel.blocklength / params.dim))
+    return _level_decision(min(max(bits, 1), _MAX_BITS), params, r_max, infeasible=bits < 1)
 
 
 def fixed_bits_rate(bits: int, params: TradeoffParams) -> RateDecision:
-    """Decision pinned at a fixed bits-per-feature resolution."""
-    if bits < 1 or int(bits) != bits:
-        raise ValueError("bits must be a positive integer")
+    """Decision pinned at a fixed bits-per-feature resolution in 1.._MAX_BITS."""
+    if not 1 <= bits <= _MAX_BITS or int(bits) != bits:
+        raise ValueError(f"bits must be an integer from 1 to {_MAX_BITS}")
     return _level_decision(int(bits), params)
-
-
-def default_log_accuracy(bits: float) -> float:
-    """Fitted log-accuracy of a deep classifier vs bits per feature: -10 R^-3 - 0.2."""
-    return -10.0 * bits ** -3 - 0.2
-
-
-def empirical_accuracy_surrogate(rate: float, log_accuracy, params: TradeoffParams) -> float:
-    """Pluggable-accuracy surrogate: log_accuracy(N Rc / d) + ln(1 - eps(Rc))."""
-    bits = params.channel.blocklength * rate / params.dim
-    success = 1.0 - avg_packet_loss_approx(params.channel, rate)
-    if success <= 0.0:
-        return -math.inf
-    return log_accuracy(bits) + math.log(success)
-
-
-def maximize_accuracy_surrogate(log_accuracy, params: TradeoffParams) -> float:
-    """Golden-section maximization of the pluggable-accuracy surrogate."""
-    lo, hi = rate_domain(params)
-    res = sciopt.minimize_scalar(
-        lambda r: -empirical_accuracy_surrogate(r, log_accuracy, params),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)

@@ -46,7 +46,7 @@ def make_params(snr_db, antennas, dim=50, clip=5.0, blocklength=100,
     if model is None:
         model = default_model(dim, centroid)
     cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), blocklength)
-    return opt.TradeoffParams(model, clip, dim, cfg, observations, blocklength)
+    return opt.TradeoffParams(model, clip, cfg, observations)
 
 
 def random_spd(rng, dim, scale=(0.3, 3.0)):
@@ -257,7 +257,7 @@ def test_criterion_08_optimum_coincides_across_metrics():
     for antennas in (2, 4):
         params = make_params(1.0, antennas, observations=20)
         bits = np.arange(1, 13)
-        rates = bits * params.dim / params.max_blocklength
+        rates = bits * params.dim / params.channel.blocklength
         phis, bounds, exacts = [], [], []
         for rate in rates:
             gain = opt.effective_discriminant_gain(

@@ -214,23 +214,6 @@ class TestAveragePacketLoss:
         assert np.all(second <= 1e-12)
 
 
-class TestSimulateSlot:
-    def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(6)
-        assert all(ch.simulate_slot(0.0, rng) for _ in range(100))
-        assert not any(ch.simulate_slot(1.0, rng) for _ in range(100))
-
-    def test_bernoulli_rate(self):
-        rng = np.random.default_rng(7)
-        hits = sum(ch.simulate_slot(0.3, rng) for _ in range(100_000))
-        se = math.sqrt(0.3 * 0.7 / 100_000)
-        assert abs(hits / 100_000 - 0.7) <= 3.0 * se
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ch.simulate_slot(1.5, np.random.default_rng(8))
-
-
 class TestChannelConfig:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from senselink import gmm
 from senselink import harness
 from senselink import optimizer as opt
 from senselink import quant
+
+from reference import classify, discriminant_score
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +85,6 @@ class TestConfigAndModel:
 
 
 class TestRunTrial:
-    def test_record_shape(self, default_config, default_decision):
-        rec = harness.run_trial(default_config, default_decision,
-                                np.random.default_rng(0))
-        assert rec.true_class in (1, 2)
-        assert rec.slot_snrs.shape == (default_config.observations,)
-        assert rec.received == int(rec.slot_success.sum())
-        assert rec.correct == (rec.decision == rec.true_class)
-
     def test_dead_channel_is_coin_flip(self, default_decision):
         cfg = harness.ExperimentConfig(snr_db=-80.0, trials=2000)
         decision = opt.fixed_bits_rate(4, harness.build_params(cfg))
@@ -144,7 +139,7 @@ def reference_error(config, decision, trials, seed):
         success = rng.random(k) >= ch.packet_loss(snrs, config.blocklength,
                                                   decision.rounded_rate)
         if success.any():
-            decided = gmm.classify(gmm.discriminant_score(decoded[success], score_model))
+            decided = classify(discriminant_score(decoded[success], score_model))
         else:
             decided = int(rng.integers(1, 3))
         wrong += decided != true_class
@@ -208,6 +203,18 @@ class TestEstimateError:
     def test_rejects_nonpositive_trials(self, default_config, default_decision):
         with pytest.raises(ValueError):
             harness.estimate_error(default_config, default_decision, 0, seed=0)
+
+    def test_bit_levels_capped_at_high_snr(self):
+        # without the cap, adaptive rounds to 27,775 bits per feature here and
+        # urllc to 55,054, and the quantizer's grid overflows
+        config = harness.ExperimentConfig(snr_db=60.0, antennas=256, blocklength=2000, dim=1)
+        params = harness.build_params(config)
+        for policy in ("adaptive", "brute", "urllc", "bits:32", "bits:16", "bits:4"):
+            cfg = replace(config, policy=policy)
+            decision = harness.decide(cfg, params)
+            assert 1 <= decision.bits_per_feature <= 64, policy
+            row = harness.estimate_error(cfg, decision, 200, seed=0, params=params)
+            assert row.trials == 200 and row.bits == decision.bits_per_feature
 
 
 class TestSweep:
@@ -355,3 +362,12 @@ class TestCli:
                          "--policy", "bits:4", "--trials", "100", "--seed", "0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["bits"] == 4
+
+    def test_model_file_dimension_mismatch(self, tmp_path):
+        # a 2-d model under the default --dim of 50
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"mu1": [0.4, 0.0], "mu2": [-0.4, 0.0],
+                                     "sigma": "identity"}))
+        with pytest.raises(ValueError):
+            cli.main(["simulate", "--model-file", str(model), "--policy", "bits:4",
+                      "--trials", "10", "--seed", "0"])

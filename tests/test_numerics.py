@@ -13,8 +13,11 @@ from senselink.numerics import (
     log_regularized_upper_gamma,
     poisson_binomial_pmf,
     q_function,
-    regularized_upper_gamma,
 )
+
+
+def regularized_upper_gamma(shape, x):
+    return math.exp(log_regularized_upper_gamma(shape, x))
 
 
 def enum_poisson_binomial(success_probs):
