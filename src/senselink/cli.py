@@ -114,7 +114,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad setting: one usage line and exit status 2
+        parser.error(str(exc))
+    except RuntimeError as exc:  # a sweep cell that failed on a bad setting
+        if not isinstance(exc.__cause__, ValueError):
+            raise
+        parser.error(f"{exc}: {exc.__cause__}")
 
 
 if __name__ == "__main__":

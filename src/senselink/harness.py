@@ -144,10 +144,12 @@ class _TrialContext:
 
     Features are drawn directly in the KLT eigenbasis of Sigma: the quantizer
     only ever sees basis @ x, which is Gaussian with mean basis @ mu_c and
-    covariance diag(lambda). The lemma-1 noise is isotropic, so it has the
-    same law in these coordinates. Decoding and scoring fold into one weight
+    covariance diag(lambda). Decoding and scoring fold into one weight
     vector: the score of the decoded features basis.T @ y is y @ w + const,
-    with w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1).
+    with w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise
+    is isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2)
+    and the score of one packet is exactly Normal(w @ mu_c + const,
+    sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
     """
 
     def __init__(self, config: ExperimentConfig, decision: opt.RateDecision,
@@ -159,7 +161,6 @@ class _TrialContext:
         basis = model.basis
         self.quantizer = quant.QuantizerConfig(config.clip, decision.bits_per_feature, basis)
         s2 = quant.noise_variance(decision.bits_per_feature, config.clip)
-        self.sigma_q = math.sqrt(s2)
         eigs = np.sum((basis @ model.sigma) * basis, axis=1)
         self.scale = np.sqrt(eigs)
         self.means = np.stack([basis @ model.mu1, basis @ model.mu2])
@@ -168,40 +169,45 @@ class _TrialContext:
         inflated = eigs + s2
         self.weights = (self.means[1] - self.means[0]) / inflated
         self.const = 0.5 * float(np.sum((self.means[0] ** 2 - self.means[1] ** 2) / inflated))
+        self.score_means = self.means @ self.weights + self.const
+        self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
         self.block_size = max(1, _BLOCK_VALUES // (config.observations * model.dim))
 
 
-def _simulate_block(ctx: _TrialContext, n: int, rng: np.random.Generator):
-    """Simulate ``n`` sensing episodes end to end from one stream.
+def _simulate_block(ctx: _TrialContext, n: int, rng: np.random.Generator) -> int:
+    """Simulate ``n`` sensing episodes end to end from one stream and return
+    how many of them decide the wrong class.
 
-    Each episode draws a class, pushes K feature vectors through the quantizer
-    (or the isotropic lemma-1 noise) and the fading channel, sums the scores
-    of the packets that arrive, and decides class 1 iff the sum is < 0. An
-    episode with zero received packets guesses uniformly at random. Returns
-    the true classes, the slot SNRs and successes (n x K) and the decisions.
+    Each episode draws a class and sends K packets over the fading channel.
+    The channel is drawn first; features are then drawn, quantized (or given
+    the lemma-1 score law) and scored only for the packets that arrive, and
+    their scores are summed per episode. An episode decides class 1 iff the
+    sum is < 0; one with zero received packets guesses uniformly at random.
     """
     cfg = ctx.config
     k = cfg.observations
     classes = rng.integers(1, 3, size=n)
-    y = rng.standard_normal((n, k, ctx.scale.size))
-    y *= ctx.scale
-    y += ctx.means[classes - 1, None, :]
-    if cfg.noise_model == "quantizer":
-        y = quant.scalar_quantize(y, ctx.quantizer)
-    else:
-        y += ctx.sigma_q * rng.standard_normal(y.shape)
-    scores = y @ ctx.weights
-    scores += ctx.const
-
     snrs = ch.sample_post_mrc_snr(ctx.channel, rng, size=n * k).reshape(n, k)
     losses = ch.packet_loss(snrs, cfg.blocklength, ctx.decision.rounded_rate)
     success = rng.random((n, k)) >= losses
-    total = np.where(success, scores, 0.0).sum(axis=1)
+    episode = np.nonzero(success)[0]
+    arrived = classes[episode] - 1
+    if cfg.noise_model == "quantizer":
+        y = rng.standard_normal((episode.size, ctx.scale.size))
+        y *= ctx.scale
+        y += ctx.means[arrived]
+        scores = quant.scalar_quantize(y, ctx.quantizer) @ ctx.weights
+        scores += ctx.const
+    else:
+        scores = rng.standard_normal(episode.size)
+        scores *= ctx.score_sd
+        scores += ctx.score_means[arrived]
+    total = np.bincount(episode, weights=scores, minlength=n)
 
     decisions = np.where(total < 0.0, 1, 2)
     silent = ~success.any(axis=1)
     decisions[silent] = rng.integers(1, 3, size=int(silent.sum()))
-    return classes, snrs, success, decisions
+    return int(np.count_nonzero(decisions != classes))
 
 
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
@@ -216,9 +222,7 @@ def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
     wrong = 0
     for block, start in enumerate(range(0, trials, ctx.block_size)):
         rng = np.random.default_rng([seed, cell, block])
-        classes, _, _, decisions = _simulate_block(
-            ctx, min(ctx.block_size, trials - start), rng)
-        wrong += int(np.count_nonzero(decisions != classes))
+        wrong += _simulate_block(ctx, min(ctx.block_size, trials - start), rng)
     p_hat = wrong / trials
     ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return ResultRow(param, value, config.policy, decision.bits_per_feature,

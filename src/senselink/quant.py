@@ -64,11 +64,6 @@ def klt(sigma) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], rows
 
 
-def klt_basis(sigma: np.ndarray) -> np.ndarray:
-    """The KLT basis of ``klt``: eigenvectors of sigma as rows, eigenvalues descending."""
-    return klt(sigma)[1]
-
-
 def scalar_quantize(v, config: QuantizerConfig):
     """Map values to the grid point whose half-open cell [u - d/2, u + d/2) holds them.
 

@@ -69,7 +69,7 @@ def test_criterion_02_quantization_noise_statistics():
     dim, bits, clip, n = 50, 4, 5.0, 100_000
     sigma = random_spd(rng, dim)
     chol = np.linalg.cholesky(sigma)
-    cfg = quant.QuantizerConfig(clip, bits, quant.klt_basis(sigma))
+    cfg = quant.QuantizerConfig(clip, bits, quant.klt(sigma)[1])
     x = rng.standard_normal((n, dim)) @ chol.T
     encoded, _ = quant.encode(x, cfg)
     noise = quant.decode(encoded, cfg) - x

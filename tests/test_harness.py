@@ -123,7 +123,7 @@ def reference_error(config, decision, trials, seed):
     model = harness.build_model(config)
     channel = harness.build_params(config, model).channel
     bits, k = decision.bits_per_feature, config.observations
-    qc = quant.QuantizerConfig(config.clip, bits, quant.klt_basis(model.sigma))
+    qc = quant.QuantizerConfig(config.clip, bits, quant.klt(model.sigma)[1])
     s2 = quant.noise_variance(bits, config.clip)
     score_model = gmm.InferenceModel(model.mu1, model.mu2, model.sigma + s2 * np.eye(model.dim))
     rng = np.random.default_rng(seed)
@@ -146,21 +146,55 @@ def reference_error(config, decision, trials, seed):
     return wrong / trials
 
 
+def dense_config(policy, noise_model):
+    """A seeded dense 20x20 covariance with a spread spectrum (0.1 to 5), so a
+    score that ignored the covariance would show, at 1 antenna and 1 dB."""
+    sigma = harness._random_spd(np.random.default_rng(31), 20, (0.1, 5.0))
+    return harness.ExperimentConfig(dim=20, centroid=0.15, sigma_spec=sigma.tolist(),
+                                    antennas=1, snr_db=1.0, observations=5,
+                                    policy=policy, noise_model=noise_model)
+
+
+def assert_engine_matches_reference(cfg, trials, seed):
+    decision = harness.decide(cfg)
+    engine = harness.estimate_error(cfg, decision, trials, seed=seed).error
+    reference = reference_error(cfg, decision, trials, seed=seed)
+    spread = math.sqrt((engine * (1 - engine) + reference * (1 - reference)) / trials)
+    assert abs(engine - reference) <= 3.0 * spread
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("noise_model", ["quantizer", "lemma1"])
     def test_dense_covariance(self, noise_model):
-        # a spread spectrum, so a score that ignored the covariance would show,
-        # and about one packet in five lost, so would one that ignored losses
-        sigma = harness._random_spd(np.random.default_rng(31), 20, (0.1, 5.0))
-        cfg = harness.ExperimentConfig(dim=20, centroid=0.15, sigma_spec=sigma.tolist(),
-                                       antennas=1, snr_db=1.0, observations=5,
-                                       policy="bits:2", noise_model=noise_model)
-        decision = harness.decide(cfg)
-        trials = 10_000
-        engine = harness.estimate_error(cfg, decision, trials, seed=17).error
-        reference = reference_error(cfg, decision, trials, seed=17)
-        spread = math.sqrt((engine * (1 - engine) + reference * (1 - reference)) / trials)
-        assert abs(engine - reference) <= 3.0 * spread
+        # about one packet in five lost at 2 bits, so a score that ignored
+        # losses would show
+        assert_engine_matches_reference(dense_config("bits:2", noise_model), 10_000, seed=17)
+
+    def test_dense_covariance_high_loss(self):
+        # about two packets in three lost at 6 bits, so a score summed into
+        # the wrong episode, or a lost packet that still counts, would show
+        cfg = dense_config("bits:6", "quantizer")
+        rate = harness.decide(cfg).rounded_rate
+        assert ch.avg_packet_loss_exact(harness.build_params(cfg).channel, rate) > 0.6
+        assert_engine_matches_reference(cfg, 10_000, seed=19)
+
+
+class TestLemma1EngineMatchesPrediction:
+    """Under the lemma-1 noise model the engine simulates exactly the law that
+    ``semi_analytic_error`` integrates: a Gaussian score per packet and
+    i.i.d. arrivals at the quadrature average loss."""
+
+    @pytest.mark.parametrize("cfg, seed", [
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 23),
+        (dense_config("bits:6", "lemma1"), 29),
+    ], ids=["default_bits4", "dense_bits6"])
+    def test_error_matches_pred_exact(self, cfg, seed):
+        params = harness.build_params(cfg)
+        decision = harness.decide(cfg, params)
+        trials = 200_000
+        row = harness.estimate_error(cfg, decision, trials, seed=seed, params=params)
+        p = decision.predicted_exact
+        assert abs(row.error - p) <= 3.0 * math.sqrt(p * (1 - p) / trials)
 
 
 class TestEstimateError:
@@ -363,11 +397,28 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["bits"] == 4
 
-    def test_model_file_dimension_mismatch(self, tmp_path):
+    def test_model_file_dimension_mismatch(self, tmp_path, capsys):
         # a 2-d model under the default --dim of 50
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"mu1": [0.4, 0.0], "mu2": [-0.4, 0.0],
                                      "sigma": "identity"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["simulate", "--model-file", str(model), "--policy", "bits:4",
                       "--trials", "10", "--seed", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: model file has dimension 2, not dim=50" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "bits:65", "--trials", "10", "--seed", "0"],
+        ["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:65",
+         "--trials", "10", "--seed", "0", "--out", "unused.csv"],
+    ], ids=["simulate", "sweep"])
+    def test_bad_setting_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(command)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "bits must be an integer from 1 to 64" in err
+        assert "Traceback" not in err

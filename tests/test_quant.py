@@ -12,19 +12,19 @@ def random_spd(rng, dim, lo=0.5, hi=2.0):
 
 class TestKltBasis:
     def test_identity_covariance(self):
-        np.testing.assert_array_equal(quant.klt_basis(np.eye(4)), np.eye(4))
+        np.testing.assert_array_equal(quant.klt(np.eye(4))[1], np.eye(4))
 
     def test_diagonal_descending_input(self):
-        np.testing.assert_allclose(quant.klt_basis(np.diag([3.0, 1.0])), np.eye(2))
+        np.testing.assert_allclose(quant.klt(np.diag([3.0, 1.0]))[1], np.eye(2))
 
     def test_diagonal_ascending_input_reorders(self):
-        basis = quant.klt_basis(np.diag([1.0, 3.0]))
+        basis = quant.klt(np.diag([1.0, 3.0]))[1]
         np.testing.assert_allclose(basis, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_decorrelates(self):
         rng = np.random.default_rng(0)
         sigma = random_spd(rng, 10)
-        basis = quant.klt_basis(sigma)
+        basis = quant.klt(sigma)[1]
         diag = basis @ sigma @ basis.T
         off = diag - np.diag(np.diag(diag))
         assert np.max(np.abs(off)) <= 1e-8
@@ -33,7 +33,7 @@ class TestKltBasis:
     def test_orthogonal_and_sign_fixed(self):
         rng = np.random.default_rng(1)
         sigma = random_spd(rng, 7)
-        basis = quant.klt_basis(sigma)
+        basis = quant.klt(sigma)[1]
         assert np.max(np.abs(basis @ basis.T - np.eye(7))) <= 1e-10
         for row in basis:
             nz = row[np.abs(row) > 1e-12]
@@ -84,7 +84,7 @@ class TestEncodeDecode:
     def test_encode_decode_idempotent(self):
         rng = np.random.default_rng(2)
         sigma = random_spd(rng, 6)
-        cfg = quant.QuantizerConfig(5.0, 4, quant.klt_basis(sigma))
+        cfg = quant.QuantizerConfig(5.0, 4, quant.klt(sigma)[1])
         x = rng.standard_normal(6)
         once, _ = quant.encode(x, cfg)
         again, _ = quant.encode(quant.decode(once, cfg), cfg)
@@ -92,7 +92,7 @@ class TestEncodeDecode:
 
     def test_transform_preserves_energy(self):
         rng = np.random.default_rng(3)
-        cfg = quant.QuantizerConfig(5.0, 4, quant.klt_basis(random_spd(rng, 8)))
+        cfg = quant.QuantizerConfig(5.0, 4, quant.klt(random_spd(rng, 8))[1])
         y = rng.standard_normal(8)
         assert np.linalg.norm(quant.decode(y, cfg)) == pytest.approx(
             np.linalg.norm(y), abs=1e-10)
@@ -103,7 +103,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(4)
         sigma = random_spd(rng, 50)
         model = gmm.InferenceModel(0.1 * np.ones(50), -0.1 * np.ones(50), sigma)
-        cfg = quant.QuantizerConfig(5.0, 4, quant.klt_basis(sigma))
+        cfg = quant.QuantizerConfig(5.0, 4, quant.klt(sigma)[1])
         x = gmm.sample_features(model, 1, 100_000, rng)
         z = quant.decode(quant.encode(x, cfg)[0], cfg) - x
         target = quant.noise_variance(4, 5.0)
@@ -116,7 +116,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(5)
         sigma = random_spd(rng, 12)
         model = gmm.InferenceModel(np.zeros(12), np.ones(12), sigma)
-        cfg = quant.QuantizerConfig(5.0, 3, quant.klt_basis(sigma))
+        cfg = quant.QuantizerConfig(5.0, 3, quant.klt(sigma)[1])
         x = gmm.sample_features(model, 1, 50_000, rng)
         z = quant.decode(quant.encode(x, cfg)[0], cfg) - x
         cov = np.cov(z.T)
