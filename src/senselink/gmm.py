@@ -7,7 +7,6 @@ link.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,6 +79,15 @@ def effective_discriminant_gain(model: InferenceModel, sigma_q2: float) -> float
     return 0.5 * float(np.sum(model.gap ** 2 / (model.eigvals + sigma_q2)))
 
 
+def effective_discriminant_gains(model: InferenceModel, sigma_q2s) -> np.ndarray:
+    """``effective_discriminant_gain`` at each of a 1-D array of noise
+    variances, as one (variances x d) sum."""
+    s2 = np.asarray(sigma_q2s, dtype=float)
+    if np.any(s2 < 0):
+        raise ValueError("noise variance must be nonnegative")
+    return 0.5 * np.sum(model.gap ** 2 / (model.eigvals + s2[:, None]), axis=1)
+
+
 def dg_reduction_bounds(model: InferenceModel, sigma_q2: float) -> tuple[float, float]:
     """Lower and upper bounds on the relative gain reduction (D0 - D)/D0.
 
@@ -105,15 +113,29 @@ def sample_features(
     return mu + z @ model.chol.T
 
 
-def sensing_error_bound(gain: float, eps_bar: float, observations: int) -> float:
+def sensing_error_bound(gain, eps_bar, observations: int):
     """Upper bound on the sequential sensing error with average loss eps_bar.
 
-    (exp(-D/4) + (1 - exp(-D/4)) * eps_bar) ** K.
+    (exp(-D/4) + (1 - exp(-D/4)) * eps_bar) ** K, elementwise over arrays of
+    gains and losses; a float for scalar arguments.
     """
-    if gain < 0 or not (0.0 <= eps_bar <= 1.0) or observations < 1:
+    gain = np.asarray(gain, dtype=float)
+    eps_bar = np.asarray(eps_bar, dtype=float)
+    if np.any(gain < 0) or not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)) or observations < 1:
         raise ValueError("arguments out of range")
-    base = math.exp(-gain / 4.0)
-    return (base + (1.0 - base) * eps_bar) ** observations
+    base = np.exp(-gain / 4.0)
+    out = (base + (1.0 - base) * eps_bar) ** observations
+    return float(out) if out.ndim == 0 else out
+
+
+def sensing_error_exact(gain, eps_bar, observations: int):
+    """Exact sensing error when each of the K slots is lost with probability
+    eps_bar, independently: ``semi_analytic_error`` with a binomial received
+    count, elementwise over arrays of gains and losses; a float for scalar
+    arguments."""
+    out = _count_mixed_error(gain, binomial_pmf(1.0 - np.asarray(eps_bar, dtype=float),
+                                                observations))
+    return float(out) if out.ndim == 0 else out
 
 
 def semi_analytic_error(gain: float, loss_probs) -> float:
@@ -125,14 +147,16 @@ def semi_analytic_error(gain: float, loss_probs) -> float:
     Poisson-binomial otherwise. The error is 1/2 at zero gain and at most 1/2
     otherwise, however the pmf's sum rounds.
     """
-    success = 1.0 - np.asarray(loss_probs, dtype=float)
-    if success.ndim == 1 and success.size and np.all(success == success[0]):
-        pmf = binomial_pmf(float(success[0]), success.size)
-    else:
-        pmf = poisson_binomial_pmf(success)
-    if gain == 0.0:
-        return 0.5
-    m = np.arange(pmf.size)
-    cond = q_function(np.sqrt(m * gain / 2.0))
-    cond[0] = 0.5
-    return min(float(pmf @ cond), 0.5)
+    loss = np.asarray(loss_probs, dtype=float)
+    if loss.ndim == 1 and loss.size and np.all(loss == loss[0]):
+        return sensing_error_exact(gain, float(loss[0]), loss.size)
+    return float(_count_mixed_error(gain, poisson_binomial_pmf(1.0 - loss)))
+
+
+def _count_mixed_error(gain, pmf: np.ndarray) -> np.ndarray:
+    """Q(sqrt(m D / 2)) mixed over a received-count pmf along its last axis,
+    with 1/2 at m = 0, capped at 1/2, and exactly 1/2 at zero gain."""
+    gain = np.asarray(gain, dtype=float)
+    cond = q_function(np.sqrt(np.arange(pmf.shape[-1]) * gain[..., None] / 2.0))
+    cond[..., 0] = 0.5
+    return np.where(gain == 0.0, 0.5, np.minimum(np.sum(pmf * cond, axis=-1), 0.5))

@@ -1,9 +1,10 @@
 """Monte Carlo experiment engine: trials, policy sweeps, and the validation suite.
 
 Trials are simulated in blocks of a fixed number of feature values. Each
-block draws from its own random stream derived from (master seed, cell index,
-block index), so any sweep's output is a pure function of its configuration
-and seed regardless of how cells are scheduled.
+block draws from its own random stream derived from (master seed, sweep
+parameter, cell index, block index), so any sweep's output is a pure
+function of its configuration and seed regardless of how cells are
+scheduled, and sweeps over different parameters draw different numbers.
 """
 
 from __future__ import annotations
@@ -210,18 +211,29 @@ def _simulate_block(ctx: _TrialContext, n: int, rng: np.random.Generator) -> int
     return int(np.count_nonzero(decisions != classes))
 
 
+_SWEEP_FIELDS = {"observations": "observations", "snr-db": "snr_db",
+                 "antennas": "antennas", "blocklength": "blocklength"}
+_SWEEP_STREAMS = {param: i + 1 for i, param in enumerate(_SWEEP_FIELDS)}
+
+
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                    trials: int, seed: int, cell: int = 0,
                    param: str = "", value: float | None = None,
                    params: opt.TradeoffParams | None = None) -> ResultRow:
-    """Aggregate the error rate over independent trials, one stream per block.
-    ``params``, when given, supplies the model and channel of ``config``."""
+    """Aggregate the error rate over independent trials, one stream per block,
+    keyed by (seed, cell, block) and, when ``param`` names a sweep parameter,
+    by that parameter too. ``params``, when given, supplies the model and
+    channel of ``config``."""
     if trials < 1:
         raise ValueError("trials must be positive")
     ctx = _TrialContext(config, decision, params)
+    # a swept parameter's stream id goes last and is nonzero: SeedSequence
+    # pads a key with zeros, so a cell outside a sweep keeps the key
+    # (seed, cell, block) and no sweep's key equals it
+    sweep_id = (_SWEEP_STREAMS[param],) if param in _SWEEP_STREAMS else ()
     wrong = 0
     for block, start in enumerate(range(0, trials, ctx.block_size)):
-        rng = np.random.default_rng([seed, cell, block])
+        rng = np.random.default_rng([seed, cell, block, *sweep_id])
         wrong += _simulate_block(ctx, min(ctx.block_size, trials - start), rng)
     p_hat = wrong / trials
     ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -229,10 +241,6 @@ def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                      decision.rounded_rate, p_hat, ci,
                      decision.predicted_exact, decision.predicted_bound,
                      trials, seed)
-
-
-_SWEEP_FIELDS = {"observations": "observations", "snr-db": "snr_db",
-                 "antennas": "antennas", "blocklength": "blocklength"}
 
 
 def sweep(config: ExperimentConfig, param: str, values, policies,

@@ -59,15 +59,16 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
     return min(top + math.log(math.fsum(math.exp(t - top) for t in terms)) - x, 0.0)
 
 
-def binomial_pmf(success_prob: float, trials: int) -> np.ndarray:
+def binomial_pmf(success_prob, trials: int) -> np.ndarray:
     """The equal-probability case of ``poisson_binomial_pmf`` in O(K), in log
-    space so no binomial coefficient overflows; indexed by the count m = 0..K."""
-    if trials < 1 or not 0.0 <= success_prob <= 1.0:
-        raise ValueError("need trials >= 1 and a success probability in [0, 1]")
+    space so no binomial coefficient overflows; indexed by the count m = 0..K
+    along the last axis, with one row per entry of an array ``success_prob``."""
+    p = np.asarray(success_prob, dtype=float)[..., None]
+    if trials < 1 or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("need trials >= 1 and success probabilities in [0, 1]")
     m = np.arange(trials + 1)
     log_comb = special.gammaln(trials + 1) - special.gammaln(m + 1) - special.gammaln(trials - m + 1)
-    return np.exp(log_comb + special.xlogy(m, success_prob)
-                  + special.xlog1py(trials - m, -success_prob))
+    return np.exp(log_comb + special.xlogy(m, p) + special.xlog1py(trials - m, -p))
 
 
 def poisson_binomial_pmf(success_probs) -> np.ndarray:

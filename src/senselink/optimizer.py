@@ -11,9 +11,11 @@ ascent on the same gradient is kept for the convergence study.
 
 Every policy (adaptive rounding, exhaustive search, reliability-first,
 fixed resolution) ends in a lookup in one bit-level table per operating
-point, ``TradeoffParams.table``. The upper edge of the rate domain
-and the reliability-first rate are closed-form inverses of the closed-form
-loss through scipy's inverse incomplete gamma functions.
+point, ``TradeoffParams.table``, filled by one array pass per request:
+brute force's whole search range at once, any other level alone. The upper
+edge of the rate domain and the reliability-first rate are closed-form
+inverses of the closed-form loss through scipy's inverse incomplete gamma
+functions.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy import special
 
-from .channel import LN2, ChannelConfig, avg_packet_loss_approx, avg_packet_loss_exact
-from .gmm import InferenceModel, effective_discriminant_gain, semi_analytic_error, sensing_error_bound
+from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
+from .gmm import (InferenceModel, effective_discriminant_gain, effective_discriminant_gains,
+                  sensing_error_bound, sensing_error_exact)
 from .numerics import log_regularized_upper_gamma
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
@@ -66,8 +69,27 @@ class TradeoffParams:
     @cached_property
     def table(self) -> dict[int, tuple[float, float]]:
         """The bit-level table: (error bound, exact error) of each level a policy
-        has asked for, shared by every policy that decides with these parameters."""
+        has asked for, shared by every policy that decides with these
+        parameters. ``tabulate`` fills it."""
         return {}
+
+    def tabulate(self, levels) -> None:
+        """Add the bit levels missing from the table in one array pass.
+
+        Each level's rate gives the distortion-degraded gain (one levels x d
+        sum over the cached eigenbasis); the error bound takes the
+        closed-form loss, and the exact error the Gauss-Hermite average loss
+        mixed over the binomial received count. A level already in the table
+        is not computed again.
+        """
+        new = np.array([bits for bits in levels if bits not in self.table], dtype=int)
+        if not new.size:
+            return
+        rates = self.level_rate(new)
+        gains = effective_discriminant_gains(self.model, sigma_q2_of_rate(rates, self))
+        bounds = sensing_error_bound(gains, self.level_losses[new - 1], self.observations)
+        exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
+        self.table.update(zip(new.tolist(), zip(bounds.tolist(), exact.tolist())))
 
 
 @dataclass(frozen=True)
@@ -116,9 +138,9 @@ def sigma_q2_of_rate(rate: float, params: TradeoffParams) -> float:
     eigenvalue lambda, c^2 / (2 (lambda + sigma_q2)), is concave in Rc exactly
     where sigma_q2 <= lambda (2^{b+1} + 1) / (2^{b+1} - 1). This holds above
     a unique turning point, so near the one-bit edge a wide clipping range
-    makes the gain convex.
+    makes the gain convex. Accepts a scalar rate or an array of rates.
     """
-    if rate <= 0:
+    if np.any(np.asarray(rate) <= 0):
         raise ValueError("coding rate must be positive")
     bits = params.channel.blocklength * rate / params.dim
     # past about 512 bits the denominator overflows to inf and the variance
@@ -235,17 +257,11 @@ def gradient_ascent(params: TradeoffParams, settings: OptimizerSettings = Optimi
 
 def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | None = None,
                     infeasible: bool = False) -> RateDecision:
-    """The decision at a bit level. Its predictions, the error bound at the
-    closed-form loss and the exact error at the quadrature loss, both at the
-    distortion-degraded gain, come from ``params.table``; a level missing
-    there is computed once and added, so no level is integrated twice."""
+    """The decision at a bit level, with the predictions of ``params.table``:
+    the error bound at the closed-form loss and the exact error at the
+    Gauss-Hermite loss, both at the distortion-degraded gain."""
+    params.tabulate([bits])
     rate = params.level_rate(bits)
-    if bits not in params.table:
-        approx = float(params.level_losses[bits - 1])
-        gain = effective_discriminant_gain(params.model, sigma_q2_of_rate(rate, params))
-        exact = avg_packet_loss_exact(params.channel, rate)
-        params.table[bits] = (sensing_error_bound(gain, approx, params.observations),
-                              semi_analytic_error(gain, [exact] * params.observations))
     bound, exact = params.table[bits]
     return RateDecision(rate if continuous_rate is None else continuous_rate,
                         bits, rate, bound, exact, infeasible)
@@ -267,14 +283,14 @@ def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
 def brute_force_rate(params: TradeoffParams) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
-    Each level's figure is the semi-analytic exact error at the
-    quadrature-evaluated average loss, read from the bit-level table. The
-    search stops after the first level whose closed-form loss exceeds 0.999.
+    Each level's figure is the exact error of the bit-level table, which
+    one array pass fills for the whole search range. The search stops after
+    the first level whose closed-form loss exceeds 0.999.
     """
     past = np.flatnonzero(params.level_losses > _BRUTE_STOP_LOSS)
     levels = range(1, int(past[0]) + 2 if past.size else _MAX_BITS + 1)
-    return _level_decision(
-        min(levels, key=lambda bits: _level_decision(bits, params).predicted_exact), params)
+    params.tabulate(levels)
+    return _level_decision(min(levels, key=lambda bits: params.table[bits][1]), params)
 
 
 def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:

@@ -6,6 +6,35 @@ from scipy import integrate, special, stats
 
 from senselink import channel as ch
 
+mpmath = pytest.importorskip("mpmath")
+
+
+def mp_avg_loss(antennas, snr_db, n, rate):
+    """The average loss at 30 digits: mpmath's tanh-sinh quadrature of the
+    normal-approximation loss against the Erlang density, split at 0, the
+    SNRs where the margin a is 0, +-1, ..., +-12, a set of Erlang quantiles
+    and infinity."""
+    mp = mpmath.mp
+    mp.dps = 30
+    g0 = mp.mpf(10) ** (mp.mpf(snr_db) / 10)
+    r, s = mp.mpf(rate), mp.sqrt(n) * mp.log(2)
+    log_norm = mp.loggamma(antennas) + antennas * mp.log(g0)
+
+    def integrand(g):
+        if g == 0:
+            return 1 / g0 if antennas == 1 else mp.mpf(0)
+        x = mp.log1p(g) / mp.log(2)
+        a = s * (x - r) / mp.sqrt(-mp.expm1(-x * mp.log(4)))
+        return mp.erfc(a / mp.sqrt(2)) / 2 * mp.exp((antennas - 1) * mp.log(g) - g / g0 - log_norm)
+
+    points = {mp.mpf(0)}
+    for k in (-8, -6, -4, -3, -2, -1, -0.5, 0, 0.5, 1, 2, 3, 4, 6, 8, 10, 12):
+        if r + k / s > 0:
+            points.add(mp.mpf(2) ** (r + k / s) - 1)
+    for q in (1e-30, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-12):
+        points.add(g0 * float(special.gammaincinv(antennas, q)))
+    return float(mp.quad(integrand, sorted(points) + [mp.inf]))
+
 
 @pytest.fixture
 def cfg4():
@@ -134,16 +163,22 @@ class TestAveragePacketLoss:
 
     def test_exact_matches_scipy_integrand(self):
         # reference: the same quadrature over packet_loss times the frozen
-        # scipy Erlang density; L = 1 has a nonzero density at g = 0
+        # scipy Erlang density, split the same way at the capacity edge
+        # 2^(R + 9 / (sqrt(N) ln 2)) - 1 with the knee 2^R - 1 as the lower
+        # piece's breakpoint; L = 1 has a nonzero density at g = 0
         def reference(cfg, rate):
             dist = stats.gamma(a=cfg.antennas, scale=cfg.snr_linear)
             hi = float(dist.isf(1e-10))
             knee = 2.0 ** rate - 1.0
-            points = [knee] if 0.0 < knee < hi else None
-            val, _ = integrate.quad(
-                lambda g: ch.packet_loss(g, cfg.blocklength, rate) * dist.pdf(g),
-                0.0, hi, points=points, limit=300, epsabs=1e-10, epsrel=1e-9)
-            return min(max(val, 0.0), 1.0)
+            edge = min(2.0 ** (rate + 9.0 / (math.sqrt(cfg.blocklength) * math.log(2.0))) - 1.0, hi)
+            total = 0.0
+            for lo, top in ((0.0, edge), (edge, hi)):
+                if lo < top:
+                    points = [knee] if lo < knee < top else None
+                    total += integrate.quad(
+                        lambda g: ch.packet_loss(g, cfg.blocklength, rate) * dist.pdf(g),
+                        lo, top, points=points, limit=300, epsabs=1e-10, epsrel=1e-9)[0]
+            return min(max(total, 0.0), 1.0)
 
         checked = 0
         for antennas in (1, 2, 4, 8, 64):
@@ -158,6 +193,16 @@ class TestAveragePacketLoss:
                         assert ch.avg_packet_loss_exact(cfg, rate) == pytest.approx(ref, rel=1e-12)
                         checked += 1
         assert checked >= 150
+
+    @pytest.mark.parametrize("antennas,snr_db,n,rate", [
+        (1, 10.0, 400, 0.02), (1, 40.0, 10, 3.0), (2, 10.0, 100, 0.02),
+    ])
+    def test_exact_keeps_loss_below_the_knee(self, antennas, snr_db, n, rate):
+        # gamma0 far above the knee: the loss mass sits in a sliver next to
+        # the knee; a single piece over [0, Erlang tail] missed 17-90% of it
+        cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+        ref = mp_avg_loss(antennas, snr_db, n, rate)
+        assert ch.avg_packet_loss_exact(cfg, rate) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_approx_tracks_exact_at_moderate_loss(self, cfg4):
         # the closed form is loose at very small losses (~20% relative near
@@ -212,6 +257,70 @@ class TestAveragePacketLoss:
         vals = np.array([math.log1p(-ch.avg_packet_loss_approx(cfg4, r)) for r in rates])
         second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         assert np.all(second <= 1e-12)
+
+
+def envelope_rates(blocklength):
+    """Rates b d / N that a policy can reach: b bits per feature, dimension d."""
+    return np.unique([b * d / blocklength for b in (1, 2, 3, 4, 8, 16, 32, 64)
+                      for d in (1, 2, 7, 50, 128, 512)])
+
+
+def loss_tolerance(eps):
+    return 2e-10 + 1e-8 * min(eps, 1.0 - eps)
+
+
+class TestGaussHermiteLoss:
+    @pytest.mark.parametrize("antennas", [1, 2, 4, 16, 64, 256])
+    def test_matches_quadrature_over_envelope(self, antennas):
+        checked = 0
+        for snr_db in (-30.0, -10.0, 0.0, 2.0, 10.0, 20.0, 40.0, 60.0):
+            for n in (10, 100, 400, 2000):
+                cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+                rates = envelope_rates(n)
+                got = ch.avg_packet_loss(cfg, rates)
+                for rate, value in zip(rates, got):
+                    ref = ch.avg_packet_loss_exact(cfg, rate)
+                    assert abs(value - ref) <= loss_tolerance(ref), (snr_db, n, rate)
+                    checked += 0.0 < ref < 1.0
+        assert checked >= 150
+
+    @pytest.mark.parametrize("antennas,snr_db,n,rate,over_margin", [
+        (1, 10.0, 400, 0.02, True), (1, 40.0, 10, 3.0, True), (2, 10.0, 100, 0.02, True),
+        (4, 2.0, 100, 2.0, True), (8, 60.0, 10, 20.0, True), (256, 20.0, 2000, 14.6, True),
+        (256, -30.0, 100, 0.36, False), (256, -30.0, 10, 0.1, False), (256, 20.0, 10, 14.6, False),
+        (1, -30.0, 100, 0.01, False),
+    ])
+    def test_matches_mpmath(self, antennas, snr_db, n, rate, over_margin):
+        # both forms, each where the knee's widths select it: a wide Erlang
+        # law integrates over the margin, a narrow one over the SNR
+        cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+        assert ch._margin_form(cfg, np.array([rate]))[0] == over_margin
+        ref = mp_avg_loss(antennas, snr_db, n, rate)
+        assert abs(ch.avg_packet_loss(cfg, [rate])[0] - ref) <= loss_tolerance(ref)
+
+    @pytest.mark.parametrize("blocklength", [1, 10, 2000])
+    @pytest.mark.parametrize("rate", [5e-4, 0.3, 4.0, 300.0])
+    def test_margin_inverse_round_trip(self, blocklength, rate):
+        # from gamma -> 0 up to 1024 bits per channel use
+        s = math.sqrt(blocklength) * math.log(2.0)
+        x = np.concatenate([np.logspace(-14, 3, 120), [1024.0]])
+        t = s * (x - rate) / np.sqrt(-np.expm1(-x * math.log(4.0)))
+        back = ch._margin_inverse(rate, t, s)
+        np.testing.assert_allclose(back, x, rtol=1e-12, atol=0.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            ch.avg_packet_loss(ch.ChannelConfig(4, ch.snr_from_db(2.0), 100), [1.0, 2.0])
+
+    def test_extreme_rates(self, cfg4):
+        # past 1024 bits per use the knee overflows and the loss is 1
+        np.testing.assert_array_equal(ch.avg_packet_loss(cfg4, [2000.0, 3276.8]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("rates", [[0.0], [-1.0, 1.0], [[1.0]]])
+    def test_rejects_bad_rates(self, cfg4, rates):
+        with pytest.raises(ValueError):
+            ch.avg_packet_loss(cfg4, rates)
 
 
 class TestChannelConfig:

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from senselink import gmm
+from senselink.numerics import poisson_binomial_pmf
 
 from reference import classify, discriminant_score
 
@@ -77,6 +78,17 @@ class TestEffectiveGain:
             dm = model.mu1 - model.mu2
             expected = 0.5 * dm @ np.linalg.solve(sigma + s2 * np.eye(8), dm)
             assert gmm.effective_discriminant_gain(model, s2) == pytest.approx(expected, rel=1e-12)
+
+    def test_array_of_noise_variances(self):
+        rng = np.random.default_rng(4)
+        model = gmm.InferenceModel(rng.standard_normal(9), rng.standard_normal(9),
+                                   random_spd(rng, 9))
+        s2 = np.array([0.0, 0.05, 0.7, 4.0, 1e6])
+        np.testing.assert_allclose(gmm.effective_discriminant_gains(model, s2),
+                                   [gmm.effective_discriminant_gain(model, v) for v in s2],
+                                   rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            gmm.effective_discriminant_gains(model, [0.1, -0.1])
 
     def test_strictly_decreasing_in_noise(self, default_model):
         vals = [gmm.effective_discriminant_gain(default_model, s2)
@@ -214,6 +226,26 @@ class TestErrorFormulas:
         # K = 2, losses (0.2, 0.5): P(M=0) = 0.1, P(M=1) = 0.5, P(M=2) = 0.4
         expected = 0.1 * 0.5 + 0.5 * stats.norm.sf(1.0) + 0.4 * stats.norm.sf(math.sqrt(2.0))
         assert gmm.semi_analytic_error(2.0, [0.2, 0.5]) == pytest.approx(expected, rel=1e-12)
+
+    def test_equal_losses_elementwise(self):
+        # the binomial-count error of each (gain, loss) pair, against the
+        # Poisson-binomial DP mixed by hand, and the bound against its
+        # scalar form
+        gains = np.array([0.0, 0.3, 1.0, 4.0, 2.0])
+        losses = np.array([0.4, 0.0, 0.7, 1.0, 0.05])
+        k = 7
+        exact = gmm.sensing_error_exact(gains, losses, k)
+        bounds = gmm.sensing_error_bound(gains, losses, k)
+        for gain, eps, got, bound in zip(gains, losses, exact, bounds):
+            pmf = poisson_binomial_pmf([1.0 - eps] * k)
+            cond = stats.norm.sf(np.sqrt(np.arange(k + 1) * gain / 2.0))
+            cond[0] = 0.5
+            expected = 0.5 if gain == 0.0 else min(float(pmf @ cond), 0.5)
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert bound == pytest.approx(gmm.sensing_error_bound(float(gain), float(eps), k),
+                                          rel=1e-14)
+        with pytest.raises(ValueError):
+            gmm.sensing_error_bound(gains, losses + 0.5, k)
 
     def test_bound_dominates_exact(self):
         for gain in (0.2, 1.0, 3.0):

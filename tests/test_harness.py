@@ -269,6 +269,18 @@ class TestSweep:
                   trials=200, seed=13)
         assert harness.sweep(default_config, **kw) == harness.sweep(default_config, **kw)
 
+    def test_sweeps_draw_independent_streams(self, default_config):
+        # each swept value leaves the default configuration as it is, so
+        # the only difference between these cells is how their streams are
+        # keyed: by the sweep parameter, or (outside a sweep) not at all
+        config = replace(default_config, policy="bits:4")
+        kw = dict(policies=["bits:4"], trials=4000, seed=5)
+        by_snr = harness.sweep(config, "snr-db", [config.snr_db], **kw)[0]
+        by_antennas = harness.sweep(config, "antennas", [config.antennas], **kw)[0]
+        alone = harness.estimate_error(config, harness.decide(config), 4000, seed=5)
+        assert (by_snr.bits, by_snr.pred_exact) == (by_antennas.bits, by_antennas.pred_exact)
+        assert len({by_snr.error, by_antennas.error, alone.error}) == 3
+
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):
             harness.sweep(default_config, "temperature", [1], ["adaptive"], 10, 0)

@@ -163,8 +163,17 @@ class TestBinomialPmf:
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(pmf, poisson_binomial_pmf([p] * k), rtol=1e-12, atol=1e-15)
 
+    def test_one_row_per_probability(self):
+        probs = np.array([0.0, 0.3, 0.9, 1.0])
+        rows = binomial_pmf(probs, 6)
+        assert rows.shape == (4, 7)
+        for p, row in zip(probs, rows):
+            np.testing.assert_array_equal(row, binomial_pmf(p, 6))
+
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             binomial_pmf(1.2, 3)
+        with pytest.raises(ValueError):
+            binomial_pmf([0.5, -0.1], 3)
         with pytest.raises(ValueError):
             binomial_pmf(0.5, 0)
