@@ -114,9 +114,11 @@ def packet_loss(gamma, blocklength: int, rate: float):
     """Finite-blocklength decoding failure probability at receive SNR gamma.
 
     Q(sqrt(N / V(gamma)) * (C(gamma) - rate)); defined as 1 at gamma = 0,
-    the continuous limit from the right. Accepts scalars or arrays.
+    the continuous limit from the right. Accepts scalars or arrays; an
+    array of rates broadcasts against gamma, which shares the capacity and
+    dispersion among the rates.
     """
-    if rate <= 0:
+    if np.any(np.asarray(rate) <= 0):
         raise ValueError("coding rate must be positive")
     g = np.asarray(gamma, dtype=float)
     v = dispersion(g)
@@ -131,13 +133,14 @@ def packet_loss(gamma, blocklength: int, rate: float):
 def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     """Average loss probability by adaptive quadrature against the Erlang density.
 
-    The integration interval is truncated where the Erlang tail mass drops
-    below 1e-10; the tail contributes essentially zero loss, so the truncation
-    error is bounded by that mass. It is split at the capacity edge
-    2^(rate + 9 / (sqrt(N) ln 2)) - 1, past which the loss is below Q(9), so
-    that the loss's fall from 1 to 0 fills one piece even when the Erlang
-    mass lies far above the knee; the piece below the edge has the knee
-    2^rate - 1 as a breakpoint.
+    The integral is split at the capacity edge 2^(rate + 9 / (sqrt(N) ln 2)) - 1,
+    past which the loss is below Q(9), so that the loss's fall from 1 to 0
+    fills one piece even when the Erlang mass lies far above the knee; the
+    piece below the edge has the knee 2^rate - 1 as a breakpoint. Both pieces
+    end where the Erlang tail mass drops below 1e-10. The tail past that point
+    is integrated over its probability p = P(gamma > g) in [0, 1e-10], where
+    the loss is bounded and monotone, to a tolerance scaled to that mass: a
+    rate at which the whole law is lost gives a loss of 1 to rounding.
     """
     if rate <= 0:
         raise ValueError("coding rate must be positive")
@@ -145,15 +148,20 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     hi = cfg.erlang_tail
     log_norm = math.lgamma(ell) + ell * math.log(g0)
 
+    # packet_loss and the Erlang(ell, g0) density written in scalar math:
+    # quad calls them a few hundred times, and the per-call overhead of
+    # numpy and scipy.stats dominated the work.
+    def loss(g):
+        v = g * (2.0 + g) / (1.0 + g) ** 2 * LOG2E_SQ
+        return 0.5 * math.erfc(math.sqrt(n / v) * (math.log2(1.0 + g) - rate) / SQRT2)
+
     def integrand(g):
-        # packet_loss(g, n, rate) times the Erlang(ell, g0) density, written
-        # in scalar math: quad calls it a few hundred times, and the per-call
-        # overhead of numpy and scipy.stats dominated the work.
         if g <= 0.0:
             return 1.0 / g0 if ell == 1 else 0.0
-        v = g * (2.0 + g) / (1.0 + g) ** 2 * LOG2E_SQ
-        loss = 0.5 * math.erfc(math.sqrt(n / v) * (math.log2(1.0 + g) - rate) / SQRT2)
-        return loss * math.exp((ell - 1) * math.log(g) - g / g0 - log_norm)
+        return loss(g) * math.exp((ell - 1) * math.log(g) - g / g0 - log_norm)
+
+    def tail(p):
+        return loss(g0 * special.gammainccinv(ell, p))
 
     def snr_at(bits):  # 2^bits overflows a float from 1024 on
         return 2.0 ** bits - 1.0 if bits < 1024.0 else math.inf
@@ -161,11 +169,14 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     knee = snr_at(rate)
     edge = min(snr_at(rate + _EDGE_MARGIN / (math.sqrt(n) * LN2)), hi)
     total = 0.0
-    for lo, top in ((0.0, edge), (edge, hi)):
+    for fn, lo, top, points, epsabs in (
+            (integrand, 0.0, edge, [knee] if 0.0 < knee < edge else None, 1e-10),
+            (integrand, edge, hi, [knee] if edge < knee < hi else None, 1e-10),
+            (tail, 0.0, _ERLANG_TAIL_MASS, None, 1e-10 * _ERLANG_TAIL_MASS)):
         if not lo < top:
             continue
-        val, err = integrate.quad(integrand, lo, top, points=[knee] if lo < knee < top else None,
-                                  limit=300, epsabs=1e-10, epsrel=1e-9)
+        val, err = integrate.quad(fn, lo, top, points=points, limit=300,
+                                  epsabs=epsabs, epsrel=1e-9)
         if err > 1e-8:
             raise RuntimeError(f"quadrature did not converge (error estimate {err:g})")
         total += val

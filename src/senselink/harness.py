@@ -1,10 +1,11 @@
 """Monte Carlo experiment engine: trials, policy sweeps, and the validation suite.
 
 Trials are simulated in blocks of a fixed number of feature values. Each
-block draws from its own random stream derived from (master seed, sweep
-parameter, cell index, block index), so any sweep's output is a pure
-function of its configuration and seed regardless of how cells are
-scheduled, and sweeps over different parameters draw different numbers.
+block draws from its own random stream: keyed by (seed, cell, block) for a
+single cell, and by (seed, swept value, block, sweep parameter) for a sweep
+point, whose policies are all scored on the same episodes. Any output is a
+pure function of its configuration and seed, and sweeps over different
+parameters or values draw different numbers.
 """
 
 from __future__ import annotations
@@ -140,75 +141,134 @@ def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -
     raise ValueError(f"unknown policy {policy!r}")
 
 
-class _TrialContext:
-    """Immutable per-cell precomputation shared by every block.
+class _Point:
+    """Per-point precomputation shared by every policy and block.
 
     Features are drawn directly in the KLT eigenbasis of Sigma: the quantizer
     only ever sees basis @ x, which is Gaussian with mean basis @ mu_c and
-    covariance diag(lambda). Decoding and scoring fold into one weight
-    vector: the score of the decoded features basis.T @ y is y @ w + const,
-    with w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise
-    is isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2)
-    and the score of one packet is exactly Normal(w @ mu_c + const,
-    sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
+    covariance diag(lambda).
     """
 
-    def __init__(self, config: ExperimentConfig, decision: opt.RateDecision,
-                 params: opt.TradeoffParams | None = None):
+    def __init__(self, config: ExperimentConfig, params: opt.TradeoffParams):
         self.config = config
-        self.decision = decision
-        params = params or build_params(config)
-        model, self.channel = params.model, params.channel
+        self.channel = params.channel
+        model = params.model
         basis = model.basis
-        self.quantizer = quant.QuantizerConfig(config.clip, decision.bits_per_feature, basis)
-        s2 = quant.noise_variance(decision.bits_per_feature, config.clip)
-        eigs = np.sum((basis @ model.sigma) * basis, axis=1)
-        self.scale = np.sqrt(eigs)
+        self.eigs = np.sum((basis @ model.sigma) * basis, axis=1)
+        self.scale = np.sqrt(self.eigs)
         self.means = np.stack([basis @ model.mu1, basis @ model.mu2])
-        # Score with the distortion-matched covariance: the Bayes rule for the
-        # decoded features, and the one the analytic error expressions assume.
-        inflated = eigs + s2
-        self.weights = (self.means[1] - self.means[0]) / inflated
-        self.const = 0.5 * float(np.sum((self.means[0] ** 2 - self.means[1] ** 2) / inflated))
-        self.score_means = self.means @ self.weights + self.const
-        self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
         self.block_size = max(1, _BLOCK_VALUES // (config.observations * model.dim))
 
 
-def _simulate_block(ctx: _TrialContext, n: int, rng: np.random.Generator) -> int:
-    """Simulate ``n`` sensing episodes end to end from one stream and return
-    how many of them decide the wrong class.
+class _Level:
+    """One bit level's rate, quantizer grid and score at a point.
+
+    Decoding and scoring fold into one weight vector: the score of the
+    decoded features basis.T @ y is y @ w + const, with
+    w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise is
+    isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2) and
+    the score of one packet is exactly Normal(w @ mu_c + const,
+    sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
+    """
+
+    def __init__(self, point: _Point, bits: int, rate: float):
+        self.bits, self.rate = bits, rate
+        # Score with the distortion-matched covariance: the Bayes rule for the
+        # decoded features, and the one the analytic error expressions assume.
+        inflated = point.eigs + quant.noise_variance(bits, point.config.clip)
+        self.weights = (point.means[1] - point.means[0]) / inflated
+        self.const = 0.5 * float(np.sum((point.means[0] ** 2 - point.means[1] ** 2) / inflated))
+        self.score_means = point.means @ self.weights + self.const
+        self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
+
+
+def _simulate_block(point: _Point, levels: list[_Level], n: int,
+                    rng: np.random.Generator) -> list[int]:
+    """Simulate ``n`` sensing episodes from one stream and return, for each
+    level, how many of them decide the wrong class.
 
     Each episode draws a class and sends K packets over the fading channel.
-    The channel is drawn first; features are then drawn, quantized (or given
-    the lemma-1 score law) and scored only for the packets that arrive, and
-    their scores are summed per episode. An episode decides class 1 iff the
-    sum is < 0; one with zero received packets guesses uniformly at random.
+    The classes, the post-combining SNRs and the uniforms that decide each
+    packet's arrival are drawn once and shared by every level; each level
+    only applies its own rate's loss to them. Features (or, under lemma 1,
+    standard scores) are drawn once for the packets that arrive under any
+    level; each level quantizes and scores its own arrivals and sums them
+    per episode. An episode decides class 1 iff the sum is < 0; one with zero
+    received packets guesses, the i-th such episode taking the i-th of n
+    guesses drawn last. A level's outcome depends on the other levels only
+    through the union of arriving packets, not on their order; with one
+    level, the stream is consumed as by a single-policy engine.
     """
-    cfg = ctx.config
+    cfg = point.config
     k = cfg.observations
     classes = rng.integers(1, 3, size=n)
-    snrs = ch.sample_post_mrc_snr(ctx.channel, rng, size=n * k).reshape(n, k)
-    losses = ch.packet_loss(snrs, cfg.blocklength, ctx.decision.rounded_rate)
-    success = rng.random((n, k)) >= losses
-    episode = np.nonzero(success)[0]
+    snrs = ch.sample_post_mrc_snr(point.channel, rng, size=n * k).reshape(n, k)
+    uniforms = rng.random((n, k))
+    rates = np.array([lvl.rate for lvl in levels])
+    success = uniforms >= ch.packet_loss(snrs, cfg.blocklength, rates[:, None, None])
+    reached = success.any(axis=0)
+    episode = np.nonzero(reached)[0]
     arrived = classes[episode] - 1
     if cfg.noise_model == "quantizer":
-        y = rng.standard_normal((episode.size, ctx.scale.size))
-        y *= ctx.scale
-        y += ctx.means[arrived]
-        scores = quant.scalar_quantize(y, ctx.quantizer) @ ctx.weights
-        scores += ctx.const
+        draws = rng.standard_normal((episode.size, point.scale.size))
+        draws *= point.scale
+        draws += point.means[arrived]
     else:
-        scores = rng.standard_normal(episode.size)
-        scores *= ctx.score_sd
-        scores += ctx.score_means[arrived]
-    total = np.bincount(episode, weights=scores, minlength=n)
+        draws = rng.standard_normal(episode.size)
+    guesses = rng.integers(1, 3, size=n)
 
-    decisions = np.where(total < 0.0, 1, 2)
-    silent = ~success.any(axis=1)
-    decisions[silent] = rng.integers(1, 3, size=int(silent.sum()))
-    return int(np.count_nonzero(decisions != classes))
+    wrong = []
+    for lvl, ok in zip(levels, success):
+        mine = ok[reached]  # this level's packets among those drawn
+        if mine.all():
+            own, owner, label = draws, episode, arrived
+        else:
+            own, owner, label = draws[mine], episode[mine], arrived[mine]
+        if cfg.noise_model == "quantizer":
+            scores = quant.scalar_quantize(own, cfg.clip, lvl.bits) @ lvl.weights
+            scores += lvl.const
+        else:
+            scores = own * lvl.score_sd
+            scores += lvl.score_means[label]
+        total = np.bincount(owner, weights=scores, minlength=n)
+        decisions = np.where(total < 0.0, 1, 2)
+        silent = ~ok.any(axis=1)
+        decisions[silent] = guesses[:int(silent.sum())]
+        wrong.append(int(np.count_nonzero(decisions != classes)))
+    return wrong
+
+
+def _count_errors(config: ExperimentConfig, params: opt.TradeoffParams,
+                  decisions: list[opt.RateDecision], trials: int,
+                  key: tuple, tag: tuple = ()) -> list[int]:
+    """Wrong decisions out of ``trials`` episodes for each of a point's
+    decisions, all scored on the same episodes (common random numbers).
+
+    Block b draws from the stream keyed (*key, b, *tag). Decisions at the
+    same bit level share its work and its count.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    point = _Point(config, params)
+    index = {}
+    for d in decisions:
+        index.setdefault((d.bits_per_feature, d.rounded_rate), len(index))
+    levels = [_Level(point, bits, rate) for bits, rate in index]
+    wrong = np.zeros(len(levels), dtype=np.int64)
+    for block, start in enumerate(range(0, trials, point.block_size)):
+        rng = np.random.default_rng([*key, block, *tag])
+        wrong += _simulate_block(point, levels, min(point.block_size, trials - start), rng)
+    return [int(wrong[index[d.bits_per_feature, d.rounded_rate]]) for d in decisions]
+
+
+def _row(param: str, value: float | None, policy: str, decision: opt.RateDecision,
+         wrong: int, trials: int, seed: int) -> ResultRow:
+    p_hat = wrong / trials
+    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return ResultRow(param, value, policy, decision.bits_per_feature,
+                     decision.rounded_rate, p_hat, ci,
+                     decision.predicted_exact, decision.predicted_bound,
+                     trials, seed)
 
 
 _SWEEP_FIELDS = {"observations": "observations", "snr-db": "snr_db",
@@ -218,34 +278,35 @@ _SWEEP_STREAMS = {param: i + 1 for i, param in enumerate(_SWEEP_FIELDS)}
 
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                    trials: int, seed: int, cell: int = 0,
-                   param: str = "", value: float | None = None,
                    params: opt.TradeoffParams | None = None) -> ResultRow:
-    """Aggregate the error rate over independent trials, one stream per block,
-    keyed by (seed, cell, block) and, when ``param`` names a sweep parameter,
-    by that parameter too. ``params``, when given, supplies the model and
-    channel of ``config``."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    ctx = _TrialContext(config, decision, params)
-    # a swept parameter's stream id goes last and is nonzero: SeedSequence
-    # pads a key with zeros, so a cell outside a sweep keeps the key
-    # (seed, cell, block) and no sweep's key equals it
-    sweep_id = (_SWEEP_STREAMS[param],) if param in _SWEEP_STREAMS else ()
-    wrong = 0
-    for block, start in enumerate(range(0, trials, ctx.block_size)):
-        rng = np.random.default_rng([seed, cell, block, *sweep_id])
-        wrong += _simulate_block(ctx, min(ctx.block_size, trials - start), rng)
-    p_hat = wrong / trials
-    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return ResultRow(param, value, config.policy, decision.bits_per_feature,
-                     decision.rounded_rate, p_hat, ci,
-                     decision.predicted_exact, decision.predicted_bound,
-                     trials, seed)
+    """Aggregate one decision's error rate over independent trials, one
+    stream per block keyed by (seed, cell, block): the one-policy case of
+    the engine ``sweep`` runs. ``params``, when given, supplies the model
+    and channel of ``config``."""
+    wrong, = _count_errors(config, params or build_params(config), [decision],
+                           trials, key=(seed, cell))
+    return _row("", None, config.policy, decision, wrong, trials, seed)
+
+
+def _float_words(value: float) -> tuple[int, int]:
+    """The bit pattern of a float64 as two 32-bit words; -0.0 maps as 0.0."""
+    return divmod(int(np.float64(value + 0.0).view(np.uint64)), 1 << 32)
 
 
 def sweep(config: ExperimentConfig, param: str, values, policies,
           trials: int, seed: int) -> list[ResultRow]:
-    """Re-decide and re-simulate every (value, policy) cell in deterministic order."""
+    """Decide every policy at each swept value, then score them all on the
+    value's shared episodes; rows come in (value, policy) order.
+
+    Block b of a value's episodes draws from the stream keyed (seed, value's
+    float64 bits, b, parameter id). The id goes last and is nonzero:
+    SeedSequence pads a key with zeros, so no sweep key equals the key
+    (seed, cell, b) of ``estimate_error``. A row's error depends on its
+    value, its policy and the set of bit levels at its value, not on the
+    other values or the order of the policies; that order can move a
+    prediction in its last digit, since it sets how the bit-level table is
+    filled.
+    """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
     try:
@@ -253,21 +314,23 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     except KeyError:
         raise ValueError(f"unknown sweep parameter {param!r}") from None
     rows = []
-    for vi, value in enumerate(values):
+    for value in values:
         cast = int(value) if attr in ("observations", "antennas", "blocklength") else float(value)
-        params = None  # one model, channel and bit-level table for the value's policies
-        for pi, policy in enumerate(policies):
-            cfg = replace(config, **{attr: cast, "policy": policy})
-            try:
-                if params is None:
-                    params = build_params(cfg)
-                decision = decide(cfg, params)
-                row = estimate_error(cfg, decision, trials, seed,
-                                     cell=vi * len(policies) + pi,
-                                     param=param, value=float(value), params=params)
-            except Exception as exc:
-                raise RuntimeError(f"sweep cell ({param}={value}, policy={policy}) failed") from exc
-            rows.append(row)
+        point = replace(config, **{attr: cast})
+        decisions = []
+        try:
+            params = build_params(point)  # one model, channel and bit-level table per value
+            for policy in policies:
+                decisions.append(decide(replace(point, policy=policy), params))
+            wrong = _count_errors(point, params, decisions, trials,
+                                  key=(seed, *_float_words(float(cast))),
+                                  tag=(_SWEEP_STREAMS[param],))
+        except Exception as exc:
+            failed = (f", policy={policies[len(decisions)]}"
+                      if len(decisions) < len(policies) else "")
+            raise RuntimeError(f"sweep cell ({param}={value}{failed}) failed") from exc
+        rows += [_row(param, float(value), policy, d, w, trials, seed)
+                 for policy, d, w in zip(policies, decisions, wrong)]
     return rows
 
 

@@ -40,7 +40,11 @@ class QuantizerConfig:
 
     @property
     def resolution(self) -> float:
-        return 2.0 * self.clip / (2 ** self.bits - 1)
+        return _resolution(self.clip, self.bits)
+
+
+def _resolution(clip: float, bits: int) -> float:
+    return 2.0 * clip / (2 ** bits - 1)
 
 
 def klt(sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -64,23 +68,23 @@ def klt(sigma) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], rows
 
 
-def scalar_quantize(v, config: QuantizerConfig):
-    """Map values to the grid point whose half-open cell [u - d/2, u + d/2) holds them.
+def scalar_quantize(v, clip: float, bits: int):
+    """Map values to the point of the 2^bits-point grid on [-clip, clip]
+    whose half-open cell [u - d/2, u + d/2) holds them.
 
-    Out-of-range inputs saturate to the extreme grid points -U and +U.
+    Out-of-range inputs saturate to the extreme grid points -clip and +clip.
     Accepts scalars or arrays; the input is not modified. The output array
     is allocated once and every later step works in it in place.
     """
-    delta = config.resolution
-    u = config.clip
-    out = np.array(v, dtype=float)
-    out += u
+    delta = _resolution(clip, bits)
+    out = np.empty(np.shape(v))
+    np.add(v, clip, out=out)
     out /= delta
     out += 0.5
     np.floor(out, out=out)
-    np.clip(out, 0, 2 ** config.bits - 1, out=out)
+    np.clip(out, 0, 2 ** bits - 1, out=out)
     out *= delta
-    out += -u
+    out += -clip
     if out.ndim == 0:
         return float(out)
     return out
@@ -94,7 +98,7 @@ def encode(x, config: QuantizerConfig) -> tuple[np.ndarray, int]:
     x = np.asarray(x, dtype=float)
     y = x @ config.basis.T
     d = config.basis.shape[0]
-    return scalar_quantize(y, config), config.bits * d
+    return scalar_quantize(y, config.clip, config.bits), config.bits * d
 
 
 def decode(xq, config: QuantizerConfig) -> np.ndarray:

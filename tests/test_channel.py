@@ -165,7 +165,9 @@ class TestAveragePacketLoss:
         # reference: the same quadrature over packet_loss times the frozen
         # scipy Erlang density, split the same way at the capacity edge
         # 2^(R + 9 / (sqrt(N) ln 2)) - 1 with the knee 2^R - 1 as the lower
-        # piece's breakpoint; L = 1 has a nonzero density at g = 0
+        # piece's breakpoint, and the tail past mass 1e-10 integrated over
+        # its probability through scipy's inverse upper incomplete gamma;
+        # L = 1 has a nonzero density at g = 0
         def reference(cfg, rate):
             dist = stats.gamma(a=cfg.antennas, scale=cfg.snr_linear)
             hi = float(dist.isf(1e-10))
@@ -178,6 +180,10 @@ class TestAveragePacketLoss:
                     total += integrate.quad(
                         lambda g: ch.packet_loss(g, cfg.blocklength, rate) * dist.pdf(g),
                         lo, top, points=points, limit=300, epsabs=1e-10, epsrel=1e-9)[0]
+            total += integrate.quad(
+                lambda p: ch.packet_loss(cfg.snr_linear * special.gammainccinv(cfg.antennas, p),
+                                         cfg.blocklength, rate),
+                0.0, 1e-10, limit=300, epsabs=1e-20, epsrel=1e-9)[0]
             return min(max(total, 0.0), 1.0)
 
         checked = 0
@@ -203,6 +209,17 @@ class TestAveragePacketLoss:
         cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
         ref = mp_avg_loss(antennas, snr_db, n, rate)
         assert ch.avg_packet_loss_exact(cfg, rate) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("antennas,snr_db,n,rate", [
+        (4, -2.0, 100, 16.0), (1, -2.0, 100, 16.0), (2, 10.0, 10, 8.0),
+    ])
+    def test_exact_keeps_the_erlang_tail(self, antennas, snr_db, n, rate):
+        # every packet lost over the whole law (32 bits at d = 50 for the
+        # first two), and a loss near one half at the tail's 1e-10
+        # quantile: truncating the law there returned 1 - 1e-10 for the first
+        cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+        ref = mp_avg_loss(antennas, snr_db, n, rate)
+        assert ch.avg_packet_loss_exact(cfg, rate) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_approx_tracks_exact_at_moderate_loss(self, cfg4):
         # the closed form is loose at very small losses (~20% relative near

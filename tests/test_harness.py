@@ -179,6 +179,21 @@ class TestEngineMatchesReference:
         assert_engine_matches_reference(cfg, 10_000, seed=19)
 
 
+    @pytest.mark.parametrize("noise_model", ["quantizer", "lemma1"])
+    def test_policies_sharing_a_point(self, noise_model):
+        # three levels scored on the same episodes: about one packet in five
+        # lost at 2 bits, two in three at 6 bits, and 1 bit for urllc
+        cfg = dense_config("bits:2", noise_model)
+        policies = ["bits:2", "bits:6", "urllc"]
+        rows = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, 10_000, seed=41)
+        for row in rows:
+            policy_cfg = replace(cfg, policy=row.policy)
+            reference = reference_error(policy_cfg, harness.decide(policy_cfg), 10_000, seed=41)
+            spread = math.sqrt((row.error * (1 - row.error)
+                                + reference * (1 - reference)) / 10_000)
+            assert abs(row.error - reference) <= 3.0 * spread, row.policy
+
+
 class TestLemma1EngineMatchesPrediction:
     """Under the lemma-1 noise model the engine simulates exactly the law that
     ``semi_analytic_error`` integrates: a Gaussian score per packet and
@@ -195,6 +210,35 @@ class TestLemma1EngineMatchesPrediction:
         row = harness.estimate_error(cfg, decision, trials, seed=seed, params=params)
         p = decision.predicted_exact
         assert abs(row.error - p) <= 3.0 * math.sqrt(p * (1 - p) / trials)
+
+
+    def test_policies_sharing_a_point_match_pred_exact(self):
+        # five levels on the same episodes, bits:32 losing every packet
+        cfg = harness.ExperimentConfig(noise_model="lemma1")
+        policies = ["adaptive", "brute", "urllc", "bits:6", "bits:32"]
+        trials = 200_000
+        rows = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=37)
+        assert rows[-1].pred_exact == 0.5
+        assert len({row.bits for row in rows}) == 5
+        for row in rows:
+            p = row.pred_exact
+            assert abs(row.error - p) <= 3.0 * math.sqrt(p * (1 - p) / trials), row.policy
+
+
+class TestGoldenRows:
+    """``estimate_error`` rows as the engine gave them before a sweep point's
+    policies shared their episodes: the one-policy case consumes each
+    block's stream exactly as it did."""
+
+    @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 59),
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 78),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 597),
+    ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6"])
+    def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
+        row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
+        assert row.error == wrong / trials
+        assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
 
 
 class TestEstimateError:
@@ -280,6 +324,39 @@ class TestSweep:
         alone = harness.estimate_error(config, harness.decide(config), 4000, seed=5)
         assert (by_snr.bits, by_snr.pred_exact) == (by_antennas.bits, by_antennas.pred_exact)
         assert len({by_snr.error, by_antennas.error, alone.error}) == 3
+
+    def test_values_draw_independent_streams(self, default_config):
+        # every packet is lost at 32 bits from -2 to 10 dB, so each row is a
+        # coin flip per episode; one-value sweeps at two SNRs keyed by the
+        # value's position drew the same flips
+        rows = [harness.sweep(default_config, "snr-db", [snr], ["bits:32"], 2000, seed=0)[0]
+                for snr in (0.0, 2.0)]
+        assert [row.pred_exact for row in rows] == [0.5, 0.5]
+        assert rows[0].error != rows[1].error
+
+    def test_row_independent_of_other_values(self, default_config):
+        kw = dict(policies=["adaptive", "urllc", "bits:6"], trials=500, seed=3)
+        alone = harness.sweep(default_config, "antennas", [4], **kw)
+        among = harness.sweep(default_config, "antennas", [2, 4, 8], **kw)
+        assert among[3:6] == alone
+
+    def test_row_independent_of_policy_order(self, default_config):
+        kw = dict(param="blocklength", values=[100], trials=500, seed=4)
+        policies = ["adaptive", "brute", "urllc", "bits:6", "bits:16", "bits:32"]
+        rows = {r.policy: r for r in harness.sweep(default_config, policies=policies, **kw)}
+        shuffled = harness.sweep(default_config, policies=policies[::-1] + ["urllc"], **kw)
+        for row in shuffled:
+            # the order in which the policies fill the bit-level table can
+            # move a prediction in its last digit, not the simulated error
+            same = rows[row.policy]
+            assert replace(row, pred_exact=same.pred_exact, pred_bound=same.pred_bound) == same
+            assert row.pred_exact == pytest.approx(same.pred_exact, rel=1e-14)
+            assert row.pred_bound == pytest.approx(same.pred_bound, rel=1e-14)
+        # a duplicated policy reads the same row, and so do two policies
+        # that lose every packet
+        assert shuffled[3] == shuffled[-1]
+        assert rows["bits:16"].pred_exact == rows["bits:32"].pred_exact == 0.5
+        assert rows["bits:16"].error == rows["bits:32"].error
 
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):

@@ -43,34 +43,35 @@ class TestKltBasis:
 class TestScalarQuantize:
     def test_two_point_grid(self):
         cfg = quant.QuantizerConfig(1.0, 1, np.eye(1))
-        assert quant.scalar_quantize(0.3, cfg) == 1.0
+        assert quant.scalar_quantize(0.3, cfg.clip, cfg.bits) == 1.0
 
     def test_saturation(self):
         cfg = quant.QuantizerConfig(1.0, 1, np.eye(1))
-        assert quant.scalar_quantize(-2.0, cfg) == -1.0
-        assert quant.scalar_quantize(50.0, cfg) == 1.0
+        assert quant.scalar_quantize(-2.0, cfg.clip, cfg.bits) == -1.0
+        assert quant.scalar_quantize(50.0, cfg.clip, cfg.bits) == 1.0
 
     def test_cell_membership(self):
         cfg = quant.QuantizerConfig(3.0, 2, np.eye(1))  # grid {-3, -1, 1, 3}
-        assert quant.scalar_quantize(0.2, cfg) == 1.0
-        assert quant.scalar_quantize(-0.2, cfg) == -1.0
+        assert quant.scalar_quantize(0.2, cfg.clip, cfg.bits) == 1.0
+        assert quant.scalar_quantize(-0.2, cfg.clip, cfg.bits) == -1.0
 
     def test_half_open_cells(self):
         cfg = quant.QuantizerConfig(3.0, 2, np.eye(1))
         # boundary at 0 belongs to the upper cell
-        assert quant.scalar_quantize(0.0, cfg) == 1.0
+        assert quant.scalar_quantize(0.0, cfg.clip, cfg.bits) == 1.0
 
     def test_input_left_unchanged(self):
         cfg = quant.QuantizerConfig(3.0, 2, np.eye(1))
         v = np.array([[0.2, -0.2], [7.0, -7.0]])
         before = v.copy()
-        np.testing.assert_array_equal(quant.scalar_quantize(v, cfg), [[1.0, -1.0], [3.0, -3.0]])
+        np.testing.assert_array_equal(quant.scalar_quantize(v, cfg.clip, cfg.bits),
+                                      [[1.0, -1.0], [3.0, -3.0]])
         np.testing.assert_array_equal(v, before)
 
     def test_grid_points_are_fixed(self):
         cfg = quant.QuantizerConfig(5.0, 3, np.eye(1))
         grid = -5.0 + cfg.resolution * np.arange(2 ** 3)
-        np.testing.assert_allclose(quant.scalar_quantize(grid, cfg), grid, atol=1e-12)
+        np.testing.assert_allclose(quant.scalar_quantize(grid, cfg.clip, cfg.bits), grid, atol=1e-12)
 
 
 class TestEncodeDecode:
@@ -79,7 +80,7 @@ class TestEncodeDecode:
         small = np.full(4, 0.1)  # inside the cell of the 0-adjacent grid point
         out, bits = quant.encode(small, cfg)
         assert bits == 12
-        np.testing.assert_allclose(out, quant.scalar_quantize(small, cfg))
+        np.testing.assert_allclose(out, quant.scalar_quantize(small, cfg.clip, cfg.bits))
 
     def test_encode_decode_idempotent(self):
         rng = np.random.default_rng(2)
