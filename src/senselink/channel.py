@@ -211,11 +211,12 @@ def avg_packet_loss(cfg: ChannelConfig, rates) -> np.ndarray:
         x = _margin_inverse(rates[over_margin, None], _NODES, s)
         with np.errstate(over="ignore"):  # from 1024 bits per use on, gamma is inf and F 1
             gamma = np.expm1(x * LN2)
-        out[over_margin] = special.gammainc(cfg.antennas, gamma / cfg.snr_linear) @ _WEIGHTS
+        out[over_margin] = np.sum(special.gammainc(cfg.antennas, gamma / cfg.snr_linear) * _WEIGHTS,
+                                  axis=1)
     if not over_margin.all():
         x = np.log1p(cfg.erlang_nodes) / LN2
         margin = s * (x - rates[~over_margin, None]) / np.sqrt(-np.expm1(-x * LN4))
-        out[~over_margin] = special.ndtr(-margin) @ _WEIGHTS
+        out[~over_margin] = np.sum(special.ndtr(-margin) * _WEIGHTS, axis=1)
     return out
 
 
@@ -267,13 +268,16 @@ def _margin_inverse(rate, t, s: float) -> np.ndarray:
         b = -t * math.sqrt(LN4) / s
         start_left = np.maximum(rate + t / s, (2.0 * rate / (b + np.sqrt(b * b + 4.0 * rate))) ** 2)
     x = np.where(t > 0.0, start_right, start_left)
+    done = np.zeros(x.shape[:-1], dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         u = np.sqrt(-np.expm1(-x * LN4))
         step = (s * (x - rate) - t * u) / (s - t * LN2 * np.exp2(-2.0 * x) / u)
+        step[done] = 0.0  # a rate's row stops at its own convergence, whatever the other rows do
         x = x - step
         # Newton's error squares at each step, so a step below 1e-9 x
         # leaves an error near 1e-18 x
-        if np.all(np.abs(step) <= 1e-9 * x):
+        done |= np.all(np.abs(step) <= 1e-9 * x, axis=-1)
+        if done.all():
             return x
     raise RuntimeError(f"margin inversion did not converge in {_NEWTON_MAX_STEPS} Newton steps")
 

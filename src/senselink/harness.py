@@ -153,10 +153,9 @@ class _Point:
         self.config = config
         self.channel = params.channel
         model = params.model
-        basis = model.basis
-        self.eigs = np.sum((basis @ model.sigma) * basis, axis=1)
+        self.eigs = model.eigvals
         self.scale = np.sqrt(self.eigs)
-        self.means = np.stack([basis @ model.mu1, basis @ model.mu2])
+        self.means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
         self.block_size = max(1, _BLOCK_VALUES // (config.observations * model.dim))
 
 
@@ -303,9 +302,7 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     SeedSequence pads a key with zeros, so no sweep key equals the key
     (seed, cell, b) of ``estimate_error``. A row's error depends on its
     value, its policy and the set of bit levels at its value, not on the
-    other values or the order of the policies; that order can move a
-    prediction in its last digit, since it sets how the bit-level table is
-    filled.
+    other values or the order of the policies.
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
@@ -315,21 +312,23 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         raise ValueError(f"unknown sweep parameter {param!r}") from None
     rows = []
     for value in values:
-        cast = int(value) if attr in ("observations", "antennas", "blocklength") else float(value)
-        point = replace(config, **{attr: cast})
+        number = float(value)
+        # a count that is not a whole number stays a float, which ExperimentConfig refuses
+        whole = attr != "snr_db" and number.is_integer()
+        point = replace(config, **{attr: int(number) if whole else number})
         decisions = []
         try:
             params = build_params(point)  # one model, channel and bit-level table per value
             for policy in policies:
                 decisions.append(decide(replace(point, policy=policy), params))
             wrong = _count_errors(point, params, decisions, trials,
-                                  key=(seed, *_float_words(float(cast))),
+                                  key=(seed, *_float_words(number)),
                                   tag=(_SWEEP_STREAMS[param],))
         except Exception as exc:
             failed = (f", policy={policies[len(decisions)]}"
                       if len(decisions) < len(policies) else "")
             raise RuntimeError(f"sweep cell ({param}={value}{failed}) failed") from exc
-        rows += [_row(param, float(value), policy, d, w, trials, seed)
+        rows += [_row(param, number, policy, d, w, trials, seed)
                  for policy, d, w in zip(policies, decisions, wrong)]
     return rows
 

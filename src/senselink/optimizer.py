@@ -11,11 +11,10 @@ ascent on the same gradient is kept for the convergence study.
 
 Every policy (adaptive rounding, exhaustive search, reliability-first,
 fixed resolution) ends in a lookup in one bit-level table per operating
-point, ``TradeoffParams.table``, filled by one array pass per request:
-brute force's whole search range at once, any other level alone. The upper
-edge of the rate domain and the reliability-first rate are closed-form
-inverses of the closed-form loss through scipy's inverse incomplete gamma
-functions.
+point, ``TradeoffParams.table``: every level 1..64, filled in one array
+pass the first time a policy reads it. The upper edge of the rate domain
+and the reliability-first rate are closed-form inverses of the closed-form
+loss through scipy's inverse incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -62,34 +61,21 @@ class TradeoffParams:
         return bits * self.dim / self.channel.blocklength
 
     @cached_property
-    def level_losses(self) -> np.ndarray:
-        """Closed-form loss of the bit levels 1.._MAX_BITS, from one vectorised call."""
-        return avg_packet_loss_approx(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bit-level table: (closed-form loss, error bound, exact error)
+        of every level 1.._MAX_BITS, level b at index b - 1, shared by every
+        policy that decides with these parameters.
 
-    @cached_property
-    def table(self) -> dict[int, tuple[float, float]]:
-        """The bit-level table: (error bound, exact error) of each level a policy
-        has asked for, shared by every policy that decides with these
-        parameters. ``tabulate`` fills it."""
-        return {}
-
-    def tabulate(self, levels) -> None:
-        """Add the bit levels missing from the table in one array pass.
-
-        Each level's rate gives the distortion-degraded gain (one levels x d
-        sum over the cached eigenbasis); the error bound takes the
-        closed-form loss, and the exact error the Gauss-Hermite average loss
-        mixed over the binomial received count. A level already in the table
-        is not computed again.
+        One array pass: each level's rate gives the distortion-degraded gain
+        (one levels x d sum over the cached eigenbasis); the error bound takes
+        the closed-form loss, and the exact error the Gauss-Hermite average
+        loss mixed over the binomial received count.
         """
-        new = np.array([bits for bits in levels if bits not in self.table], dtype=int)
-        if not new.size:
-            return
-        rates = self.level_rate(new)
+        rates = self.level_rate(np.arange(1, _MAX_BITS + 1))
         gains = effective_discriminant_gains(self.model, sigma_q2_of_rate(rates, self))
-        bounds = sensing_error_bound(gains, self.level_losses[new - 1], self.observations)
+        loss = avg_packet_loss_approx(self.channel, rates)
         exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
-        self.table.update(zip(new.tolist(), zip(bounds.tolist(), exact.tolist())))
+        return loss, sensing_error_bound(gains, loss, self.observations), exact
 
 
 @dataclass(frozen=True)
@@ -180,9 +166,10 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     w_norm2 = float(np.sum((params.model.gap / (params.model.eigvals + s2)) ** 2))
     distortion = 2.0 ** (-2.0 * bits) / (-math.expm1(-bits * LN2)) ** 3
     d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * w_norm2
-    # with no class separation the gain and its derivative are both 0; the
-    # distortion term then contributes nothing
-    phi1_prime = 0.0 if d_prime == 0.0 else d_prime / (4.0 * math.expm1(gain / 4.0))
+    # d_prime / (4 expm1(D/4)) in e^{-D/4}, which underflows where e^{D/4} would
+    # overflow; with no class separation the term contributes nothing
+    phi1_prime = 0.0 if d_prime == 0.0 else \
+        d_prime * math.exp(-gain / 4.0) / (-4.0 * math.expm1(-gain / 4.0))
 
     g0 = params.channel.snr_linear
     ell = params.channel.antennas
@@ -260,11 +247,10 @@ def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | 
     """The decision at a bit level, with the predictions of ``params.table``:
     the error bound at the closed-form loss and the exact error at the
     Gauss-Hermite loss, both at the distortion-degraded gain."""
-    params.tabulate([bits])
     rate = params.level_rate(bits)
-    bound, exact = params.table[bits]
-    return RateDecision(rate if continuous_rate is None else continuous_rate,
-                        bits, rate, bound, exact, infeasible)
+    _, bound, exact = params.table
+    return RateDecision(rate if continuous_rate is None else continuous_rate, bits, rate,
+                        float(bound[bits - 1]), float(exact[bits - 1]), infeasible)
 
 
 def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
@@ -283,14 +269,13 @@ def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
 def brute_force_rate(params: TradeoffParams) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
-    Each level's figure is the exact error of the bit-level table, which
-    one array pass fills for the whole search range. The search stops after
-    the first level whose closed-form loss exceeds 0.999.
+    Each level's figure is the exact error of the bit-level table. The
+    search stops after the first level whose closed-form loss exceeds 0.999.
     """
-    past = np.flatnonzero(params.level_losses > _BRUTE_STOP_LOSS)
-    levels = range(1, int(past[0]) + 2 if past.size else _MAX_BITS + 1)
-    params.tabulate(levels)
-    return _level_decision(min(levels, key=lambda bits: params.table[bits][1]), params)
+    loss, _, exact = params.table
+    past = np.flatnonzero(loss > _BRUTE_STOP_LOSS)
+    stop = int(past[0]) + 1 if past.size else _MAX_BITS
+    return _level_decision(int(np.argmin(exact[:stop])) + 1, params)
 
 
 def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:

@@ -301,6 +301,18 @@ class TestGaussHermiteLoss:
                     checked += 0.0 < ref < 1.0
         assert checked >= 150
 
+    @pytest.mark.parametrize("antennas", [1, 4, 256])
+    def test_each_rate_independent_of_the_others(self, antennas):
+        # a rate's loss is the same to the last bit whichever rates share
+        # the call, so a bit-level table does not depend on its neighbours
+        for snr_db in (-10.0, 2.0, 40.0):
+            for n in (10, 100, 400):
+                cfg = ch.ChannelConfig(antennas, ch.snr_from_db(snr_db), n)
+                rates = envelope_rates(n)
+                got = ch.avg_packet_loss(cfg, rates)
+                for i in range(rates.size):
+                    assert got[i] == ch.avg_packet_loss(cfg, rates[i:i + 1])[0], (snr_db, n, i)
+
     @pytest.mark.parametrize("antennas,snr_db,n,rate,over_margin", [
         (1, 10.0, 400, 0.02, True), (1, 40.0, 10, 3.0, True), (2, 10.0, 100, 0.02, True),
         (4, 2.0, 100, 2.0, True), (8, 60.0, 10, 20.0, True), (256, 20.0, 2000, 14.6, True),

@@ -346,17 +346,22 @@ class TestSweep:
         rows = {r.policy: r for r in harness.sweep(default_config, policies=policies, **kw)}
         shuffled = harness.sweep(default_config, policies=policies[::-1] + ["urllc"], **kw)
         for row in shuffled:
-            # the order in which the policies fill the bit-level table can
-            # move a prediction in its last digit, not the simulated error
-            same = rows[row.policy]
-            assert replace(row, pred_exact=same.pred_exact, pred_bound=same.pred_bound) == same
-            assert row.pred_exact == pytest.approx(same.pred_exact, rel=1e-14)
-            assert row.pred_bound == pytest.approx(same.pred_bound, rel=1e-14)
+            assert row == rows[row.policy]
         # a duplicated policy reads the same row, and so do two policies
         # that lose every packet
         assert shuffled[3] == shuffled[-1]
         assert rows["bits:16"].pred_exact == rows["bits:32"].pred_exact == 0.5
         assert rows["bits:16"].error == rows["bits:32"].error
+
+    def test_integer_param_takes_whole_numbers(self, default_config):
+        # a fractional antenna count is refused, not truncated
+        kw = dict(policies=["bits:4"], trials=50, seed=0)
+        with pytest.raises(ValueError, match="antennas must be an integer"):
+            harness.sweep(default_config, "antennas", [2.5], **kw)
+        rows = [harness.sweep(default_config, "antennas", [value], **kw)[0]
+                for value in (2, 2.0, "2")]
+        assert rows[0] == rows[1] == rows[2]
+        assert rows[0].value == 2.0
 
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):

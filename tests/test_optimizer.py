@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
@@ -308,8 +308,8 @@ class TestBenchmarkPolicies:
         assert abs(brute.bits_per_feature - adaptive.bits_per_feature) <= 1
 
     def test_brute_force_reuses_chosen_level(self, monkeypatch):
-        # one average-loss call for the whole search range, each level once,
-        # and the chosen level's predictions are those of a fixed-bits
+        # one average-loss call for the whole bit-level table, each level
+        # once, and the chosen level's predictions are those of a fixed-bits
         # decision at that level, which computes nothing more
         params = make_params()
         calls = []
@@ -484,6 +484,19 @@ class TestRateTable:
         assert len(rates) == len(set(rates))
         assert {row.rate for row in rows} <= set(rates)
 
+    def test_sweep_point_fills_table_once(self, monkeypatch):
+        # five policies at one swept value read one table, filled by one
+        # average-loss call over every level
+        calls = []
+        real_loss = opt.avg_packet_loss
+        monkeypatch.setattr(opt, "avg_packet_loss",
+                            lambda cfg, r: calls.append(list(r)) or real_loss(cfg, r))
+        harness.sweep(harness.ExperimentConfig(), "snr-db", [2.0],
+                      ["bits:16", "adaptive", "urllc", "brute", "bits:32"], trials=20, seed=0)
+        assert len(calls) == 1
+        params = harness.build_params(harness.ExperimentConfig())
+        assert calls[0] == list(params.level_rate(np.arange(1, opt._MAX_BITS + 1)))
+
     @pytest.mark.parametrize("antennas", [1, 4, 64, 256])
     def test_closed_form_inverses_round_trip(self, antennas):
         # the domain edge and the urllc rate are inverses of the closed-form loss
@@ -502,6 +515,8 @@ class TestRateTable:
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+# a gain so large that e^{D/4} overflows a float in the surrogate gradient
+@example(snr_db=0.0, antennas=43, blocklength=203, dim=384, observations=1, centroid=2.0)
 @given(snr_db=st.floats(-30.0, 60.0), antennas=st.integers(1, 256),
        blocklength=st.integers(10, 2000), dim=st.integers(1, 512),
        observations=st.integers(1, 200), centroid=st.floats(0.0, 2.0))
@@ -540,7 +555,7 @@ def test_decide_over_operating_envelope(snr_db, antennas, blocklength, dim, obse
     # brute force searched every level up to the first whose closed-form loss
     # passed 0.999
     searched = "brute" in decisions and "adaptive" in decisions and \
-        np.all(params.level_losses[:decisions["adaptive"].bits_per_feature - 1] <= 0.999)
+        np.all(params.table[0][:decisions["adaptive"].bits_per_feature - 1] <= 0.999)
     if searched:
         assert decisions["brute"].predicted_exact <= \
             decisions["adaptive"].predicted_exact + 1e-12
