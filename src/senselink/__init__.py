@@ -2,12 +2,13 @@
 
 Analytical sensing-error models under block quantization and short-packet
 loss, concave-surrogate coding-rate adaptation, and a seeded Monte Carlo
-harness that validates every closed form against simulation.
+harness; ``senselink.validation`` (not imported here: it alone loads
+``scipy.stats``) checks every closed form against simulation and oracles.
 """
 
 from .channel import ChannelConfig, avg_packet_loss_approx, avg_packet_loss_exact, snr_from_db
 from .gmm import InferenceModel, discriminant_gain, effective_discriminant_gain
-from .harness import ExperimentConfig, ResultRow, estimate_error, sweep, validate
+from .harness import ExperimentConfig, ResultRow, estimate_error, sweep
 from .optimizer import (
     OptimizerSettings,
     RateDecision,
@@ -35,5 +36,4 @@ __all__ = [
     "snr_from_db",
     "surrogate",
     "sweep",
-    "validate",
 ]

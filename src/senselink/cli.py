@@ -30,9 +30,8 @@ def _build_config(args: argparse.Namespace, extra: dict | None = None) -> harnes
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - fields
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        if unknown := set(loaded) - fields:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     for name in fields:
         flag = getattr(args, name, None)
@@ -69,15 +68,15 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     policies = [p for p in args.policies.split(",") if p]
     rows = harness.sweep(config, args.param, values, policies, args.trials, args.seed)
-    text = harness.rows_to_csv(rows)
     with open(args.out, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(harness.rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    report = harness.validate(args.seed)
+    from . import validation  # loads scipy.stats, which no other command needs
+    report = validation.validate(args.seed)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="policy comparison over a swept parameter")
     _add_model_flags(p)
     p.add_argument("--param", required=True,
-                   choices=["observations", "snr-db", "antennas", "blocklength"])
+                   choices=list(harness.SWEEP_FIELDS))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--policies", required=True, help="comma-separated policies")
     p.add_argument("--trials", type=int, required=True)
@@ -116,10 +115,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # a bad setting: one usage line and exit status 2
+    except (OSError, ValueError) as exc:  # a bad setting or file: one usage line, exit status 2
         parser.error(str(exc))
-    except RuntimeError as exc:  # a sweep cell that failed on a bad setting
-        if not isinstance(exc.__cause__, ValueError):
+    except RuntimeError as exc:  # a sweep cell that failed on a bad setting or file
+        if not isinstance(exc.__cause__, (OSError, ValueError)):
             raise
         parser.error(f"{exc}: {exc.__cause__}")
 

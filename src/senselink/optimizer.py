@@ -28,8 +28,8 @@ from scipy import optimize as sciopt
 from scipy import special
 
 from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
-from .gmm import (InferenceModel, effective_discriminant_gain, effective_discriminant_gains,
-                  sensing_error_bound, sensing_error_exact)
+from .gmm import (InferenceModel, _gains, effective_discriminant_gain, sensing_error_bound,
+                  sensing_error_exact)
 from .numerics import log_regularized_upper_gamma
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
@@ -72,7 +72,7 @@ class TradeoffParams:
         loss mixed over the binomial received count.
         """
         rates = self.level_rate(np.arange(1, _MAX_BITS + 1))
-        gains = effective_discriminant_gains(self.model, sigma_q2_of_rate(rates, self))
+        gains = _gains(self.model, sigma_q2_of_rate(rates, self))
         loss = avg_packet_loss_approx(self.channel, rates)
         exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
         return loss, sensing_error_bound(gains, loss, self.observations), exact

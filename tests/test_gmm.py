@@ -84,11 +84,13 @@ class TestEffectiveGain:
         model = gmm.InferenceModel(rng.standard_normal(9), rng.standard_normal(9),
                                    random_spd(rng, 9))
         s2 = np.array([0.0, 0.05, 0.7, 4.0, 1e6])
-        np.testing.assert_allclose(gmm.effective_discriminant_gains(model, s2),
-                                   [gmm.effective_discriminant_gain(model, v) for v in s2],
-                                   rtol=1e-14, atol=0.0)
+        gains = gmm.effective_discriminant_gain(model, s2)
+        assert isinstance(gains, np.ndarray) and gains.shape == s2.shape
+        np.testing.assert_array_equal(gains,
+                                      [gmm.effective_discriminant_gain(model, v) for v in s2])
+        assert isinstance(gmm.effective_discriminant_gain(model, 0.7), float)
         with pytest.raises(ValueError):
-            gmm.effective_discriminant_gains(model, [0.1, -0.1])
+            gmm.effective_discriminant_gain(model, [0.1, -0.1])
 
     def test_strictly_decreasing_in_noise(self, default_model):
         vals = [gmm.effective_discriminant_gain(default_model, s2)

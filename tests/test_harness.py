@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from senselink import gmm
 from senselink import harness
 from senselink import optimizer as opt
 from senselink import quant
+from senselink import validation
 
 from reference import classify, discriminant_score
 
@@ -149,7 +154,7 @@ def reference_error(config, decision, trials, seed):
 def dense_config(policy, noise_model):
     """A seeded dense 20x20 covariance with a spread spectrum (0.1 to 5), so a
     score that ignored the covariance would show, at 1 antenna and 1 dB."""
-    sigma = harness._random_spd(np.random.default_rng(31), 20, (0.1, 5.0))
+    sigma = validation._random_spd(np.random.default_rng(31), 20, (0.1, 5.0))
     return harness.ExperimentConfig(dim=20, centroid=0.15, sigma_spec=sigma.tolist(),
                                     antennas=1, snr_db=1.0, observations=5,
                                     policy=policy, noise_model=noise_model)
@@ -393,16 +398,20 @@ class TestCsv:
         assert harness.rows_to_csv([row]).split("\n")[1].startswith(",,urllc")
 
 
+@pytest.fixture(scope="module")
+def validation_report():
+    return validation.validate(0)
+
+
 class TestValidate:
-    def test_all_checks_pass(self):
-        report = harness.validate(0)
+    def test_all_checks_pass(self, validation_report):
+        report = validation_report
         assert report.passed
         assert all(c.passed for c in report.checks)
         assert len(report.checks) == 11
 
-    def test_render_format(self):
-        report = harness.validate(0)
-        text = report.render()
+    def test_render_format(self, validation_report):
+        text = validation_report.render()
         lines = text.strip().split("\n")
         assert all(l.startswith("[PASS]") or l.startswith("[FAIL]") for l in lines[:-1])
         assert lines[-1].startswith("overall:")
@@ -413,14 +422,14 @@ class TestValidate:
         real = quant.noise_variance
         monkeypatch.setattr(quant, "noise_variance",
                             lambda bits, clip: 2.0 * real(bits, clip))
-        report = harness.validate(0)
+        report = validation.validate(0)
         failed = {c.name for c in report.checks if not c.passed}
         assert "quantization_noise_statistics" in failed
         assert not report.passed
 
     def test_zero_closed_form_error_fails_scaling_check(self, monkeypatch):
         monkeypatch.setattr(ch, "avg_packet_loss_approx", ch.avg_packet_loss_exact)
-        report = harness.validate(0)
+        report = validation.validate(0)
         check = next(c for c in report.checks if c.name == "avg_loss_error_scaling")
         assert not check.passed and "undefined" in check.detail
         assert not report.passed
@@ -478,8 +487,41 @@ class TestCli:
     def test_config_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"warp_factor": 9}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["simulate", "--config", str(path)])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["simulate", "--config", "{missing}"],
+        ["simulate", "--model-file", "{missing}", "--policy", "bits:4", "--trials", "10"],
+        ["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+         "--trials", "10", "--seed", "0", "--model-file", "{missing}", "--out", "unused.csv"],
+        ["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+         "--trials", "10", "--seed", "0", "--out", "{missing}/out.csv"],
+    ], ids=["config", "model-file", "sweep-model-file", "out-directory"])
+    def test_missing_file_is_usage_error(self, flags, tmp_path, capsys):
+        missing = str(tmp_path / "absent")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([f.format(missing=missing) for f in flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "No such file or directory" in err and missing in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
+    def test_model_file_missing_key(self, key, tmp_path, capsys):
+        spec = {"mu1": [0.2] * 10, "mu2": [-0.2] * 10, "sigma": "identity"}
+        del spec[key]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match=key):
+            harness.load_model_file(str(model))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--model-file", str(model), "--dim", "10",
+                      "--policy", "bits:4", "--trials", "10", "--seed", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"has no {key}" in err and "Traceback" not in err
 
     def test_model_file_flag(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -516,3 +558,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: " in err and "bits must be an integer from 1 to 64" in err
         assert "Traceback" not in err
+
+
+def test_engine_and_cli_import_without_scipy_stats():
+    # scipy.stats is the validation suite's alone; the engine and the CLI
+    # must not pay for its import
+    src = Path(harness.__file__).resolve().parents[1]
+    code = ("import sys, senselink, senselink.harness, senselink.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
