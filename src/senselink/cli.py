@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import harness
@@ -65,6 +66,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
+    # a missing --out directory fails before the sweep; the file is written only after it
+    os.stat(os.path.dirname(os.path.abspath(args.out)))
     values = [v for v in args.values.split(",") if v]
     policies = [p for p in args.policies.split(",") if p]
     rows = harness.sweep(config, args.param, values, policies, args.trials, args.seed)

@@ -1,6 +1,8 @@
 """Monte Carlo experiment engine: config, decisions, trials, sweeps and the CSV.
 
-Trials are simulated in blocks of a fixed number of feature values. Each
+The engine simulates the point one ``TradeoffParams`` holds (model, clip,
+channel, observation count) at each decision's bit level; a sweep builds its
+model once. Trials run in blocks of a fixed number of feature values. Each
 block draws from its own random stream: keyed by (seed, cell, block) for a
 single cell, and by (seed, swept value, block, sweep parameter) for a sweep
 point, whose policies are all scored on the same episodes. Any output is a
@@ -15,7 +17,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,9 +26,6 @@ from . import gmm
 from . import optimizer as opt
 from . import quant
 from .numerics import require_finite
-
-CSV_COLUMNS = ["param", "value", "policy", "bits", "rate", "error", "ci95",
-               "pred_exact", "pred_bound", "trials", "seed"]
 
 # Feature values (trials x observations x dim) drawn per block: enough that
 # numpy's fixed cost per call is spread thin, few enough that a block's
@@ -82,6 +81,9 @@ class ResultRow:
     pred_bound: float
     trials: int
     seed: int
+
+
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def load_model_file(path: str) -> gmm.InferenceModel:
@@ -141,47 +143,32 @@ def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -
     raise ValueError(f"unknown policy {policy!r}")
 
 
-class _Point:
-    """Per-point precomputation shared by every policy and block.
-
-    Features are drawn directly in the KLT eigenbasis of Sigma: the quantizer
-    only ever sees basis @ x, which is Gaussian with mean basis @ mu_c and
-    covariance diag(lambda).
-    """
-
-    def __init__(self, config: ExperimentConfig, params: opt.TradeoffParams):
-        self.config = config
-        self.channel = params.channel
-        model = params.model
-        self.eigs = model.eigvals
-        self.scale = np.sqrt(self.eigs)
-        self.means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
-        self.block_size = max(1, _BLOCK_VALUES // (config.observations * model.dim))
-
-
 class _Level:
-    """One bit level's rate, quantizer grid and score at a point.
+    """One bit level's rate, quantizer grid and score at an operating point.
 
-    Decoding and scoring fold into one weight vector: the score of the
-    decoded features basis.T @ y is y @ w + const, with
+    Features are drawn in the KLT eigenbasis of Sigma, the only basis the
+    quantizer sees: Gaussian with mean ``means[c]`` = basis @ mu_c and
+    covariance diag(lambda). Decoding and scoring fold into one weight
+    vector: the score of the decoded features basis.T @ y is y @ w + const, with
     w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise is
     isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2) and
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
     """
 
-    def __init__(self, point: _Point, bits: int, rate: float):
-        self.bits, self.rate = bits, rate
+    def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int):
+        self.bits, self.rate = bits, params.level_rate(bits)
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume.
-        inflated = point.eigs + quant.noise_variance(bits, point.config.clip)
-        self.weights = (point.means[1] - point.means[0]) / inflated
-        self.const = 0.5 * float(np.sum((point.means[0] ** 2 - point.means[1] ** 2) / inflated))
-        self.score_means = point.means @ self.weights + self.const
+        inflated = params.model.eigvals + quant.noise_variance(bits, params.clip)
+        self.weights = (means[1] - means[0]) / inflated
+        self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
+        self.score_means = means @ self.weights + self.const
         self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
 
 
-def _simulate_block(point: _Point, levels: list[_Level], n: int,
+def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndarray,
+                    scale: np.ndarray, levels: list[_Level], n: int,
                     rng: np.random.Generator) -> list[int]:
     """Simulate ``n`` sensing episodes from one stream and return, for each
     level, how many of them decide the wrong class.
@@ -198,20 +185,19 @@ def _simulate_block(point: _Point, levels: list[_Level], n: int,
     through the union of arriving packets, not on their order; with one
     level, the stream is consumed as by a single-policy engine.
     """
-    cfg = point.config
-    k = cfg.observations
+    k = params.observations
     classes = rng.integers(1, 3, size=n)
-    snrs = ch.sample_post_mrc_snr(point.channel, rng, size=n * k).reshape(n, k)
+    snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
     uniforms = rng.random((n, k))
     rates = np.array([lvl.rate for lvl in levels])
-    success = uniforms >= ch.packet_loss(snrs, cfg.blocklength, rates[:, None, None])
+    success = uniforms >= ch.packet_loss(snrs, params.channel.blocklength, rates[:, None, None])
     reached = success.any(axis=0)
     episode = np.nonzero(reached)[0]
     arrived = classes[episode] - 1
-    if cfg.noise_model == "quantizer":
-        draws = rng.standard_normal((episode.size, point.scale.size))
-        draws *= point.scale
-        draws += point.means[arrived]
+    if noise_model == "quantizer":
+        draws = rng.standard_normal((episode.size, scale.size))
+        draws *= scale
+        draws += means[arrived]
     else:
         draws = rng.standard_normal(episode.size)
     guesses = rng.integers(1, 3, size=n)
@@ -223,8 +209,8 @@ def _simulate_block(point: _Point, levels: list[_Level], n: int,
             own, owner, label = draws, episode, arrived
         else:
             own, owner, label = draws[mine], episode[mine], arrived[mine]
-        if cfg.noise_model == "quantizer":
-            scores = quant.scalar_quantize(own, cfg.clip, lvl.bits) @ lvl.weights
+        if noise_model == "quantizer":
+            scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
             scores += lvl.const
         else:
             scores = own * lvl.score_sd
@@ -237,27 +223,29 @@ def _simulate_block(point: _Point, levels: list[_Level], n: int,
     return wrong
 
 
-def _count_errors(config: ExperimentConfig, params: opt.TradeoffParams,
-                  decisions: list[opt.RateDecision], trials: int,
-                  key: tuple, tag: tuple = ()) -> list[int]:
-    """Wrong decisions out of ``trials`` episodes for each of a point's
-    decisions, all scored on the same episodes (common random numbers).
+def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
+                  trials: int, key: tuple, tag: tuple = ()) -> list[int]:
+    """Wrong decisions out of ``trials`` episodes at each of a point's bit
+    levels, all scored on the same episodes (common random numbers).
 
-    Block b draws from the stream keyed (*key, b, *tag). Decisions at the
-    same bit level share its work and its count.
+    ``params`` is the whole point: model, clip, channel (with its
+    blocklength) and observation count. Block b draws from the stream keyed
+    (*key, b, *tag). Repeats of a bit level share its work and its count.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    point = _Point(config, params)
-    index = {}
-    for d in decisions:
-        index.setdefault((d.bits_per_feature, d.rounded_rate), len(index))
-    levels = [_Level(point, bits, rate) for bits, rate in index]
+    model = params.model
+    means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
+    scale = np.sqrt(model.eigvals)
+    distinct = list(dict.fromkeys(bits))
+    levels = [_Level(params, means, b) for b in distinct]
+    block_size = max(1, _BLOCK_VALUES // (params.observations * model.dim))
     wrong = np.zeros(len(levels), dtype=np.int64)
-    for block, start in enumerate(range(0, trials, point.block_size)):
+    for block, start in enumerate(range(0, trials, block_size)):
         rng = np.random.default_rng([*key, block, *tag])
-        wrong += _simulate_block(point, levels, min(point.block_size, trials - start), rng)
-    return [int(wrong[index[d.bits_per_feature, d.rounded_rate]]) for d in decisions]
+        wrong += _simulate_block(params, noise_model, means, scale, levels,
+                                 min(block_size, trials - start), rng)
+    return [int(wrong[distinct.index(b)]) for b in bits]
 
 
 def _row(param: str, value: float | None, policy: str, decision: opt.RateDecision,
@@ -280,10 +268,11 @@ def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
                    params: opt.TradeoffParams | None = None) -> ResultRow:
     """Aggregate one decision's error rate over independent trials, one
     stream per block keyed by (seed, cell, block): the one-policy case of
-    the engine ``sweep`` runs. ``params``, when given, supplies the model
-    and channel of ``config``."""
-    wrong, = _count_errors(config, params or build_params(config), [decision],
-                           trials, key=(seed, cell))
+    the engine ``sweep`` runs. ``params`` (by default built from ``config``)
+    supplies the whole simulated point; ``config`` adds only the noise model
+    and the row's policy, and ``decision`` only its bit level."""
+    wrong, = _count_errors(params or build_params(config), config.noise_model,
+                           [decision.bits_per_feature], trials, key=(seed, cell))
     return _row("", None, config.policy, decision, wrong, trials, seed)
 
 
@@ -310,6 +299,7 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         attr = SWEEP_FIELDS[param]
     except KeyError:
         raise ValueError(f"unknown sweep parameter {param!r}") from None
+    model = build_model(config)  # no swept field changes the model
     rows = []
     for value in values:
         number = float(value)
@@ -318,12 +308,12 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         point = replace(config, **{attr: int(number) if whole else number})
         decisions = []
         try:
-            params = build_params(point)  # one model, channel and bit-level table per value
+            params = build_params(point, model)  # one channel and bit-level table per value
             for policy in policies:
                 decisions.append(decide(replace(point, policy=policy), params))
-            wrong = _count_errors(point, params, decisions, trials,
-                                  key=(seed, *_float_words(number)),
-                                  tag=(_SWEEP_STREAMS[param],))
+            wrong = _count_errors(params, config.noise_model,
+                                  [d.bits_per_feature for d in decisions], trials,
+                                  key=(seed, *_float_words(number)), tag=(_SWEEP_STREAMS[param],))
         except Exception as exc:
             failed = (f", policy={policies[len(decisions)]}"
                       if len(decisions) < len(policies) else "")

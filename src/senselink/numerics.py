@@ -42,7 +42,7 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
 
     Where Q is a normal float this is the log of scipy's ``gammaincc``;
     further out, the Poisson tail sum exp(-x) sum_{k<shape} x^k / k! is
-    added up in log space, relative to its largest term.
+    added up in log space with one ``logsumexp``.
     """
     if shape < 1 or int(shape) != shape:
         raise ValueError(f"shape must be a positive integer, got {shape}")
@@ -53,10 +53,8 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
     q = float(special.gammaincc(shape, x))
     if q > _LOG_TAIL_SWITCH:
         return math.log(q)
-    lx = math.log(x)
-    terms = [k * lx - math.lgamma(k + 1) for k in range(int(shape))]
-    top = max(terms)
-    return min(top + math.log(math.fsum(math.exp(t - top) for t in terms)) - x, 0.0)
+    k = np.arange(int(shape))
+    return min(float(special.logsumexp(k * math.log(x) - special.gammaln(k + 1))) - x, 0.0)
 
 
 def binomial_pmf(success_prob, trials: int) -> np.ndarray:

@@ -299,6 +299,14 @@ class TestEstimateError:
             row = harness.estimate_error(cfg, decision, 200, seed=0, params=params)
             assert row.trials == 200 and row.bits == decision.bits_per_feature
 
+    def test_params_supply_the_simulated_point(self, default_config):
+        # observations and blocklength come from params, not from the config
+        other = replace(default_config, policy="bits:4", observations=4, blocklength=200)
+        decision = harness.decide(other)
+        row = harness.estimate_error(default_config, decision, 2000, seed=9,
+                                     params=harness.build_params(other))
+        assert row.error == harness.estimate_error(other, decision, 2000, seed=9).error
+
 
 class TestSweep:
     def test_error_decreases_with_observations(self, default_config):
@@ -507,6 +515,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: " in err and "No such file or directory" in err and missing in err
         assert "Traceback" not in err
+
+    def test_sweep_out_directory_checked_first(self, tmp_path, monkeypatch, capsys):
+        # a missing --out directory is a usage error before any cell is decided
+        calls = []
+        monkeypatch.setattr(harness, "sweep", lambda *args: calls.append(args) or [])
+        missing = str(tmp_path / "absent")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+                      "--trials", "10", "--seed", "0", "--out", f"{missing}/out.csv"])
+        assert exit_info.value.code == 2 and not calls
+        assert missing in capsys.readouterr().err
+
+    def test_failed_sweep_keeps_out_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier rows\n")
+
+        def fail(*args):
+            raise ValueError("bad cell")
+
+        monkeypatch.setattr(harness, "sweep", fail)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+                      "--trials", "10", "--seed", "0", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert out.read_text() == "earlier rows\n"
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
     def test_model_file_missing_key(self, key, tmp_path, capsys):

@@ -469,20 +469,23 @@ class TestRateTable:
             assert abs(decision.predicted_exact - exact) <= tol, policy
 
     def test_sweep_point_builds_once(self, monkeypatch):
-        # one model, and each distinct bit level's average loss computed
-        # once, for all the policies of a swept value
+        # one model per sweep, and each distinct bit level's average loss
+        # computed once, for all the policies of a swept value
         rates, models = [], []
         real_loss = opt.avg_packet_loss
         monkeypatch.setattr(opt, "avg_packet_loss",
-                            lambda cfg, r: rates.extend(r) or real_loss(cfg, r))
+                            lambda cfg, r: rates.extend((cfg, x) for x in r) or real_loss(cfg, r))
         real_init = gmm.InferenceModel.__post_init__
         monkeypatch.setattr(gmm.InferenceModel, "__post_init__",
                             lambda model: models.append(model) or real_init(model))
-        rows = harness.sweep(harness.ExperimentConfig(), "snr-db", [2.0], POLICIES,
-                             trials=20, seed=0)
-        assert len(models) == 1
-        assert len(rates) == len(set(rates))
-        assert {row.rate for row in rows} <= set(rates)
+        for values in ([2.0], [0.0, 2.0, 4.0]):
+            rates.clear()
+            models.clear()
+            rows = harness.sweep(harness.ExperimentConfig(), "snr-db", values, POLICIES,
+                                 trials=20, seed=0)
+            assert len(models) == 1, values
+            assert len(rates) == len(set(rates))
+            assert {row.rate for row in rows} <= {x for _, x in rates}
 
     def test_sweep_point_fills_table_once(self, monkeypatch):
         # five policies at one swept value read one table, filled by one
