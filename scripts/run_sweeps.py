@@ -21,10 +21,17 @@ SWEEPS = {
 POLICIES = ["adaptive", "brute", "urllc", "bits:32", "bits:16"]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))
-    parser.add_argument("--trials", type=int, default=10_000)
+    parser.add_argument("--trials", type=positive_int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import integrate, special
@@ -62,20 +61,6 @@ class ChannelConfig:
             raise ValueError("transmit SNR must be positive")
         if self.blocklength < 1 or int(self.blocklength) != self.blocklength:
             raise ValueError("blocklength must be a positive integer")
-
-    @cached_property
-    def erlang_tail(self) -> float:
-        """SNR above which the Erlang(L, gamma0) tail mass is below 1e-10."""
-        return float(special.gammainccinv(self.antennas, _ERLANG_TAIL_MASS)) * self.snr_linear
-
-    @cached_property
-    def erlang_nodes(self) -> np.ndarray:
-        """Post-combining SNR at the Gauss-Hermite nodes z: the Erlang(L, gamma0)
-        quantile at Phi(z), taken from the upper tail for z > 0 so that both
-        tails keep their relative precision."""
-        lower = special.gammaincinv(self.antennas, special.ndtr(_NODES))
-        upper = special.gammainccinv(self.antennas, special.ndtr(-_NODES))
-        return self.snr_linear * np.where(_NODES <= 0.0, lower, upper)
 
 
 def snr_from_db(db: float) -> float:
@@ -137,7 +122,8 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     past which the loss is below Q(9), so that the loss's fall from 1 to 0
     fills one piece even when the Erlang mass lies far above the knee; the
     piece below the edge has the knee 2^rate - 1 as a breakpoint. Both pieces
-    end where the Erlang tail mass drops below 1e-10. The tail past that point
+    end at the SNR whose Erlang tail mass is 1e-10, gamma0 times the inverse
+    regularized upper incomplete gamma at 1e-10. The tail past that point
     is integrated over its probability p = P(gamma > g) in [0, 1e-10], where
     the loss is bounded and monotone, to a tolerance scaled to that mass: a
     rate at which the whole law is lost gives a loss of 1 to rounding.
@@ -145,7 +131,7 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     if rate <= 0:
         raise ValueError("coding rate must be positive")
     ell, g0, n = cfg.antennas, cfg.snr_linear, cfg.blocklength
-    hi = cfg.erlang_tail
+    hi = g0 * float(special.gammainccinv(ell, _ERLANG_TAIL_MASS))
     log_norm = math.lgamma(ell) + ell * math.log(g0)
 
     # packet_loss and the Erlang(ell, g0) density written in scalar math:
@@ -214,7 +200,11 @@ def avg_packet_loss(cfg: ChannelConfig, rates) -> np.ndarray:
         out[over_margin] = np.sum(special.gammainc(cfg.antennas, gamma / cfg.snr_linear) * _WEIGHTS,
                                   axis=1)
     if not over_margin.all():
-        x = np.log1p(cfg.erlang_nodes) / LN2
+        # the Erlang quantile at Phi(z) for each node z, taken from the upper
+        # tail for z > 0 so that both tails keep their relative precision
+        lower = special.gammaincinv(cfg.antennas, special.ndtr(_NODES))
+        upper = special.gammainccinv(cfg.antennas, special.ndtr(-_NODES))
+        x = np.log1p(cfg.snr_linear * np.where(_NODES <= 0.0, lower, upper)) / LN2
         margin = s * (x - rates[~over_margin, None]) / np.sqrt(-np.expm1(-x * LN4))
         out[~over_margin] = np.sum(special.ndtr(-margin) * _WEIGHTS, axis=1)
     return out
@@ -251,23 +241,13 @@ def _margin_inverse(rate, t, s: float) -> np.ndarray:
     increases through it. For t > 0, g is convex and Newton's method started
     right of the root decreases to it monotonically; for t < 0, g is
     concave and Newton started left of it increases to it monotonically.
-    Right starts (t > 0), the nearer taken: the fixed-point step
-    R + t u(R + t/s) / s, which is the root to double precision once x is
-    large, and x(u) at the root of the quadratic s u^2 / ln 4 - s R - t u,
-    which is below s x(u) - s R - t u. Left starts (t < 0), the nearer
-    taken: R + t/s, and v^2 with s (v^2 - R) - t sqrt(ln 4) v = 0, since
-    u(x) <= sqrt(x ln 4).
+    One start per side: right of the root (t > 0), R + t/s, where
+    g = t (1 - u) > 0; left of it (t < 0), v^2 with
+    s (v^2 - R) - t sqrt(ln 4) v = 0, where g <= 0 since u(x) <= sqrt(x ln 4).
     """
-    # each start is computed at every node and kept only on its side of 0,
-    # where it is accurate; on the other side it may overflow
-    with np.errstate(over="ignore", divide="ignore"):
-        root = np.sqrt(t * t + 4.0 * s * s * rate / LN4)
-        quad_u = np.minimum((t + root) * LN4 / (2.0 * s), 1.0)
-        near_far = rate + t * np.sqrt(-np.expm1(-np.maximum(rate + t / s, 0.0) * LN4)) / s
-        start_right = np.minimum(near_far, -np.log1p(-quad_u ** 2) / LN4)
-        b = -t * math.sqrt(LN4) / s
-        start_left = np.maximum(rate + t / s, (2.0 * rate / (b + np.sqrt(b * b + 4.0 * rate))) ** 2)
-    x = np.where(t > 0.0, start_right, start_left)
+    # b is 0 where t > 0 (v^2 unused there), so b + sqrt(b^2 + 4R) never cancels to 0
+    b = -np.minimum(t, 0.0) * math.sqrt(LN4) / s
+    x = np.where(t > 0.0, rate + t / s, (2.0 * rate / (b + np.sqrt(b * b + 4.0 * rate))) ** 2)
     done = np.zeros(x.shape[:-1], dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         u = np.sqrt(-np.expm1(-x * LN4))

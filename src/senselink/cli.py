@@ -31,6 +31,8 @@ def _build_config(args: argparse.Namespace, extra: dict | None = None) -> harnes
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         if unknown := set(loaded) - fields:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)

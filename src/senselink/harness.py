@@ -90,6 +90,8 @@ def load_model_file(path: str) -> gmm.InferenceModel:
     """Read a JSON model: mu1, mu2 arrays and sigma as "identity" | diag | dense."""
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"model file {path} does not hold a JSON object")
     if missing := [key for key in ("mu1", "mu2", "sigma") if key not in spec]:
         raise ValueError(f"model file {path} has no {', '.join(missing)}")
     mu1 = np.asarray(spec["mu1"], dtype=float)

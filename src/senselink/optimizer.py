@@ -30,7 +30,7 @@ from scipy import special
 from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
 from .gmm import (InferenceModel, _gains, effective_discriminant_gain, sensing_error_bound,
                   sensing_error_exact)
-from .numerics import log_regularized_upper_gamma
+from .numerics import log_regularized_upper_gamma, require_finite
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
 _BRUTE_STOP_LOSS = 0.999
@@ -86,6 +86,9 @@ class OptimizerSettings:
     init_rate: float | None = None
 
     def __post_init__(self):
+        require_finite(step=self.step, grad_tol=self.grad_tol, max_iters=self.max_iters)
+        if self.init_rate is not None:
+            require_finite(init_rate=self.init_rate)
         if self.step <= 0 or self.grad_tol <= 0 or self.max_iters < 1:
             raise ValueError("invalid optimizer settings")
 

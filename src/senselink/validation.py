@@ -167,9 +167,11 @@ def validate(seed: int = 0) -> ValidationReport:
     report.add("error_bound_dominates_exact", ok, "bound >= exact on grid")
 
     # Monte Carlo agrees with the exact expression at the default setup.
+    # Its point is built once and serves the curvature checks below too.
     config = harness.ExperimentConfig(seed=seed)
-    decision = harness.decide(config)
-    row = harness.estimate_error(config, decision, 10_000, seed)
+    params = harness.build_params(config)
+    decision = harness.decide(config, params)
+    row = harness.estimate_error(config, decision, 10_000, seed, params=params)
     sigma3 = 3.0 * math.sqrt(max(row.pred_exact * (1 - row.pred_exact), 1e-12) / row.trials)
     ok = abs(row.error - row.pred_exact) <= sigma3 + 1e-12
     report.add("monte_carlo_vs_exact", ok,
@@ -207,7 +209,6 @@ def validate(seed: int = 0) -> ValidationReport:
     # Curvature of the gain where its concavity condition settles the sign,
     # and concavity of the distortion term, the log success probability and
     # the surrogate on the whole grid.
-    params = harness.build_params(config)
     lo, hi = opt.rate_domain(params)
     grid = np.linspace(lo, min(hi, 8.0), 400)
     gains = np.array([opt.effective_discriminant_gain(params.model, opt.sigma_q2_of_rate(r, params))

@@ -288,7 +288,8 @@ def loss_tolerance(eps):
 
 class TestGaussHermiteLoss:
     @pytest.mark.parametrize("antennas", [1, 2, 4, 16, 64, 256])
-    def test_matches_quadrature_over_envelope(self, antennas):
+    def test_matches_quadrature_over_envelope(self, antennas, monkeypatch):
+        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 12)  # each table inverts in at most 12 steps
         checked = 0
         for snr_db in (-30.0, -10.0, 0.0, 2.0, 10.0, 20.0, 40.0, 60.0):
             for n in (10, 100, 400, 2000):
@@ -329,8 +330,9 @@ class TestGaussHermiteLoss:
 
     @pytest.mark.parametrize("blocklength", [1, 10, 2000])
     @pytest.mark.parametrize("rate", [5e-4, 0.3, 4.0, 300.0])
-    def test_margin_inverse_round_trip(self, blocklength, rate):
-        # from gamma -> 0 up to 1024 bits per channel use
+    def test_margin_inverse_round_trip(self, blocklength, rate, monkeypatch):
+        # from gamma -> 0 up to 1024 bits per channel use, in at most 12 Newton steps
+        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 12)
         s = math.sqrt(blocklength) * math.log(2.0)
         x = np.concatenate([np.logspace(-14, 3, 120), [1024.0]])
         t = s * (x - rate) / np.sqrt(-np.expm1(-x * math.log(4.0)))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -556,6 +557,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"has no {key}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", ["5", "null"])
+    @pytest.mark.parametrize("flag", ["--config", "--model-file"])
+    def test_json_file_not_an_object(self, flag, content, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_text(content)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", flag, str(path), "--policy", "bits:4",
+                      "--trials", "10", "--seed", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "does not hold a JSON object" in err and "Traceback" not in err
+
     def test_model_file_flag(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         mu = [0.2] * 10
@@ -602,3 +615,18 @@ def test_engine_and_cli_import_without_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_run_sweeps_rejects_non_positive_trials(trials, tmp_path, monkeypatch, capsys):
+    # a usage error before --outdir is made or any cell is decided
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+    outdir = tmp_path / "results"
+    calls = []
+    monkeypatch.setattr(harness, "sweep", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(sys, "argv", [str(script), "--trials", trials, "--outdir", str(outdir)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert not calls and not outdir.exists()
+    assert "positive integer" in capsys.readouterr().err

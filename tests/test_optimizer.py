@@ -201,6 +201,13 @@ class TestGradientAscent:
             opt.gradient_ascent(params, opt.OptimizerSettings(step=1e-8, max_iters=5))
         assert err.value.last_rate > 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["step", "grad_tol", "max_iters", "init_rate"])
+    def test_settings_reject_non_finite(self, field, value):
+        # a NaN start or step would otherwise run the whole iteration budget
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            opt.OptimizerSettings(**{field: value})
+
 
 @pytest.fixture
 def gradient_calls(monkeypatch):
