@@ -34,6 +34,8 @@ def main() -> int:
     parser.add_argument("--trials", type=positive_int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error(f"argument --seed: {args.seed} is not a non-negative integer")
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     base = harness.ExperimentConfig(observations=10)

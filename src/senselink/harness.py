@@ -31,6 +31,10 @@ from .numerics import require_finite
 # numpy's fixed cost per call is spread thin, few enough that a block's
 # arrays take about a megabyte whatever the trial count.
 _BLOCK_VALUES = 2 ** 16
+# Most index-sum points d (2^b - 1) + 1 a level is simulated on: its law
+# then takes a few milliseconds to build, and it covers the levels that
+# adaptive, brute force and urllc pick at d = 50 below 11 bits.
+_LATTICE_SPAN = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.trials < 1 or self.observations < 1 or self.dim < 1:
             raise ValueError("invalid experiment configuration")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.noise_model not in ("quantizer", "lemma1"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
@@ -156,17 +162,32 @@ class _Level:
     isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2) and
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
+
+    When the real quantizer sees i.i.d. coordinates given the class (equal
+    eigenvalues, and each class mean constant across coordinates), all
+    weights are equal and a packet's score is an affine function of the sum
+    of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
+    points, ``cdf`` holds each class's exact CDF of it (without the final 1)
+    and ``lattice_scores`` the score at each sum: one uniform per packet.
     """
 
-    def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int):
+    def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int,
+                 noise_model: str):
         self.bits, self.rate = bits, params.level_rate(bits)
+        lam, dim = params.model.eigvals, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume.
-        inflated = params.model.eigvals + quant.noise_variance(bits, params.clip)
+        inflated = lam + quant.noise_variance(bits, params.clip)
         self.weights = (means[1] - means[0]) / inflated
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
         self.score_means = means @ self.weights + self.const
         self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
+        self.cdf = None
+        if (noise_model == "quantizer" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
+                and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
+            laws = [quant.index_sum_law(m[0], lam[0], params.clip, bits, dim) for m in means]
+            self.lattice_scores = laws[0][0] * self.weights[0] + self.const
+            self.cdf = np.cumsum([pmf for _, pmf in laws], axis=1)[:, :-1]
 
 
 def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndarray,
@@ -179,13 +200,16 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
     The classes, the post-combining SNRs and the uniforms that decide each
     packet's arrival are drawn once and shared by every level; each level
     only applies its own rate's loss to them. Features (or, under lemma 1,
-    standard scores) are drawn once for the packets that arrive under any
-    level; each level quantizes and scores its own arrivals and sums them
-    per episode. An episode decides class 1 iff the sum is < 0; one with zero
+    standard scores) are drawn next, once for the packets that arrive under
+    any level off the lattice, then one uniform each for the packets that
+    arrive under any lattice level (see ``_Level``); a path no level takes
+    draws nothing. Each level scores its own arrivals and sums them per
+    episode. An episode decides class 1 iff the sum is < 0; one with zero
     received packets guesses, the i-th such episode taking the i-th of n
     guesses drawn last. A level's outcome depends on the other levels only
-    through the union of arriving packets, not on their order; with one
-    level, the stream is consumed as by a single-policy engine.
+    through the union of arriving packets on its path, not on their order;
+    with one level, or none on the lattice, the stream is consumed as by a
+    single-policy engine of the same path.
     """
     k = params.observations
     classes = rng.integers(1, 3, size=n)
@@ -193,25 +217,38 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
     uniforms = rng.random((n, k))
     rates = np.array([lvl.rate for lvl in levels])
     success = uniforms >= ch.packet_loss(snrs, params.channel.blocklength, rates[:, None, None])
-    reached = success.any(axis=0)
-    episode = np.nonzero(reached)[0]
-    arrived = classes[episode] - 1
-    if noise_model == "quantizer":
-        draws = rng.standard_normal((episode.size, scale.size))
-        draws *= scale
-        draws += means[arrived]
-    else:
-        draws = rng.standard_normal(episode.size)
+    on_lattice = np.array([lvl.cdf is not None for lvl in levels])
+    paths = {}  # per path: the union of its levels' arrivals and their draws
+    for lattice in (False, True):
+        if not np.any(on_lattice == lattice):
+            continue
+        reached = success[on_lattice == lattice].any(axis=0)
+        episode = np.nonzero(reached)[0]
+        arrived = classes[episode] - 1
+        if lattice:
+            draws = rng.random(episode.size)
+        elif noise_model == "quantizer":
+            draws = rng.standard_normal((episode.size, scale.size))
+            draws *= scale
+            draws += means[arrived]
+        else:
+            draws = rng.standard_normal(episode.size)
+        paths[lattice] = reached, episode, arrived, draws
     guesses = rng.integers(1, 3, size=n)
 
     wrong = []
-    for lvl, ok in zip(levels, success):
+    for lvl, lattice, ok in zip(levels, on_lattice, success):
+        reached, episode, arrived, draws = paths[lattice]
         mine = ok[reached]  # this level's packets among those drawn
         if mine.all():
             own, owner, label = draws, episode, arrived
         else:
             own, owner, label = draws[mine], episode[mine], arrived[mine]
-        if noise_model == "quantizer":
+        if lattice:
+            index = np.where(label == 0, np.searchsorted(lvl.cdf[0], own, "right"),
+                             np.searchsorted(lvl.cdf[1], own, "right"))
+            scores = lvl.lattice_scores[index]
+        elif noise_model == "quantizer":
             scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
             scores += lvl.const
         else:
@@ -240,7 +277,7 @@ def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
     means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
     scale = np.sqrt(model.eigvals)
     distinct = list(dict.fromkeys(bits))
-    levels = [_Level(params, means, b) for b in distinct]
+    levels = [_Level(params, means, b, noise_model) for b in distinct]
     block_size = max(1, _BLOCK_VALUES // (params.observations * model.dim))
     wrong = np.zeros(len(levels), dtype=np.int64)
     for block, start in enumerate(range(0, trials, block_size)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .numerics import require_finite
 
@@ -88,6 +89,25 @@ def scalar_quantize(v, clip: float, bits: int):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def index_sum_law(mean: float, var: float, clip: float, bits: int,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the sum of ``count`` i.i.d. N(mean, var) values, each
+    mapped by ``scalar_quantize``: the sums (t - count (2^bits - 1) / 2) delta
+    over the index sums t = 0 .. count (2^bits - 1), and their probabilities.
+
+    A value's grid index is >= k exactly when it is >= -clip + (k - 1/2)
+    delta, so one coordinate's pmf is a difference of ``ndtr`` at those
+    edges; the sum's pmf is its count-fold convolution, one FFT power long
+    enough not to wrap, clipped at 0 and normalised.
+    """
+    levels, delta = 2 ** bits, _resolution(clip, bits)
+    edges = -clip + (np.arange(1, levels) - 0.5) * delta
+    one = np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
+    size = count * (levels - 1) + 1
+    pmf = np.clip(np.fft.irfft(np.fft.rfft(one, size) ** count, size), 0.0, None)
+    return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum()
 
 
 def encode(x, config: QuantizerConfig) -> tuple[np.ndarray, int]:

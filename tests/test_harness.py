@@ -37,6 +37,8 @@ class TestConfigAndModel:
             harness.ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             harness.ExperimentConfig(noise_model="gaussianish")
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            harness.ExperimentConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["dim", "centroid", "clip", "antennas", "snr_db",
                                        "blocklength", "observations", "trials", "seed"])
@@ -232,19 +234,75 @@ class TestLemma1EngineMatchesPrediction:
 
 
 class TestGoldenRows:
-    """``estimate_error`` rows as the engine gave them before a sweep point's
-    policies shared their episodes: the one-policy case consumes each
-    block's stream exactly as it did."""
+    """``estimate_error`` rows pinned from the engine, one per path and noise
+    model: identity ``bits:4`` on the lattice, identity ``bits:16`` (50
+    (2^16 - 1) index sums, too many for the lattice) and the dense row on
+    quantized features, and one lemma-1 row. A change to a path's stream
+    moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 59),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 66),
         (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 78),
         (dense_config("bits:6", "quantizer"), 2000, 19, 1, 597),
-    ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6"])
+        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 36),
+    ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
         row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
         assert row.error == wrong / trials
         assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
+
+
+def asymmetric_model_file(tmp_path):
+    """Equal eigenvalues (2) and class means constant across coordinates but
+    not opposite: a lattice cell that is not the identity default."""
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps({"mu1": [0.6] * 4, "mu2": [0.2] * 4, "sigma": [2.0] * 4}))
+    return str(path)
+
+
+class TestLatticePath:
+    """Cells whose eigen-coordinates are i.i.d. given the class draw one
+    uniform per arriving packet and invert the exact law of its index sum."""
+
+    @staticmethod
+    def on_lattice(cfg, bits):
+        params = harness.build_params(cfg)
+        model = params.model
+        means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
+        return harness._Level(params, means, bits, cfg.noise_model).cdf is not None
+
+    def test_eligibility_is_derived(self, tmp_path):
+        default = harness.ExperimentConfig()
+        assert self.on_lattice(default, 4) and self.on_lattice(default, 10)
+        assert not self.on_lattice(default, 11)  # 50 (2^11 - 1) index sums
+        assert not self.on_lattice(replace(default, noise_model="lemma1"), 4)
+        assert not self.on_lattice(dense_config("bits:4", "quantizer"), 4)
+        assert not self.on_lattice(replace(default, dim=3, sigma_spec=[1.0, 2.0, 3.0]), 4)
+        assert self.on_lattice(harness.ExperimentConfig(
+            dim=4, model_file=asymmetric_model_file(tmp_path)), 4)
+        unequal = tmp_path / "unequal.json"
+        unequal.write_text(json.dumps({"mu1": [0.1, 0.2], "mu2": [-0.1, -0.2],
+                                       "sigma": "identity"}))
+        assert not self.on_lattice(harness.ExperimentConfig(dim=2, model_file=str(unequal)), 4)
+
+    @pytest.mark.parametrize("case", ["identity", "asymmetric"])
+    def test_matches_feature_path(self, case, tmp_path, monkeypatch):
+        # the same arrivals scored on the lattice and, with the cap at 0, on
+        # quantized features; bits:16 (and urllc's 6 bits) share the point
+        if case == "identity":
+            cfg = harness.ExperimentConfig(dim=4, centroid=0.3, observations=3)
+            policies = ["bits:1", "bits:2", "bits:3", "bits:16"]
+        else:
+            cfg = harness.ExperimentConfig(dim=4, model_file=asymmetric_model_file(tmp_path),
+                                           observations=3, clip=3.0)
+            policies = ["bits:1", "bits:2", "urllc"]
+        trials = 200_000
+        lattice = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=13)
+        monkeypatch.setattr(harness, "_LATTICE_SPAN", 0)
+        features = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=13)
+        for a, b in zip(lattice, features):
+            spread = math.sqrt((a.error * (1 - a.error) + b.error * (1 - b.error)) / trials)
+            assert abs(a.error - b.error) <= 3.0 * spread, a.policy
 
 
 class TestEstimateError:
@@ -605,6 +663,22 @@ class TestCli:
         assert "error: " in err and "bits must be an integer from 1 to 64" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "bits:4", "--trials", "10", "--seed", "-1"],
+        ["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+         "--trials", "10", "--seed", "-1", "--out", "unused.csv"],
+    ], ids=["simulate", "sweep"])
+    def test_negative_seed_is_usage_error(self, command, monkeypatch, capsys):
+        # one usage line before any cell is decided
+        calls = []
+        monkeypatch.setattr(harness, "decide", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "sweep", lambda *args: calls.append(args) or [])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(command)
+        assert exit_info.value.code == 2 and not calls
+        err = capsys.readouterr().err
+        assert "error: seed must be non-negative" in err and "Traceback" not in err
+
 
 def test_engine_and_cli_import_without_scipy_stats():
     # scipy.stats is the validation suite's alone; the engine and the CLI
@@ -630,3 +704,17 @@ def test_run_sweeps_rejects_non_positive_trials(trials, tmp_path, monkeypatch, c
     assert exit_info.value.code == 2
     assert not calls and not outdir.exists()
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_run_sweeps_rejects_negative_seed(tmp_path, monkeypatch, capsys):
+    # a usage error before --outdir is made or any cell is decided
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+    outdir = tmp_path / "results"
+    calls = []
+    monkeypatch.setattr(harness, "sweep", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "-1", "--outdir", str(outdir)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert not calls and not outdir.exists()
+    assert "non-negative integer" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -72,6 +75,48 @@ class TestScalarQuantize:
         cfg = quant.QuantizerConfig(5.0, 3, np.eye(1))
         grid = -5.0 + cfg.resolution * np.arange(2 ** 3)
         np.testing.assert_allclose(quant.scalar_quantize(grid, cfg.clip, cfg.bits), grid, atol=1e-12)
+
+
+def cell_probabilities(mean, var, clip, bits):
+    """The grid of scalar_quantize and each point's probability under
+    N(mean, var), from the midpoints between grid points."""
+    grid = np.linspace(-clip, clip, 2 ** bits)
+    edges = 0.5 * (grid[:-1] + grid[1:])
+    np.testing.assert_allclose(quant.scalar_quantize(edges - 1e-9, clip, bits), grid[:-1],
+                               atol=1e-12)
+    np.testing.assert_allclose(quant.scalar_quantize(edges + 1e-9, clip, bits), grid[1:],
+                               atol=1e-12)
+    return grid, np.diff(stats.norm.cdf(np.r_[-np.inf, edges, np.inf], mean, np.sqrt(var)))
+
+
+class TestIndexSumLaw:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("mean, var, clip", [(0.3, 1.0, 1.5), (-0.7, 2.5, 4.0)])
+    def test_matches_enumeration(self, dim, bits, mean, var, clip):
+        grid, prob = cell_probabilities(mean, var, clip, bits)
+        size = dim * (2 ** bits - 1) + 1
+        want_values, want_pmf = np.zeros(size), np.zeros(size)
+        for cells in itertools.product(range(2 ** bits), repeat=dim):
+            want_values[sum(cells)] = grid[list(cells)].sum()
+            want_pmf[sum(cells)] += np.prod(prob[list(cells)])
+        values, pmf = quant.index_sum_law(mean, var, clip, bits, dim)
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pmf, want_pmf, rtol=0, atol=1e-12)
+
+    def test_moments_at_fifty_coordinates(self):
+        grid, prob = cell_probabilities(0.1, 1.0, 5.0, 4)
+        mean = float(prob @ grid)
+        var = float(prob @ grid ** 2) - mean ** 2
+        values, pmf = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
+        assert pmf.min() >= 0.0 and pmf.sum() == pytest.approx(1.0, abs=1e-14)
+        assert pmf @ values == pytest.approx(50 * mean, rel=1e-10)
+        assert pmf @ values ** 2 - (pmf @ values) ** 2 == pytest.approx(50 * var, rel=1e-10)
+
+    def test_independent_of_the_benchmark_oracle(self):
+        # perfbench/checks.py holds the benchmark's own oracle for this law
+        source = inspect.getsource(quant)
+        assert "perfbench" not in source and "checks" not in source
 
 
 class TestEncodeDecode:
