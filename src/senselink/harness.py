@@ -2,12 +2,13 @@
 
 The engine simulates the point one ``TradeoffParams`` holds (model, clip,
 channel, observation count) at each decision's bit level; a sweep builds its
-model once. Trials run in blocks of a fixed number of feature values. Each
-block draws from its own random stream: keyed by (seed, cell, block) for a
-single cell, and by (seed, swept value, block, sweep parameter) for a sweep
-point, whose policies are all scored on the same episodes. Any output is a
-pure function of its configuration and seed, and sweeps over different
-parameters or values draw different numbers.
+model once. Trials run in blocks that bound the largest array a block
+draws, fading gains or features. Each block draws from its own random
+stream: keyed by (seed, cell, block) for a single cell, and by (seed, swept
+value, block, sweep parameter) for a sweep point, whose policies are all
+scored on the same episodes. Any output is a pure function of its
+configuration and seed, and sweeps over different parameters or values draw
+different numbers.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from . import optimizer as opt
 from . import quant
 from .numerics import require_finite
 
-# Feature values (trials x observations x dim) drawn per block: enough that
-# numpy's fixed cost per call is spread thin, few enough that a block's
-# arrays take about a megabyte whatever the trial count.
+# Values in a block's largest draw (see ``_block_size``): enough that numpy's
+# fixed cost per call is spread thin, few enough that a block's arrays take
+# about a megabyte whatever the trial count.
 _BLOCK_VALUES = 2 ** 16
 # Most index-sum points d (2^b - 1) + 1 a level is simulated on: its law
 # then takes a few milliseconds to build, and it covers the levels that
@@ -245,9 +246,10 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
         else:
             own, owner, label = draws[mine], episode[mine], arrived[mine]
         if lattice:
-            index = np.where(label == 0, np.searchsorted(lvl.cdf[0], own, "right"),
-                             np.searchsorted(lvl.cdf[1], own, "right"))
-            scores = lvl.lattice_scores[index]
+            scores = np.empty(own.size)
+            for c, cdf in enumerate(lvl.cdf):
+                pick = label == c
+                scores[pick] = lvl.lattice_scores[np.searchsorted(cdf, own[pick], "right")]
         elif noise_model == "quantizer":
             scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
             scores += lvl.const
@@ -260,6 +262,16 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
         decisions[silent] = guesses[:int(silent.sum())]
         wrong.append(int(np.count_nonzero(decisions != classes)))
     return wrong
+
+
+def _block_size(params: opt.TradeoffParams, noise_model: str, levels: list[_Level]) -> int:
+    """Trials per block at a point simulated at ``levels``: each of a trial's
+    K packets draws L fading gains, then d features if some level quantizes
+    them off the lattice, else one value (a lattice uniform or a lemma-1
+    score), and the larger of the two draws holds ``_BLOCK_VALUES``."""
+    features = noise_model == "quantizer" and any(lvl.cdf is None for lvl in levels)
+    width = max(params.channel.antennas, params.model.dim if features else 1)
+    return max(1, _BLOCK_VALUES // (params.observations * width))
 
 
 def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
@@ -278,7 +290,7 @@ def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
     scale = np.sqrt(model.eigvals)
     distinct = list(dict.fromkeys(bits))
     levels = [_Level(params, means, b, noise_model) for b in distinct]
-    block_size = max(1, _BLOCK_VALUES // (params.observations * model.dim))
+    block_size = _block_size(params, noise_model, levels)
     wrong = np.zeros(len(levels), dtype=np.int64)
     for block, start in enumerate(range(0, trials, block_size)):
         rng = np.random.default_rng([*key, block, *tag])

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,8 +242,8 @@ class TestGoldenRows:
     moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 66),
-        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 78),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 48),
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 61),
         (dense_config("bits:6", "quantizer"), 2000, 19, 1, 597),
         (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 36),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
@@ -250,6 +251,13 @@ class TestGoldenRows:
         row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
         assert row.error == wrong / trials
         assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
+
+
+def engine_level(params, bits, noise_model):
+    """The engine's ``_Level`` for ``bits`` at the point ``params``."""
+    model = params.model
+    means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
+    return harness._Level(params, means, bits, noise_model)
 
 
 def asymmetric_model_file(tmp_path):
@@ -266,10 +274,7 @@ class TestLatticePath:
 
     @staticmethod
     def on_lattice(cfg, bits):
-        params = harness.build_params(cfg)
-        model = params.model
-        means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
-        return harness._Level(params, means, bits, cfg.noise_model).cdf is not None
+        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).cdf is not None
 
     def test_eligibility_is_derived(self, tmp_path):
         default = harness.ExperimentConfig()
@@ -306,16 +311,42 @@ class TestLatticePath:
 
 
 class TestEstimateError:
-    def test_partial_block_and_single_trial(self, default_config, default_decision):
+    def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
-        # second block and leaves the first one's outcomes as they were
-        size = harness._BLOCK_VALUES // (default_config.observations * default_config.dim)
-        full = harness.estimate_error(default_config, default_decision, size, seed=6)
-        more = harness.estimate_error(default_config, default_decision, size + 1, seed=6)
-        extra = round(more.error * (size + 1)) - round(full.error * size)
-        assert more.trials == size + 1 and extra in (0, 1)
-        one = harness.estimate_error(default_config, default_decision, 1, seed=6)
-        assert one.trials == 1 and one.error in (0.0, 1.0)
+        # second block and leaves the first one's outcomes as they were; a
+        # lattice uniform and a lemma-1 score are one value per packet, so
+        # the L = 4 fading gains size those blocks, and 50 features the last
+        sizes = []
+        for cfg in (harness.ExperimentConfig(policy="bits:4"),
+                    harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"),
+                    harness.ExperimentConfig(policy="bits:16", snr_db=60.0)):
+            params = harness.build_params(cfg)
+            decision = harness.decide(cfg, params)
+            level = engine_level(params, decision.bits_per_feature, cfg.noise_model)
+            size = harness._block_size(params, cfg.noise_model, [level])
+            full = harness.estimate_error(cfg, decision, size, seed=6, params=params)
+            more = harness.estimate_error(cfg, decision, size + 1, seed=6, params=params)
+            extra = round(more.error * (size + 1)) - round(full.error * size)
+            assert more.trials == size + 1 and extra in (0, 1), cfg
+            one = harness.estimate_error(cfg, decision, 1, seed=6, params=params)
+            assert one.trials == 1 and one.error in (0.0, 1.0)
+            sizes.append(size)
+        assert sizes == [1638, 1638, 131]  # 2^16 // (K L), twice, then 2^16 // (K d)
+
+    def test_block_memory_follows_the_antennas(self):
+        # one value per packet on the lattice but 256 fading gains: blocks
+        # sized by d = 1 alone would hold a 65,536 x 256 array of exponentials
+        cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
+        params = harness.build_params(cfg)
+        decision = harness.decide(cfg, params)
+        tracemalloc.start()
+        try:
+            row = harness.estimate_error(cfg, decision, 65_536, seed=0, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.trials == 65_536
+        assert peak < 8 * 2 ** 20
 
     def test_deterministic(self, default_config, default_decision):
         a = harness.estimate_error(default_config, default_decision, 500, seed=11)
