@@ -252,6 +252,16 @@ class TestGoldenRows:
         assert row.error == wrong / trials
         assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
 
+    def test_shared_episode_rows_unchanged(self):
+        # one sweep point whose episodes feed two lattice levels (8 and 10
+        # bits, 1.7% and 14% average loss) and two feature-path levels (11
+        # and 12 bits, 31% and 56%): pins the stream that sweep points share
+        policies = ["bits:8", "bits:10", "bits:11", "bits:12"]
+        rows = harness.sweep(harness.ExperimentConfig(observations=3), "snr-db", [12.0],
+                             policies, 20_000, seed=0)
+        assert [row.policy for row in rows] == policies
+        assert [row.error for row in rows] == [w / 20_000 for w in (2199, 2596, 3337, 4988)]
+
 
 def engine_level(params, bits, noise_model):
     """The engine's ``_Level`` for ``bits`` at the point ``params``."""
