@@ -70,18 +70,10 @@ def snr_from_db(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def sample_post_mrc_snr(cfg: ChannelConfig, rng: np.random.Generator, size: int | None = None):
-    """Draw the post-combining SNR: gamma0 times a sum of L unit exponentials.
-
-    The result is Erlang(L, 1/gamma0) distributed. Returns a scalar when
-    ``size`` is None, otherwise an array of that length.
-    """
-    n = 1 if size is None else size
-    gains = rng.standard_exponential((n, cfg.antennas)).sum(axis=1)
-    out = cfg.snr_linear * gains
-    if size is None:
-        return float(out[0])
-    return out
+def sample_post_mrc_snr(cfg: ChannelConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` post-combining SNRs, each gamma0 times a sum of L unit
+    exponentials: Erlang(L, 1/gamma0) distributed."""
+    return cfg.snr_linear * rng.standard_exponential((size, cfg.antennas)).sum(axis=1)
 
 
 def capacity(gamma):

@@ -59,9 +59,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    params = harness.build_params(config)
-    row = harness.estimate_error(config, harness.decide(config, params), config.trials,
-                                 config.seed, params=params)
+    row = harness.estimate_error(config, harness.decide(config), config.trials, config.seed)
     print(json.dumps(dataclasses.asdict(row), indent=2))
     return 0
 

@@ -1,12 +1,12 @@
 """Monte Carlo experiment engine: config, decisions, trials, sweeps and the CSV.
 
-The engine simulates the point one ``TradeoffParams`` holds (model, clip,
-channel, observation count) at each decision's bit level; a sweep builds its
-model once. Trials run in blocks that bound the largest array a block
-draws, fading gains or features. Each block draws from its own random
-stream: keyed by (seed, cell, block) for a single cell, and by (seed, swept
-value, block, sweep parameter) for a sweep point, whose policies are all
-scored on the same episodes. Any output is a pure function of its
+The engine simulates each decision at its bit level and at the point it was
+made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
+sweep builds its model once. Trials run in blocks that bound the largest
+array a block draws, fading gains or features. Each block draws from its own
+random stream: keyed by (seed, cell, block) for a single cell, and by (seed,
+swept value, block, sweep parameter) for a sweep point, whose policies are
+all scored on the same episodes. Any output is a pure function of its
 configuration and seed, and sweeps over different parameters or values draw
 different numbers.
 """
@@ -38,6 +38,15 @@ _BLOCK_VALUES = 2 ** 16
 _LATTICE_SPAN = 2 ** 16
 
 
+def _require_counts(least: int, **counts) -> None:
+    """Refuse any of ``counts`` that is not an integer >= ``least``; a bool is not one."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulated operating point.
@@ -64,13 +73,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
-        for name in ("dim", "antennas", "blocklength", "observations", "trials", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.trials < 1 or self.observations < 1 or self.dim < 1:
-            raise ValueError("invalid experiment configuration")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, not {self.seed}")
+        _require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
+                        observations=self.observations, trials=self.trials)
+        _require_counts(0, seed=self.seed)
         if self.noise_model not in ("quantizer", "lemma1"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
@@ -153,7 +158,7 @@ def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -
 
 
 class _Level:
-    """One bit level's rate, quantizer grid and score at an operating point.
+    """One bit level's rate, quantizer grid, score and path at an operating point.
 
     Features are drawn in the KLT eigenbasis of Sigma, the only basis the
     quantizer sees: Gaussian with mean ``means[c]`` = basis @ mu_c and
@@ -162,14 +167,15 @@ class _Level:
     w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise is
     isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2) and
     the score of one packet is exactly Normal(w @ mu_c + const,
-    sum w_i^2 (lambda_i + sigma_q2)): one draw per packet.
+    sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
 
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
     weights are equal and a packet's score is an affine function of the sum
     of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
-    points, ``cdf`` holds each class's exact CDF of it (without the final 1)
-    and ``lattice_scores`` the score at each sum: one uniform per packet.
+    points, ``path`` is "lattice": ``cdf`` holds each class's exact CDF of
+    the sum (without the final 1) and ``lattice_scores`` the score at each
+    sum, so a packet takes one uniform. Otherwise it is "features".
     """
 
     def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int,
@@ -183,28 +189,28 @@ class _Level:
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
         self.score_means = means @ self.weights + self.const
         self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
-        self.cdf = None
-        if (noise_model == "quantizer" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
+        self.path = "features" if noise_model == "quantizer" else "lemma1"
+        if (self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
                 and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
+            self.path = "lattice"
             laws = [quant.index_sum_law(m[0], lam[0], params.clip, bits, dim) for m in means]
             self.lattice_scores = laws[0][0] * self.weights[0] + self.const
             self.cdf = np.cumsum([pmf for _, pmf in laws], axis=1)[:, :-1]
 
 
-def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndarray,
-                    scale: np.ndarray, levels: list[_Level], n: int,
-                    rng: np.random.Generator) -> list[int]:
+def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.ndarray,
+                    levels: list[_Level], n: int, rng: np.random.Generator) -> list[int]:
     """Simulate ``n`` sensing episodes from one stream and return, for each
     level, how many of them decide the wrong class.
 
     Each episode draws a class and sends K packets over the fading channel.
     The classes, the post-combining SNRs and the uniforms that decide each
     packet's arrival are drawn once and shared by every level; each level
-    only applies its own rate's loss to them. Features (or, under lemma 1,
-    standard scores) are drawn next, once for the packets that arrive under
-    any level off the lattice, then one uniform each for the packets that
-    arrive under any lattice level (see ``_Level``); a path no level takes
-    draws nothing. Each level scores its own arrivals and sums them per
+    only applies its own rate's loss to them. Each level's ``path`` (see
+    ``_Level``) then says what its arrivals draw: features or lemma-1 scores
+    first, once for the packets that arrive under any level on that path,
+    then one uniform each for those under any lattice level; a path no level
+    takes draws nothing. Each level scores its own arrivals and sums them per
     episode. An episode decides class 1 iff the sum is < 0; one with zero
     received packets guesses, the i-th such episode taking the i-th of n
     guesses drawn last. A level's outcome depends on the other levels only
@@ -218,44 +224,44 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
     uniforms = rng.random((n, k))
     rates = np.array([lvl.rate for lvl in levels])
     success = uniforms >= ch.packet_loss(snrs, params.channel.blocklength, rates[:, None, None])
-    on_lattice = np.array([lvl.cdf is not None for lvl in levels])
     paths = {}  # per path: the union of its levels' arrivals and their draws
-    for lattice in (False, True):
-        if not np.any(on_lattice == lattice):
+    for path in ("features", "lemma1", "lattice"):
+        on_path = [lvl.path == path for lvl in levels]
+        if not any(on_path):
             continue
-        reached = success[on_lattice == lattice].any(axis=0)
+        reached = success[on_path].any(axis=0)
         episode = np.nonzero(reached)[0]
         arrived = classes[episode] - 1
-        if lattice:
-            draws = rng.random(episode.size)
-        elif noise_model == "quantizer":
+        if path == "features":
             draws = rng.standard_normal((episode.size, scale.size))
             draws *= scale
             draws += means[arrived]
-        else:
+        elif path == "lemma1":
             draws = rng.standard_normal(episode.size)
-        paths[lattice] = reached, episode, arrived, draws
+        else:
+            draws = rng.random(episode.size)
+        paths[path] = reached, episode, arrived, draws
     guesses = rng.integers(1, 3, size=n)
 
     wrong = []
-    for lvl, lattice, ok in zip(levels, on_lattice, success):
-        reached, episode, arrived, draws = paths[lattice]
+    for lvl, ok in zip(levels, success):
+        reached, episode, arrived, draws = paths[lvl.path]
         mine = ok[reached]  # this level's packets among those drawn
         if mine.all():
             own, owner, label = draws, episode, arrived
         else:
             own, owner, label = draws[mine], episode[mine], arrived[mine]
-        if lattice:
+        if lvl.path == "features":
+            scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
+            scores += lvl.const
+        elif lvl.path == "lemma1":
+            scores = own * lvl.score_sd
+            scores += lvl.score_means[label]
+        else:
             scores = np.empty(own.size)
             for c, cdf in enumerate(lvl.cdf):
                 pick = label == c
                 scores[pick] = lvl.lattice_scores[np.searchsorted(cdf, own[pick], "right")]
-        elif noise_model == "quantizer":
-            scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
-            scores += lvl.const
-        else:
-            scores = own * lvl.score_sd
-            scores += lvl.score_means[label]
         total = np.bincount(owner, weights=scores, minlength=n)
         decisions = np.where(total < 0.0, 1, 2)
         silent = ~ok.any(axis=1)
@@ -264,12 +270,12 @@ def _simulate_block(params: opt.TradeoffParams, noise_model: str, means: np.ndar
     return wrong
 
 
-def _block_size(params: opt.TradeoffParams, noise_model: str, levels: list[_Level]) -> int:
+def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:
     """Trials per block at a point simulated at ``levels``: each of a trial's
-    K packets draws L fading gains, then d features if some level quantizes
-    them off the lattice, else one value (a lattice uniform or a lemma-1
-    score), and the larger of the two draws holds ``_BLOCK_VALUES``."""
-    features = noise_model == "quantizer" and any(lvl.cdf is None for lvl in levels)
+    K packets draws L fading gains, then d features if some level is on the
+    features path, else one value (a lattice uniform or a lemma-1 score),
+    and the larger of the two draws holds ``_BLOCK_VALUES``."""
+    features = any(lvl.path == "features" for lvl in levels)
     width = max(params.channel.antennas, params.model.dim if features else 1)
     return max(1, _BLOCK_VALUES // (params.observations * width))
 
@@ -283,18 +289,16 @@ def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
     blocklength) and observation count. Block b draws from the stream keyed
     (*key, b, *tag). Repeats of a bit level share its work and its count.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     model = params.model
     means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
     scale = np.sqrt(model.eigvals)
     distinct = list(dict.fromkeys(bits))
     levels = [_Level(params, means, b, noise_model) for b in distinct]
-    block_size = _block_size(params, noise_model, levels)
+    block_size = _block_size(params, levels)
     wrong = np.zeros(len(levels), dtype=np.int64)
     for block, start in enumerate(range(0, trials, block_size)):
         rng = np.random.default_rng([*key, block, *tag])
-        wrong += _simulate_block(params, noise_model, means, scale, levels,
+        wrong += _simulate_block(params, means, scale, levels,
                                  min(block_size, trials - start), rng)
     return [int(wrong[distinct.index(b)]) for b in bits]
 
@@ -315,14 +319,15 @@ _SWEEP_STREAMS = {param: i + 1 for i, param in enumerate(SWEEP_FIELDS)}
 
 
 def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
-                   trials: int, seed: int, cell: int = 0,
-                   params: opt.TradeoffParams | None = None) -> ResultRow:
+                   trials: int, seed: int, cell: int = 0) -> ResultRow:
     """Aggregate one decision's error rate over independent trials, one
     stream per block keyed by (seed, cell, block): the one-policy case of
-    the engine ``sweep`` runs. ``params`` (by default built from ``config``)
-    supplies the whole simulated point; ``config`` adds only the noise model
-    and the row's policy, and ``decision`` only its bit level."""
-    wrong, = _count_errors(params or build_params(config), config.noise_model,
+    the engine ``sweep`` runs. The decision supplies the simulated point it
+    was made at (``decision.params``) and its bit level; ``config`` adds only
+    the noise model and the row's policy label."""
+    _require_counts(1, trials=trials)
+    _require_counts(0, seed=seed, cell=cell)
+    wrong, = _count_errors(decision.params, config.noise_model,
                            [decision.bits_per_feature], trials, key=(seed, cell))
     return _row("", None, config.policy, decision, wrong, trials, seed)
 
@@ -346,6 +351,8 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
+    _require_counts(1, trials=trials)
+    _require_counts(0, seed=seed)
     try:
         attr = SWEEP_FIELDS[param]
     except KeyError:

@@ -20,7 +20,7 @@ loss through scipy's inverse incomplete gamma functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -95,7 +95,9 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class RateDecision:
-    """A rate choice, its integer bit level, and the predicted error at it."""
+    """A rate choice, its integer bit level and the predicted error at it,
+    made at the operating point ``params``, which is also the point the
+    engine simulates it at; ``params`` takes no part in ``==``, hash or repr."""
 
     continuous_rate: float
     bits_per_feature: int
@@ -103,6 +105,7 @@ class RateDecision:
     predicted_bound: float
     predicted_exact: float
     infeasible: bool = False
+    params: TradeoffParams = field(kw_only=True, compare=False, repr=False)
 
 
 class ConvergenceError(RuntimeError):
@@ -253,7 +256,7 @@ def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | 
     rate = params.level_rate(bits)
     _, bound, exact = params.table
     return RateDecision(rate if continuous_rate is None else continuous_rate, bits, rate,
-                        float(bound[bits - 1]), float(exact[bits - 1]), infeasible)
+                        float(bound[bits - 1]), float(exact[bits - 1]), infeasible, params=params)
 
 
 def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:

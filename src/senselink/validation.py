@@ -171,7 +171,7 @@ def validate(seed: int = 0) -> ValidationReport:
     config = harness.ExperimentConfig(seed=seed)
     params = harness.build_params(config)
     decision = harness.decide(config, params)
-    row = harness.estimate_error(config, decision, 10_000, seed, params=params)
+    row = harness.estimate_error(config, decision, 10_000, seed)
     sigma3 = 3.0 * math.sqrt(max(row.pred_exact * (1 - row.pred_exact), 1e-12) / row.trials)
     ok = abs(row.error - row.pred_exact) <= sigma3 + 1e-12
     report.add("monte_carlo_vs_exact", ok,

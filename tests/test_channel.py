@@ -134,12 +134,14 @@ class TestPostMrcSampler:
         b = ch.sample_post_mrc_snr(cfg4, np.random.default_rng(3), size=10)
         np.testing.assert_array_equal(a, b)
 
-    def test_scalar_draw(self, cfg4):
-        out = ch.sample_post_mrc_snr(cfg4, np.random.default_rng(4))
-        assert isinstance(out, float) and out >= 0.0
-
 
 class TestAveragePacketLoss:
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    @pytest.mark.parametrize("evaluator", ["exact", "approx"])
+    def test_rejects_nonpositive_rate(self, cfg4, evaluator, rate):
+        with pytest.raises(ValueError, match="coding rate must be positive"):
+            getattr(ch, f"avg_packet_loss_{evaluator}")(cfg4, rate)
+
     def test_approx_exponential_closed_form(self):
         cfg = ch.ChannelConfig(1, 1.0, 100)
         assert ch.avg_packet_loss_approx(cfg, 1.0) == pytest.approx(

@@ -122,6 +122,10 @@ class TestReductionBounds:
     def test_zero_noise(self, default_model):
         assert gmm.dg_reduction_bounds(default_model, 0.0) == (0.0, 0.0)
 
+    def test_rejects_negative_variance(self, default_model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gmm.dg_reduction_bounds(default_model, -1e-3)
+
     def test_brackets_actual_reduction(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -179,6 +183,11 @@ class TestSampleFeatures:
     def test_rejects_bad_label(self, default_model):
         with pytest.raises(ValueError):
             gmm.sample_features(default_model, 3, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_rejects_nonpositive_count(self, default_model, count):
+        with pytest.raises(ValueError, match="count must be positive"):
+            gmm.sample_features(default_model, 1, count, np.random.default_rng(0))
 
 
 class TestClassify:

@@ -54,6 +54,18 @@ class TestConfigAndModel:
         with pytest.raises(ValueError, match=field):
             harness.ExperimentConfig(**{field: 2.5})
 
+    @pytest.mark.parametrize("field", ["dim", "antennas", "blocklength", "observations",
+                                       "trials", "seed"])
+    def test_rejects_bool_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, not True"):
+            harness.ExperimentConfig(**{field: True})
+
+    @pytest.mark.parametrize("field", ["dim", "antennas", "blocklength", "observations",
+                                       "trials"])
+    def test_rejects_nonpositive_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive, not 0"):
+            harness.ExperimentConfig(**{field: 0})
+
     def test_decide_rejects_snr_beyond_float_range(self):
         with pytest.raises(ValueError, match="dB"):
             harness.decide(harness.ExperimentConfig(snr_db=4000.0, policy="bits:4"))
@@ -71,6 +83,10 @@ class TestConfigAndModel:
         dense = [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
         cfg = harness.ExperimentConfig(dim=3, sigma_spec=dense)
         assert np.allclose(harness.build_model(cfg).sigma, dense)
+
+    def test_unknown_sigma_spec(self):
+        with pytest.raises(ValueError, match="unknown covariance spec 'diagonal'"):
+            harness.build_model(harness.ExperimentConfig(dim=3, sigma_spec="diagonal"))
 
     def test_model_file_roundtrip(self, tmp_path):
         path = tmp_path / "model.json"
@@ -213,10 +229,9 @@ class TestLemma1EngineMatchesPrediction:
         (dense_config("bits:6", "lemma1"), 29),
     ], ids=["default_bits4", "dense_bits6"])
     def test_error_matches_pred_exact(self, cfg, seed):
-        params = harness.build_params(cfg)
-        decision = harness.decide(cfg, params)
+        decision = harness.decide(cfg)
         trials = 200_000
-        row = harness.estimate_error(cfg, decision, trials, seed=seed, params=params)
+        row = harness.estimate_error(cfg, decision, trials, seed=seed)
         p = decision.predicted_exact
         assert abs(row.error - p) <= 3.0 * math.sqrt(p * (1 - p) / trials)
 
@@ -284,7 +299,7 @@ class TestLatticePath:
 
     @staticmethod
     def on_lattice(cfg, bits):
-        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).cdf is not None
+        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).path == "lattice"
 
     def test_eligibility_is_derived(self, tmp_path):
         default = harness.ExperimentConfig()
@@ -330,15 +345,14 @@ class TestEstimateError:
         for cfg in (harness.ExperimentConfig(policy="bits:4"),
                     harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"),
                     harness.ExperimentConfig(policy="bits:16", snr_db=60.0)):
-            params = harness.build_params(cfg)
-            decision = harness.decide(cfg, params)
-            level = engine_level(params, decision.bits_per_feature, cfg.noise_model)
-            size = harness._block_size(params, cfg.noise_model, [level])
-            full = harness.estimate_error(cfg, decision, size, seed=6, params=params)
-            more = harness.estimate_error(cfg, decision, size + 1, seed=6, params=params)
+            decision = harness.decide(cfg)
+            level = engine_level(decision.params, decision.bits_per_feature, cfg.noise_model)
+            size = harness._block_size(decision.params, [level])
+            full = harness.estimate_error(cfg, decision, size, seed=6)
+            more = harness.estimate_error(cfg, decision, size + 1, seed=6)
             extra = round(more.error * (size + 1)) - round(full.error * size)
             assert more.trials == size + 1 and extra in (0, 1), cfg
-            one = harness.estimate_error(cfg, decision, 1, seed=6, params=params)
+            one = harness.estimate_error(cfg, decision, 1, seed=6)
             assert one.trials == 1 and one.error in (0.0, 1.0)
             sizes.append(size)
         assert sizes == [1638, 1638, 131]  # 2^16 // (K L), twice, then 2^16 // (K d)
@@ -347,11 +361,10 @@ class TestEstimateError:
         # one value per packet on the lattice but 256 fading gains: blocks
         # sized by d = 1 alone would hold a 65,536 x 256 array of exponentials
         cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
-        params = harness.build_params(cfg)
-        decision = harness.decide(cfg, params)
+        decision = harness.decide(cfg)
         tracemalloc.start()
         try:
-            row = harness.estimate_error(cfg, decision, 65_536, seed=0, params=params)
+            row = harness.estimate_error(cfg, decision, 65_536, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,6 +400,25 @@ class TestEstimateError:
         with pytest.raises(ValueError):
             harness.estimate_error(default_config, default_decision, 0, seed=0)
 
+    @pytest.mark.parametrize("counts, message", [
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(seed=-1), "seed must be non-negative"),
+        (dict(cell=1.5), "cell must be an integer"),
+        (dict(cell=-1), "cell must be non-negative"),
+    ], ids=["trials-float", "trials-bool", "seed-float", "seed-negative", "cell-float",
+            "cell-negative"])
+    def test_rejects_bad_counts(self, default_config, default_decision, counts, message,
+                                monkeypatch):
+        # refused before any episode is simulated
+        calls = []
+        monkeypatch.setattr(harness, "_count_errors", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            harness.estimate_error(default_config, default_decision,
+                                   **{"trials": 100, "seed": 0, **counts})
+        assert not calls
+
     def test_bit_levels_capped_at_high_snr(self):
         # without the cap, adaptive rounds to 27,775 bits per feature here and
         # urllc to 55,054, and the quantizer's grid overflows
@@ -396,15 +428,15 @@ class TestEstimateError:
             cfg = replace(config, policy=policy)
             decision = harness.decide(cfg, params)
             assert 1 <= decision.bits_per_feature <= 64, policy
-            row = harness.estimate_error(cfg, decision, 200, seed=0, params=params)
+            row = harness.estimate_error(cfg, decision, 200, seed=0)
             assert row.trials == 200 and row.bits == decision.bits_per_feature
 
-    def test_params_supply_the_simulated_point(self, default_config):
-        # observations and blocklength come from params, not from the config
+    def test_decision_supplies_the_simulated_point(self, default_config):
+        # observations and blocklength come from the point the decision was
+        # made at, not from the config
         other = replace(default_config, policy="bits:4", observations=4, blocklength=200)
         decision = harness.decide(other)
-        row = harness.estimate_error(default_config, decision, 2000, seed=9,
-                                     params=harness.build_params(other))
+        row = harness.estimate_error(default_config, decision, 2000, seed=9)
         assert row.error == harness.estimate_error(other, decision, 2000, seed=9).error
 
 
@@ -475,6 +507,27 @@ class TestSweep:
                 for value in (2, 2.0, "2")]
         assert rows[0] == rows[1] == rows[2]
         assert rows[0].value == 2.0
+
+    @pytest.mark.parametrize("values, policies", [([], ["bits:4"]), ([2.0], [])],
+                             ids=["values", "policies"])
+    def test_empty_values_or_policies_rejected(self, default_config, values, policies):
+        with pytest.raises(ValueError, match="values and policies must be nonempty"):
+            harness.sweep(default_config, "snr-db", values, policies, 10, 0)
+
+    @pytest.mark.parametrize("counts, message", [
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+    ], ids=["trials-float", "trials-bool", "seed-float"])
+    def test_rejects_bad_counts(self, default_config, counts, message, monkeypatch):
+        # refused before any cell is decided; a bool count once made a row
+        # whose trials read True
+        calls = []
+        monkeypatch.setattr(harness, "decide", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            harness.sweep(default_config, "snr-db", [2.0], ["bits:4"],
+                          **{"trials": 100, "seed": 0, **counts})
+        assert not calls
 
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):
@@ -640,6 +693,18 @@ class TestCli:
                       "--trials", "10", "--seed", "0", "--out", str(out)])
         assert exit_info.value.code == 2
         assert out.read_text() == "earlier rows\n"
+
+    def test_sweep_failure_of_another_kind_is_raised(self, tmp_path, monkeypatch):
+        # only a cell that failed on a bad setting or file is a usage error
+        def fail(*args):
+            raise RuntimeError("sweep cell (snr-db=0) failed") from ZeroDivisionError()
+
+        monkeypatch.setattr(harness, "sweep", fail)
+        with pytest.raises(RuntimeError, match="sweep cell") as raised:
+            cli.main(["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:4",
+                      "--trials", "10", "--seed", "0", "--out", str(tmp_path / "out.csv")])
+        assert isinstance(raised.value.__cause__, ZeroDivisionError)
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
     def test_model_file_missing_key(self, key, tmp_path, capsys):

@@ -45,7 +45,29 @@ def params_1db():
     return make_params(snr_db=1.0)
 
 
+@pytest.mark.parametrize("field, value", [("clip", 0.0), ("clip", -1.0), ("observations", 0)])
+def test_tradeoff_params_reject_invalid(params, field, value):
+    with pytest.raises(ValueError, match="invalid tradeoff parameters"):
+        replace(params, **{field: value})
+
+
+def test_decision_carries_its_point(params):
+    # every policy's decision holds the point it was made at, which takes no
+    # part in ==, hash or repr
+    decisions = [opt.round_rate(1.3, params), opt.brute_force_rate(params),
+                 opt.urllc_rate(params), opt.fixed_bits_rate(4, params)]
+    assert all(d.params is params for d in decisions)
+    other = replace(decisions[-1], params=make_params(observations=5))
+    assert other == decisions[-1] and hash(other) == hash(decisions[-1])
+    assert "params" not in repr(other) and repr(other) == repr(decisions[-1])
+
+
 class TestSigmaQ2OfRate:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, [1.0, 0.0]])
+    def test_rejects_nonpositive_rate(self, params, rate):
+        with pytest.raises(ValueError, match="coding rate must be positive"):
+            opt.sigma_q2_of_rate(rate, params)
+
     def test_one_bit_floor(self, params):
         assert opt.sigma_q2_of_rate(0.5, params) == pytest.approx(25.0 / 3.0, rel=1e-12)
 
@@ -208,6 +230,12 @@ class TestGradientAscent:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             opt.OptimizerSettings(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("step", 0.0), ("step", -0.01),
+                                              ("grad_tol", 0.0), ("max_iters", 0)])
+    def test_settings_reject_nonpositive(self, field, value):
+        with pytest.raises(ValueError, match="invalid optimizer settings"):
+            opt.OptimizerSettings(**{field: value})
+
 
 @pytest.fixture
 def gradient_calls(monkeypatch):
@@ -307,6 +335,11 @@ class TestRounding:
         decision = opt.round_rate(1.5, params)
         assert 0.0 <= decision.predicted_exact <= decision.predicted_bound <= 1.0
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_rejects_nonpositive_rate(self, params, rate):
+        with pytest.raises(ValueError, match="coding rate must be positive"):
+            opt.round_rate(rate, params)
+
 
 class TestBenchmarkPolicies:
     def test_brute_force_matches_adaptive_within_one_bit(self, params_1db):
@@ -362,6 +395,11 @@ class TestBenchmarkPolicies:
         strong = opt.urllc_rate(make_params(snr_db=20.0), threshold=0.01)
         weak = opt.urllc_rate(make_params(snr_db=2.0), threshold=0.01)
         assert strong.continuous_rate > weak.continuous_rate
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
+    def test_urllc_threshold_outside_unit_interval(self, params, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            opt.urllc_rate(params, threshold=threshold)
 
     def test_fixed_bits(self, params):
         assert opt.fixed_bits_rate(32, params).rounded_rate == pytest.approx(16.0)
