@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .numerics import q_function, require_finite
+from .numerics import q_function, require_counts, require_finite, require_positive
 
 LN2 = math.log(2.0)
 LN4 = 2.0 * LN2
@@ -55,12 +55,8 @@ class ChannelConfig:
     def __post_init__(self):
         require_finite(antennas=self.antennas, snr_linear=self.snr_linear,
                        blocklength=self.blocklength)
-        if self.antennas < 1 or int(self.antennas) != self.antennas:
-            raise ValueError("antennas must be a positive integer")
-        if self.snr_linear <= 0:
-            raise ValueError("transmit SNR must be positive")
-        if self.blocklength < 1 or int(self.blocklength) != self.blocklength:
-            raise ValueError("blocklength must be a positive integer")
+        require_counts(1, antennas=self.antennas, blocklength=self.blocklength)
+        require_positive(snr_linear=self.snr_linear)
 
 
 def snr_from_db(db: float) -> float:
@@ -95,8 +91,8 @@ def packet_loss(gamma, blocklength: int, rate: float):
     array of rates broadcasts against gamma, which shares the capacity and
     dispersion among the rates.
     """
-    if np.any(np.asarray(rate) <= 0):
-        raise ValueError("coding rate must be positive")
+    require_counts(1, blocklength=blocklength)
+    require_positive(**{"coding rate": rate})
     g = np.asarray(gamma, dtype=float)
     v = dispersion(g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -120,8 +116,7 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     the loss is bounded and monotone, to a tolerance scaled to that mass: a
     rate at which the whole law is lost gives a loss of 1 to rounding.
     """
-    if rate <= 0:
-        raise ValueError("coding rate must be positive")
+    require_positive(**{"coding rate": rate})
     ell, g0, n = cfg.antennas, cfg.snr_linear, cfg.blocklength
     hi = g0 * float(special.gammainccinv(ell, _ERLANG_TAIL_MASS))
     log_norm = math.lgamma(ell) + ell * math.log(g0)
@@ -180,8 +175,9 @@ def avg_packet_loss(cfg: ChannelConfig, rates) -> np.ndarray:
     over the operating envelope. ``avg_packet_loss_exact`` is the oracle.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
-    if rates.ndim != 1 or np.any(rates <= 0):
-        raise ValueError("rates must be a 1-D array of positive coding rates")
+    if rates.ndim != 1:
+        raise ValueError("rates must be a 1-D array")
+    require_positive(**{"coding rate": rates})
     out = np.empty(rates.size)
     over_margin = _margin_form(cfg, rates)
     s = math.sqrt(cfg.blocklength) * LN2
@@ -276,8 +272,7 @@ def avg_packet_loss_approx(cfg: ChannelConfig, rate: float) -> float:
     small losses and small rates. Accepts a scalar rate or an array of rates.
     """
     rate = np.asarray(rate, dtype=float)
-    if np.any(rate <= 0):
-        raise ValueError("coding rate must be positive")
+    require_positive(**{"coding rate": rate})
     with np.errstate(over="ignore"):  # from 1024 bits per use on, beta is inf and the loss 1
         out = special.gammainc(cfg.antennas, np.expm1(rate * LN2) / cfg.snr_linear)
     if out.ndim == 0:

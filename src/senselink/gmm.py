@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import binomial_pmf, poisson_binomial_pmf, q_function, require_finite
+from .numerics import binomial_pmf, poisson_binomial_pmf, q_function, require_counts, require_finite
 from .quant import klt
 
 _MIN_EIGENVALUE = 1e-12
@@ -107,8 +107,7 @@ def sample_features(
     """Draw i.i.d. feature vectors from the given class, one per row."""
     if class_label not in (1, 2):
         raise ValueError("class_label must be 1 or 2")
-    if count < 1:
-        raise ValueError("count must be positive")
+    require_counts(1, count=count)
     mu = model.mu1 if class_label == 1 else model.mu2
     z = rng.standard_normal((count, model.dim))
     return mu + z @ model.chol.T
@@ -120,9 +119,10 @@ def sensing_error_bound(gain, eps_bar, observations: int):
     (exp(-D/4) + (1 - exp(-D/4)) * eps_bar) ** K, elementwise over arrays of
     gains and losses; a float for scalar arguments.
     """
+    require_counts(1, observations=observations)
     gain = np.asarray(gain, dtype=float)
     eps_bar = np.asarray(eps_bar, dtype=float)
-    if np.any(gain < 0) or not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)) or observations < 1:
+    if np.any(gain < 0) or not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)):
         raise ValueError("arguments out of range")
     base = np.exp(-gain / 4.0)
     out = (base + (1.0 - base) * eps_bar) ** observations

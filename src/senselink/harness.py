@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import channel as ch
 from . import gmm
 from . import optimizer as opt
 from . import quant
-from .numerics import require_finite
+from .numerics import require_counts, require_finite
 
 # Values in a block's largest draw (see ``_block_size``): enough that numpy's
 # fixed cost per call is spread thin, few enough that a block's arrays take
@@ -36,15 +35,6 @@ _BLOCK_VALUES = 2 ** 16
 # then takes a few milliseconds to build, and it covers the levels that
 # adaptive, brute force and urllc pick at d = 50 below 11 bits.
 _LATTICE_SPAN = 2 ** 16
-
-
-def _require_counts(least: int, **counts) -> None:
-    """Refuse any of ``counts`` that is not an integer >= ``least``; a bool is not one."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
-        _require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
-                        observations=self.observations, trials=self.trials)
-        _require_counts(0, seed=self.seed)
+        require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
+                       observations=self.observations, trials=self.trials)
+        require_counts(0, seed=self.seed)
         if self.noise_model not in ("quantizer", "lemma1"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
@@ -141,8 +131,8 @@ def build_params(config: ExperimentConfig, model: gmm.InferenceModel | None = No
 
 
 def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -> opt.RateDecision:
-    """Resolve the policy string into a rate decision; decisions that share
-    ``params`` share its bit-level table."""
+    """Resolve the policy string, with R in ``bits:R`` ASCII decimal digits, into
+    a rate decision; decisions that share ``params`` share its bit-level table."""
     if params is None:
         params = build_params(config)
     policy = config.policy
@@ -152,8 +142,8 @@ def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -
         return opt.brute_force_rate(params)
     if policy == "urllc":
         return opt.urllc_rate(params)
-    if policy.startswith("bits:"):
-        return opt.fixed_bits_rate(int(policy.split(":", 1)[1]), params)
+    if policy.startswith("bits:") and policy[5:].isascii() and policy[5:].isdigit():
+        return opt.fixed_bits_rate(int(policy[5:]), params)
     raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -193,9 +183,9 @@ class _Level:
         if (self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
                 and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
             self.path = "lattice"
-            laws = [quant.index_sum_law(m[0], lam[0], params.clip, bits, dim) for m in means]
-            self.lattice_scores = laws[0][0] * self.weights[0] + self.const
-            self.cdf = np.cumsum([pmf for _, pmf in laws], axis=1)[:, :-1]
+            sums, pmfs = quant.index_sum_law(means[:, :1], lam[0], params.clip, bits, dim)
+            self.lattice_scores = sums * self.weights[0] + self.const
+            self.cdf = np.cumsum(pmfs, axis=1)[:, :-1]
 
 
 def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.ndarray,
@@ -325,8 +315,8 @@ def estimate_error(config: ExperimentConfig, decision: opt.RateDecision,
     the engine ``sweep`` runs. The decision supplies the simulated point it
     was made at (``decision.params``) and its bit level; ``config`` adds only
     the noise model and the row's policy label."""
-    _require_counts(1, trials=trials)
-    _require_counts(0, seed=seed, cell=cell)
+    require_counts(1, trials=trials)
+    require_counts(0, seed=seed, cell=cell)
     wrong, = _count_errors(decision.params, config.noise_model,
                            [decision.bits_per_feature], trials, key=(seed, cell))
     return _row("", None, config.policy, decision, wrong, trials, seed)
@@ -351,19 +341,20 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
-    _require_counts(1, trials=trials)
-    _require_counts(0, seed=seed)
+    require_counts(1, trials=trials)
+    require_counts(0, seed=seed)
     try:
         attr = SWEEP_FIELDS[param]
     except KeyError:
         raise ValueError(f"unknown sweep parameter {param!r}") from None
+    # every value's point is built, and so checked, before the first is decided;
+    # a count that is not a whole number stays a float, which ExperimentConfig refuses
+    numbers = [float(value) for value in values]
+    points = [replace(config, **{attr: int(n) if attr != "snr_db" and n.is_integer() else n})
+              for n in numbers]
     model = build_model(config)  # no swept field changes the model
     rows = []
-    for value in values:
-        number = float(value)
-        # a count that is not a whole number stays a float, which ExperimentConfig refuses
-        whole = attr != "snr_db" and number.is_integer()
-        point = replace(config, **{attr: int(number) if whole else number})
+    for value, number, point in zip(values, numbers, points):
         decisions = []
         try:
             params = build_params(point, model)  # one channel and bit-level table per value

@@ -1,4 +1,4 @@
-"""Special functions and discrete-distribution utilities shared by all modules."""
+"""Argument rules, special functions and discrete-distribution utilities shared by all modules."""
 
 from __future__ import annotations
 
@@ -24,6 +24,22 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def require_counts(least: int, **counts) -> None:
+    """Raise ValueError naming the first of ``counts`` not an integer >= ``least``; a bool is not one."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
+
+
+def require_positive(**values) -> None:
+    """Raise ValueError naming the first value with an entry that is not > 0, NaN included."""
+    for name, value in values.items():
+        if not np.all(np.asarray(value, dtype=float) > 0.0):
+            raise ValueError(f"{name} must be positive")
+
+
 def q_function(x):
     """Standard normal tail probability Q(x) = P(Z > x).
 
@@ -44,8 +60,7 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
     further out, the Poisson tail sum exp(-x) sum_{k<shape} x^k / k! is
     added up in log space with one ``logsumexp``.
     """
-    if shape < 1 or int(shape) != shape:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
+    require_counts(1, shape=shape)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x == 0.0:
@@ -61,9 +76,10 @@ def binomial_pmf(success_prob, trials: int) -> np.ndarray:
     """The equal-probability case of ``poisson_binomial_pmf`` in O(K), in log
     space so no binomial coefficient overflows; indexed by the count m = 0..K
     along the last axis, with one row per entry of an array ``success_prob``."""
+    require_counts(1, trials=trials)
     p = np.asarray(success_prob, dtype=float)[..., None]
-    if trials < 1 or not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("need trials >= 1 and success probabilities in [0, 1]")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("success probabilities must lie in [0, 1]")
     m = np.arange(trials + 1)
     log_comb = special.gammaln(trials + 1) - special.gammaln(m + 1) - special.gammaln(trials - m + 1)
     return np.exp(log_comb + special.xlogy(m, p) + special.xlog1py(trials - m, -p))

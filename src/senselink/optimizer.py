@@ -30,7 +30,7 @@ from scipy import special
 from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
 from .gmm import (InferenceModel, _gains, effective_discriminant_gain, sensing_error_bound,
                   sensing_error_exact)
-from .numerics import log_regularized_upper_gamma, require_finite
+from .numerics import log_regularized_upper_gamma, require_counts, require_finite, require_positive
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
 _BRUTE_STOP_LOSS = 0.999
@@ -49,8 +49,9 @@ class TradeoffParams:
     observations: int
 
     def __post_init__(self):
-        if self.clip <= 0 or self.observations < 1:
-            raise ValueError("invalid tradeoff parameters")
+        require_finite(clip=self.clip, observations=self.observations)
+        require_positive(clip=self.clip)
+        require_counts(1, observations=self.observations)
 
     @property
     def dim(self) -> int:
@@ -89,8 +90,8 @@ class OptimizerSettings:
         require_finite(step=self.step, grad_tol=self.grad_tol, max_iters=self.max_iters)
         if self.init_rate is not None:
             require_finite(init_rate=self.init_rate)
-        if self.step <= 0 or self.grad_tol <= 0 or self.max_iters < 1:
-            raise ValueError("invalid optimizer settings")
+        require_positive(step=self.step, grad_tol=self.grad_tol)
+        require_counts(1, max_iters=self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ def sigma_q2_of_rate(rate: float, params: TradeoffParams) -> float:
     a unique turning point, so near the one-bit edge a wide clipping range
     makes the gain convex. Accepts a scalar rate or an array of rates.
     """
-    if np.any(np.asarray(rate) <= 0):
-        raise ValueError("coding rate must be positive")
+    require_positive(**{"coding rate": rate})
     bits = params.channel.blocklength * rate / params.dim
     # past about 512 bits the denominator overflows to inf and the variance
     # is its limit, 0
@@ -265,8 +265,8 @@ def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
     R* = round_half_up(Rc * N / d), clamped to 1.._MAX_BITS; the carried rate
     is then R* d / N.
     """
-    if continuous_rate <= 0:
-        raise ValueError("coding rate must be positive")
+    require_finite(**{"coding rate": continuous_rate})
+    require_positive(**{"coding rate": continuous_rate})
     raw = continuous_rate * params.channel.blocklength / params.dim
     return _level_decision(min(max(int(math.floor(raw + 0.5)), 1), _MAX_BITS), params,
                            continuous_rate)
@@ -301,6 +301,7 @@ def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:
 
 def fixed_bits_rate(bits: int, params: TradeoffParams) -> RateDecision:
     """Decision pinned at a fixed bits-per-feature resolution in 1.._MAX_BITS."""
-    if not 1 <= bits <= _MAX_BITS or int(bits) != bits:
+    require_counts(1, bits=bits)
+    if bits > _MAX_BITS:
         raise ValueError(f"bits must be an integer from 1 to {_MAX_BITS}")
     return _level_decision(int(bits), params)

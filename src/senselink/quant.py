@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import require_finite
+from .numerics import require_counts, require_finite, require_positive
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,8 @@ class QuantizerConfig:
 
     def __post_init__(self):
         require_finite(clip=self.clip, bits=self.bits, basis=self.basis)
-        if self.clip <= 0:
-            raise ValueError("clip range U must be positive")
-        if self.bits < 1 or int(self.bits) != self.bits:
-            raise ValueError("bits per dimension must be a positive integer")
+        require_positive(clip=self.clip)
+        require_counts(1, bits=self.bits)
         basis = np.asarray(self.basis, dtype=float)
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-8:
@@ -91,11 +89,12 @@ def scalar_quantize(v, clip: float, bits: int):
     return out
 
 
-def index_sum_law(mean: float, var: float, clip: float, bits: int,
+def index_sum_law(mean, var: float, clip: float, bits: int,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the sum of ``count`` i.i.d. N(mean, var) values, each
     mapped by ``scalar_quantize``: the sums (t - count (2^bits - 1) / 2) delta
-    over the index sums t = 0 .. count (2^bits - 1), and their probabilities.
+    over the index sums t = 0 .. count (2^bits - 1), and their probabilities;
+    a column of c means, shape (c, 1), gives c rows of probabilities.
 
     A value's grid index is >= k exactly when it is >= -clip + (k - 1/2)
     delta, so one coordinate's pmf is a difference of ``ndtr`` at those
@@ -107,7 +106,7 @@ def index_sum_law(mean: float, var: float, clip: float, bits: int,
     one = np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
     size = count * (levels - 1) + 1
     pmf = np.clip(np.fft.irfft(np.fft.rfft(one, size) ** count, size), 0.0, None)
-    return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum()
+    return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum(axis=-1, keepdims=True)
 
 
 def encode(x, config: QuantizerConfig) -> tuple[np.ndarray, int]:
@@ -129,8 +128,6 @@ def decode(xq, config: QuantizerConfig) -> np.ndarray:
 
 def noise_variance(bits: int, clip: float) -> float:
     """Per-dimension variance of the quantization distortion, U^2 / (3 (2^R - 1)^2)."""
-    if bits < 1 or int(bits) != bits:
-        raise ValueError("bits must be a positive integer")
-    if clip <= 0:
-        raise ValueError("clip range must be positive")
+    require_counts(1, bits=bits)
+    require_positive(clip=clip)
     return clip ** 2 / (3.0 * (2 ** bits - 1) ** 2)

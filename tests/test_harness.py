@@ -529,6 +529,15 @@ class TestSweep:
                           **{"trials": 100, "seed": 0, **counts})
         assert not calls
 
+    def test_rejects_bad_values_before_any_decision(self, default_config, monkeypatch):
+        # every value's configuration is checked before the first value is
+        # decided or simulated, so 2 is not simulated before 0 is refused
+        calls = []
+        monkeypatch.setattr(harness, "decide", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="antennas must be positive, not 0"):
+            harness.sweep(default_config, "antennas", [2, 0], ["bits:4"], 100, 0)
+        assert not calls
+
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):
             harness.sweep(default_config, "temperature", [1], ["adaptive"], 10, 0)
@@ -768,6 +777,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: " in err and "bits must be an integer from 1 to 64" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("policy", ["bits:1_0", "bits:+4", "bits: 4", "bits:\u0664", "bits:"])
+    def test_bits_policy_takes_ascii_digits_only(self, default_config, policy, capsys):
+        # int() reads 1_0, +4, " 4" and the Arabic-Indic digit four as numbers;
+        # only ASCII decimal digits make a bit level
+        with pytest.raises(ValueError, match="unknown policy"):
+            harness.decide(replace(default_config, policy=policy))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--policy", policy, "--trials", "10", "--seed", "0"])
+        assert exit_info.value.code == 2
+        assert "unknown policy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--policy", "bits:4", "--trials", "10", "--seed", "-1"],

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.special import logsumexp
 
+from senselink import channel as ch
+from senselink import gmm
+from senselink import optimizer as opt
 from senselink.numerics import (
     binomial_pmf,
     log_regularized_upper_gamma,
@@ -177,3 +180,56 @@ class TestBinomialPmf:
             binomial_pmf([0.5, -0.1], 3)
         with pytest.raises(ValueError):
             binomial_pmf(0.5, 0)
+
+
+_CHANNEL = ch.ChannelConfig(4, 1.0, 100)
+
+
+def _point(**fields):
+    model = gmm.InferenceModel(np.full(2, 0.5), np.full(2, -0.5), np.eye(2))
+    return opt.TradeoffParams(**{"model": model, "clip": 5.0, "channel": _CHANNEL,
+                                 "observations": 10, **fields})
+
+
+# Each entry point refuses a count that is not an integer (a bool is not
+# one), a positive value with an entry that is not > 0 (NaN included) and a
+# non-finite value, with one message that names the argument.
+BAD_ARGUMENTS = [
+    ("TradeoffParams-clip-nan", lambda: _point(clip=math.nan), "clip must be finite"),
+    ("TradeoffParams-clip-inf", lambda: _point(clip=math.inf), "clip must be finite"),
+    ("TradeoffParams-observations-float", lambda: _point(observations=2.5),
+     "observations must be an integer, not 2.5"),
+    ("TradeoffParams-observations-bool", lambda: _point(observations=True),
+     "observations must be an integer, not True"),
+    ("OptimizerSettings-max_iters-float", lambda: opt.OptimizerSettings(max_iters=2.5),
+     "max_iters must be an integer, not 2.5"),
+    ("round_rate-inf", lambda: opt.round_rate(math.inf, _point()), "coding rate must be finite"),
+    ("binomial_pmf-trials-float", lambda: binomial_pmf(0.5, 2.5),
+     "trials must be an integer, not 2.5"),
+    # the count reaches binomial_pmf as its number of trials
+    ("sensing_error_exact-observations-float", lambda: gmm.sensing_error_exact(1.0, 0.1, 2.5),
+     "trials must be an integer, not 2.5"),
+    ("sensing_error_bound-observations-float", lambda: gmm.sensing_error_bound(1.0, 0.1, 2.5),
+     "observations must be an integer, not 2.5"),
+    ("ChannelConfig-antennas-bool", lambda: ch.ChannelConfig(True, 1.0, 100),
+     "antennas must be an integer, not True"),
+    ("ChannelConfig-antennas-float", lambda: ch.ChannelConfig(4.0, 1.0, 100.0),
+     "antennas must be an integer, not 4.0"),
+    ("ChannelConfig-blocklength-float", lambda: ch.ChannelConfig(4, 1.0, 100.0),
+     "blocklength must be an integer, not 100.0"),
+    ("fixed_bits_rate-bool", lambda: opt.fixed_bits_rate(True, _point()),
+     "bits must be an integer, not True"),
+    ("packet_loss-blocklength-float", lambda: ch.packet_loss(1.0, 2.5, 1.0),
+     "blocklength must be an integer, not 2.5"),
+    ("avg_packet_loss_exact-nan", lambda: ch.avg_packet_loss_exact(_CHANNEL, math.nan),
+     "coding rate must be positive"),
+    ("avg_packet_loss-nan", lambda: ch.avg_packet_loss(_CHANNEL, [math.nan]),
+     "coding rate must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=name)
+                                           for name, call, message in BAD_ARGUMENTS])
+def test_refuses_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
