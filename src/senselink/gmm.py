@@ -120,10 +120,10 @@ def sensing_error_bound(gain, eps_bar, observations: int):
     gains and losses; a float for scalar arguments.
     """
     require_counts(1, observations=observations)
-    gain = np.asarray(gain, dtype=float)
+    gain = _require_gain(gain)
     eps_bar = np.asarray(eps_bar, dtype=float)
-    if np.any(gain < 0) or not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)):
-        raise ValueError("arguments out of range")
+    if not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)):
+        raise ValueError("eps_bar must lie in [0, 1]")
     base = np.exp(-gain / 4.0)
     out = (base + (1.0 - base) * eps_bar) ** observations
     return float(out) if out.ndim == 0 else out
@@ -157,7 +157,16 @@ def semi_analytic_error(gain: float, loss_probs) -> float:
 def _count_mixed_error(gain, pmf: np.ndarray) -> np.ndarray:
     """Q(sqrt(m D / 2)) mixed over a received-count pmf along its last axis,
     with 1/2 at m = 0, capped at 1/2, and exactly 1/2 at zero gain."""
-    gain = np.asarray(gain, dtype=float)
+    gain = _require_gain(gain)
     cond = q_function(np.sqrt(np.arange(pmf.shape[-1]) * gain[..., None] / 2.0))
     cond[..., 0] = 0.5
     return np.where(gain == 0.0, 0.5, np.minimum(np.sum(pmf * cond, axis=-1), 0.5))
+
+
+def _require_gain(gain) -> np.ndarray:
+    """``gain`` as a float array; ValueError unless every entry is finite and >= 0."""
+    require_finite(gain=gain)
+    gain = np.asarray(gain, dtype=float)
+    if np.any(gain < 0.0):
+        raise ValueError("gain must be non-negative")
+    return gain

@@ -25,7 +25,7 @@ from . import channel as ch
 from . import gmm
 from . import optimizer as opt
 from . import quant
-from .numerics import require_counts, require_finite
+from .numerics import require_counts, require_finite, require_positive
 
 # Values in a block's largest draw (see ``_block_size``): enough that numpy's
 # fixed cost per call is spread thin, few enough that a block's arrays take
@@ -63,6 +63,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
+        require_positive(clip=self.clip)
         require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
                        observations=self.observations, trials=self.trials)
         require_counts(0, seed=self.seed)
@@ -164,8 +165,11 @@ class _Level:
     weights are equal and a packet's score is an affine function of the sum
     of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
     points, ``path`` is "lattice": ``cdf`` holds each class's exact CDF of
-    the sum (without the final 1) and ``lattice_scores`` the score at each
-    sum, so a packet takes one uniform. Otherwise it is "features".
+    the sum without the final 1, padded with +inf to cells + 1 entries,
+    ``guide[c, j]`` the number of CDF values <= j / cells, for ``cells`` a
+    power of two above that number (Chen and Asau's guide table), and
+    ``lattice_scores`` the score at each sum, so a packet takes one uniform.
+    Otherwise it is "features".
     """
 
     def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int,
@@ -185,7 +189,26 @@ class _Level:
             self.path = "lattice"
             sums, pmfs = quant.index_sum_law(means[:, :1], lam[0], params.clip, bits, dim)
             self.lattice_scores = sums * self.weights[0] + self.const
-            self.cdf = np.cumsum(pmfs, axis=1)[:, :-1]
+            cdf = np.cumsum(pmfs, axis=1)[:, :-1]
+            cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
+            bins = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
+            counts = np.bincount((bins + [[0], [cells + 2]]).ravel(), minlength=2 * cells + 4)
+            self.guide = np.cumsum(counts.reshape(2, -1)[:, :-1], axis=1, dtype=np.int32)
+            self.cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
+
+    def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``:
+        g + (u >= cdf[c, g]) for g = guide[c, floor(u cells)], or that search
+        in the few bins, all in the tails, that hold two or more CDF values."""
+        cells = self.guide.shape[1] - 1
+        offsets = labels * (cells + 1)  # guide and cdf rows are cells + 1 long
+        bins = (uniforms * cells).astype(np.intp) + offsets
+        lo, hi = self.guide.ravel()[bins], self.guide.ravel()[bins + 1]
+        sums = lo + (uniforms >= self.cdf.ravel()[lo + offsets])
+        crowded = np.flatnonzero(hi - lo > 1)
+        searched = [np.searchsorted(row, uniforms[crowded], "right") for row in self.cdf]
+        sums[crowded] = np.choose(labels[crowded], searched)
+        return sums
 
 
 def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.ndarray,
@@ -199,14 +222,14 @@ def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.nda
     only applies its own rate's loss to them. Each level's ``path`` (see
     ``_Level``) then says what its arrivals draw: features or lemma-1 scores
     first, once for the packets that arrive under any level on that path,
-    then one uniform each for those under any lattice level; a path no level
-    takes draws nothing. Each level scores its own arrivals and sums them per
-    episode. An episode decides class 1 iff the sum is < 0; one with zero
-    received packets guesses, the i-th such episode taking the i-th of n
-    guesses drawn last. A level's outcome depends on the other levels only
-    through the union of arriving packets on its path, not on their order;
-    with one level, or none on the lattice, the stream is consumed as by a
-    single-policy engine of the same path.
+    then one uniform each (see ``_Level.index_sums``) for those under any
+    lattice level; a path no level takes draws nothing. Each level scores its
+    own arrivals and sums them per episode. An episode decides class 1 iff
+    the sum is < 0; one with zero received packets guesses, the i-th such
+    episode taking the i-th of n guesses drawn last. A level's outcome
+    depends on the other levels only through the union of arriving packets
+    on its path, not on their order; with one level, or none on the lattice,
+    the stream is consumed as by a single-policy engine of the same path.
     """
     k = params.observations
     classes = rng.integers(1, 3, size=n)
@@ -248,10 +271,7 @@ def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.nda
             scores = own * lvl.score_sd
             scores += lvl.score_means[label]
         else:
-            scores = np.empty(own.size)
-            for c, cdf in enumerate(lvl.cdf):
-                pick = label == c
-                scores[pick] = lvl.lattice_scores[np.searchsorted(cdf, own[pick], "right")]
+            scores = lvl.lattice_scores[lvl.index_sums(own, label)]
         total = np.bincount(owner, weights=scores, minlength=n)
         decisions = np.where(total < 0.0, 1, 2)
         silent = ~ok.any(axis=1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.fft import next_fast_len
 
 from .numerics import require_counts, require_finite, require_positive
 
@@ -98,14 +99,15 @@ def index_sum_law(mean, var: float, clip: float, bits: int,
 
     A value's grid index is >= k exactly when it is >= -clip + (k - 1/2)
     delta, so one coordinate's pmf is a difference of ``ndtr`` at those
-    edges; the sum's pmf is its count-fold convolution, one FFT power long
-    enough not to wrap, clipped at 0 and normalised.
+    edges; the sum's pmf is its count-fold convolution, one FFT power at a
+    fast length that does not wrap, cut back, clipped at 0 and normalised.
     """
     levels, delta = 2 ** bits, _resolution(clip, bits)
     edges = -clip + (np.arange(1, levels) - 0.5) * delta
     one = np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
     size = count * (levels - 1) + 1
-    pmf = np.clip(np.fft.irfft(np.fft.rfft(one, size) ** count, size), 0.0, None)
+    fast = next_fast_len(size, real=True)
+    pmf = np.clip(np.fft.irfft(np.fft.rfft(one, fast) ** count, fast)[..., :size], 0.0, None)
     return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum(axis=-1, keepdims=True)
 
 

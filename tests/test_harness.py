@@ -315,6 +315,32 @@ class TestLatticePath:
                                        "sigma": "identity"}))
         assert not self.on_lattice(harness.ExperimentConfig(dim=2, model_file=str(unequal)), 4)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 50])
+    def test_lookup_is_the_binary_search(self, dim):
+        # the guide-table lookup gives each uniform the index sum a binary
+        # search in its class's CDF gives: at 0, at every bin edge, at every
+        # CDF value and its neighbours, just below 1, at random, and in bins
+        # that hold two or more CDF values
+        params = harness.build_params(harness.ExperimentConfig(dim=dim))
+        rng = np.random.default_rng(dim)
+        crowded = 0
+        for bits in range(1, 11):
+            level = engine_level(params, bits, "quantizer")
+            assert level.path == "lattice"
+            _, pmfs = quant.index_sum_law(np.array([[0.1], [-0.1]]), 1.0, 5.0, bits, dim)
+            cdf = np.cumsum(pmfs, axis=1)[:, :-1]
+            cells = level.guide.shape[1] - 1
+            u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], np.arange(cells) / cells, cdf.ravel(),
+                                np.nextafter(cdf, 0.0).ravel(), np.nextafter(cdf, 1.0).ravel(),
+                                rng.random(10_000)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            got = level.index_sums(np.tile(u, 2), np.repeat([0, 1], u.size))
+            expected = np.concatenate([np.searchsorted(row, u, "right") for row in cdf])
+            np.testing.assert_array_equal(got, expected, err_msg=f"bits={bits}")
+            bins = (u * cells).astype(np.intp)
+            crowded += sum(np.count_nonzero(np.diff(row)[bins] >= 2) for row in level.guide)
+        assert crowded > 0
+
     @pytest.mark.parametrize("case", ["identity", "asymmetric"])
     def test_matches_feature_path(self, case, tmp_path, monkeypatch):
         # the same arrivals scored on the lattice and, with the cap at 0, on

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from senselink import channel as ch
 from senselink import gmm
+from senselink import harness
 from senselink import optimizer as opt
 from senselink.numerics import (
     binomial_pmf,
@@ -225,6 +226,16 @@ BAD_ARGUMENTS = [
      "coding rate must be positive"),
     ("avg_packet_loss-nan", lambda: ch.avg_packet_loss(_CHANNEL, [math.nan]),
      "coding rate must be positive"),
+    ("sensing_error_bound-gain-nan", lambda: gmm.sensing_error_bound(math.nan, 0.1, 3),
+     "gain must be finite"),
+    ("sensing_error_exact-gain-nan", lambda: gmm.sensing_error_exact(math.nan, 0.1, 3),
+     "gain must be finite"),
+    ("sensing_error_exact-gain-negative", lambda: gmm.sensing_error_exact(-1.0, 0.1, 3),
+     "gain must be non-negative"),
+    ("semi_analytic_error-gain-negative", lambda: gmm.semi_analytic_error(-1.0, [0.1, 0.2]),
+     "gain must be non-negative"),
+    ("ExperimentConfig-clip-negative", lambda: harness.ExperimentConfig(clip=-1.0),
+     "clip must be positive"),
 ]
 
 
