@@ -14,6 +14,7 @@ different numbers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -35,6 +36,9 @@ _BLOCK_VALUES = 2 ** 16
 # then takes a few milliseconds to build, and it covers the levels that
 # adaptive, brute force and urllc pick at d = 50 below 11 bits.
 _LATTICE_SPAN = 2 ** 16
+# Lattice laws kept per process (see ``_lattice_law``): a sweep over the
+# default model revisits seven, the levels of 1 to 7 bits at d = 50.
+_LATTICE_LAWS = 8
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,10 @@ class _Level:
     ``guide[c, j]`` the number of CDF values <= j / cells, for ``cells`` a
     power of two above that number (Chen and Asau's guide table), and
     ``lattice_scores`` the score at each sum, so a packet takes one uniform.
-    Otherwise it is "features".
+    Otherwise it is "features". The CDF and guide table are built once per
+    process for each model, clip, bit level and d (``_lattice_law``), and
+    shared read-only; the scores, which follow the level's weights, are
+    computed here.
     """
 
     def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int,
@@ -187,14 +194,10 @@ class _Level:
         if (self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
                 and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
             self.path = "lattice"
-            sums, pmfs = quant.index_sum_law(means[:, :1], lam[0], params.clip, bits, dim)
+            sums, self.cdf, self.guide = _lattice_law(
+                float(means[0, 0]), float(means[1, 0]), float(lam[0]), params.clip,
+                bits, dim)
             self.lattice_scores = sums * self.weights[0] + self.const
-            cdf = np.cumsum(pmfs, axis=1)[:, :-1]
-            cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
-            bins = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
-            counts = np.bincount((bins + [[0], [cells + 2]]).ravel(), minlength=2 * cells + 4)
-            self.guide = np.cumsum(counts.reshape(2, -1)[:, :-1], axis=1, dtype=np.int32)
-            self.cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
 
     def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``:
@@ -209,6 +212,31 @@ class _Level:
         searched = [np.searchsorted(row, uniforms[crowded], "right") for row in self.cdf]
         sums[crowded] = np.choose(labels[crowded], searched)
         return sums
+
+
+@functools.lru_cache(maxsize=_LATTICE_LAWS)
+def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
+                 dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index sums' values, padded CDFs and guide table of a lattice level
+    (see ``_Level``) whose classes have coordinate means ``mean1`` and
+    ``mean2`` and every eigenvalue ``lam``; the arrays are read-only.
+
+    They depend only on these arguments, not on the channel, the observation
+    count or the score weights, so every point of a sweep, and every sweep in
+    the process, shares them. An entry at the widest span, 2^16 + 1 index
+    sums, holds 0.5 MB of sums, 2.1 MB of CDFs and 1.0 MB of guide table, so
+    ``_LATTICE_LAWS`` entries retain at most about 29 MB.
+    """
+    sums, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
+    cdf = np.cumsum(pmfs, axis=1)[:, :-1]
+    cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
+    bins = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
+    counts = np.bincount((bins + [[0], [cells + 2]]).ravel(), minlength=2 * cells + 4)
+    guide = np.cumsum(counts.reshape(2, -1)[:, :-1], axis=1, dtype=np.int32)
+    cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
+    for table in (sums, cdf, guide):
+        table.flags.writeable = False
+    return sums, cdf, guide
 
 
 def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.ndarray,

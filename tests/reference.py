@@ -1,4 +1,5 @@
-"""Per-trial scoring and classification, kept as test oracles.
+"""Test oracles: per-trial scoring and classification, and the index-sum law
+without its floor.
 
 The engine in ``senselink.harness`` folds decoding, scoring and the decision
 into block-wide array operations; these functions spell out the textbook
@@ -6,6 +7,8 @@ per-episode rule that the engine is checked against.
 """
 
 import numpy as np
+from scipy import special
+from scipy.fft import next_fast_len
 
 
 def discriminant_score(x, model):
@@ -31,3 +34,16 @@ def classify(scores) -> int:
     if scores.size == 0:
         raise ValueError("scores must be nonempty; a no-information slot is the caller's case")
     return 1 if float(scores.sum()) < 0.0 else 2
+
+
+def index_sum_law_unflushed(mean, var, clip, bits, count):
+    """``quant.index_sum_law`` without its floor on the transform terms: every
+    term is raised to the ``count``-th power, however small."""
+    levels = 2 ** bits
+    delta = 2.0 * clip / (levels - 1)
+    edges = -clip + (np.arange(1, levels) - 0.5) * delta
+    one = np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
+    size = count * (levels - 1) + 1
+    fast = next_fast_len(size, real=True)
+    pmf = np.clip(np.fft.irfft(np.fft.rfft(one, fast) ** count, fast)[..., :size], 0.0, None)
+    return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum(axis=-1, keepdims=True)

@@ -341,6 +341,65 @@ class TestLatticePath:
             crowded += sum(np.count_nonzero(np.diff(row)[bins] >= 2) for row in level.guide)
         assert crowded > 0
 
+    def test_points_share_read_only_tables(self):
+        # the law depends on the model, clip, bit level and d, not on the
+        # channel or the observation count
+        default = harness.ExperimentConfig()
+        a = engine_level(harness.build_params(default), 4, "quantizer")
+        b = engine_level(harness.build_params(replace(default, snr_db=8.0, observations=3,
+                                                      antennas=1)), 4, "quantizer")
+        assert a.cdf is b.cdf and a.guide is b.guide
+        for table in (a.cdf, a.guide):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
+    @pytest.mark.parametrize("change, bits", [({"clip": 4.0}, 4), ({"centroid": 0.2}, 4),
+                                              ({"sigma_spec": [2.0] * 50}, 4), ({"dim": 49}, 4),
+                                              ({}, 5)],
+                             ids=["clip", "centroid", "eigenvalue", "dim", "bits"])
+    def test_law_follows_its_key(self, change, bits):
+        def tables(cfg, bits):
+            level = engine_level(harness.build_params(cfg), bits, "quantizer")
+            assert level.path == "lattice"
+            return level.cdf, level.guide
+        default = harness.ExperimentConfig()
+        cdf, guide = tables(default, 4)
+        other_cdf, other_guide = tables(replace(default, **change), bits)
+        assert other_cdf is not cdf and other_guide is not guide
+        assert not (np.array_equal(other_cdf, cdf) and np.array_equal(other_guide, guide))
+
+    def test_rows_independent_of_the_memo(self):
+        # a cold memo, a warm one, and a warm one after another model's laws
+        # give the same rows
+        a = harness.ExperimentConfig(observations=3)
+        b = replace(a, clip=3.0)
+        policies = ["bits:2", "bits:4", "bits:16"]
+
+        def rows(cfg):
+            return harness.sweep(cfg, "snr-db", [2.0, 6.0], policies, 3000, seed=5)
+        harness._lattice_law.cache_clear()
+        cold = rows(a)
+        assert harness._lattice_law.cache_info().misses == 2
+        assert rows(a) == cold
+        rows(b)
+        assert rows(a) == cold
+
+    def test_scores_follow_the_noise_variance(self, monkeypatch):
+        # the scores come from the level's own weights, so a patched
+        # distortion variance moves them while the shared law stays
+        params = harness.build_params(harness.ExperimentConfig())
+        plain = engine_level(params, 4, "quantizer")
+        real = quant.noise_variance
+        monkeypatch.setattr(quant, "noise_variance", lambda bits, clip: 2.0 * real(bits, clip))
+        patched = engine_level(params, 4, "quantizer")
+        assert patched.cdf is plain.cdf
+        inflated = 1.0 + 2.0 * real(4, 5.0)
+        sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
+        np.testing.assert_allclose(patched.lattice_scores, sums * -0.2 / inflated,
+                                   rtol=1e-12, atol=1e-12)
+        assert not np.allclose(patched.lattice_scores, plain.lattice_scores, rtol=1e-6)
+
     @pytest.mark.parametrize("case", ["identity", "asymmetric"])
     def test_matches_feature_path(self, case, tmp_path, monkeypatch):
         # the same arrivals scored on the lattice and, with the cap at 0, on

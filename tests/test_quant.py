@@ -7,6 +7,8 @@ from scipy import stats
 
 from senselink import gmm, quant
 
+from reference import index_sum_law_unflushed
+
 
 def random_spd(rng, dim, lo=0.5, hi=2.0):
     basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -112,6 +114,17 @@ class TestIndexSumLaw:
         assert pmf.min() >= 0.0 and pmf.sum() == pytest.approx(1.0, abs=1e-14)
         assert pmf @ values == pytest.approx(50 * mean, rel=1e-10)
         assert pmf @ values ** 2 - (pmf @ values) ** 2 == pytest.approx(50 * var, rel=1e-10)
+
+    @pytest.mark.parametrize("dim, bits", [(50, b) for b in range(6, 11)]
+                             + [(d, b) for d in (1, 2, 3) for b in range(1, 5)])
+    def test_floor_keeps_the_bytes(self, dim, bits):
+        # the transform terms set to 0 before the power change no bit of the
+        # sums or of either class's pmf; at d = 50, 73% (6 bits) to 98% (10
+        # bits) of the terms' powers would underflow
+        means = np.array([[0.1], [-0.1]])
+        got = quant.index_sum_law(means, 1.0, 5.0, bits, dim)
+        want = index_sum_law_unflushed(means, 1.0, 5.0, bits, dim)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_independent_of_the_benchmark_oracle(self):
         # perfbench/checks.py holds the benchmark's own oracle for this law
