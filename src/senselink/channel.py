@@ -60,10 +60,12 @@ class ChannelConfig:
 
 
 def snr_from_db(db: float) -> float:
-    """Convert an SNR in decibels to a linear power ratio, which must be a finite float."""
-    if not db < _MAX_FINITE_DB:  # also rejects NaN
-        raise ValueError(f"SNR of {db} dB is not a finite linear ratio")
-    return 10.0 ** (db / 10.0)
+    """Convert an SNR in decibels to a linear power ratio, which must be a positive finite float."""
+    # the ratio overflows above about 3082 dB and underflows to 0 below about -3236 dB
+    linear = 10.0 ** (db / 10.0) if db < _MAX_FINITE_DB else 0.0  # NaN too
+    if linear == 0.0:
+        raise ValueError(f"SNR of {db} dB is not a positive finite linear ratio")
+    return linear
 
 
 def sample_post_mrc_snr(cfg: ChannelConfig, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -24,9 +24,10 @@ class InferenceModel:
 
     Entries must be finite and the covariance symmetric positive definite.
     One eigendecomposition is cached at construction, as ``quant.klt``
-    orders it (``eigvals``, ``basis``), with ``gap`` = basis @ (mu1 - mu2);
-    a Cholesky factor, which only sampling uses, on first use. Instances are
-    immutable and safe to share across threads.
+    orders it (``eigvals``, ``basis``, ``sd`` = sqrt(eigvals)), with the class
+    means in that basis (``means``, rows basis @ mu1 and basis @ mu2) and ``gap``
+    = basis @ (mu1 - mu2); a Cholesky factor, which only sampling uses, on
+    first use. Instances are immutable and safe to share across threads.
     """
 
     mu1: np.ndarray
@@ -34,6 +35,8 @@ class InferenceModel:
     sigma: np.ndarray
     eigvals: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
+    means: np.ndarray = field(init=False, repr=False)
+    sd: np.ndarray = field(init=False, repr=False)
     gap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -48,7 +51,8 @@ class InferenceModel:
         if eigvals[-1] <= _MIN_EIGENVALUE:
             raise ValueError(f"covariance not positive definite (min eig {eigvals[-1]:g})")
         for name, value in (("mu1", mu1), ("mu2", mu2), ("sigma", sigma), ("eigvals", eigvals),
-                            ("basis", basis), ("gap", basis @ (mu1 - mu2))):
+                            ("basis", basis), ("means", np.stack([basis @ mu1, basis @ mu2])),
+                            ("sd", np.sqrt(eigvals)), ("gap", basis @ (mu1 - mu2))):
             object.__setattr__(self, name, value)
 
     @property

@@ -156,7 +156,7 @@ class _Level:
     """One bit level's rate, quantizer grid, score and path at an operating point.
 
     Features are drawn in the KLT eigenbasis of Sigma, the only basis the
-    quantizer sees: Gaussian with mean ``means[c]`` = basis @ mu_c and
+    quantizer sees: Gaussian with mean ``model.means[c]`` = basis @ mu_c and
     covariance diag(lambda). Decoding and scoring fold into one weight
     vector: the score of the decoded features basis.T @ y is y @ w + const, with
     w = basis @ (Sigma + sigma_q2 I)^{-1} (mu2 - mu1). The lemma-1 noise is
@@ -179,10 +179,9 @@ class _Level:
     computed here.
     """
 
-    def __init__(self, params: opt.TradeoffParams, means: np.ndarray, bits: int,
-                 noise_model: str):
+    def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
         self.bits, self.rate = bits, params.level_rate(bits)
-        lam, dim = params.model.eigvals, params.model.dim
+        lam, means, dim = params.model.eigvals, params.model.means, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume.
         inflated = lam + quant.noise_variance(bits, params.clip)
@@ -219,7 +218,8 @@ def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
                  dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index sums' values, padded CDFs and guide table of a lattice level
     (see ``_Level``) whose classes have coordinate means ``mean1`` and
-    ``mean2`` and every eigenvalue ``lam``; the arrays are read-only.
+    ``mean2`` and every eigenvalue ``lam``; the arrays are read-only. Row c
+    of the guide table is one search of the grid j / cells in ``cdf[c]``.
 
     They depend only on these arguments, not on the channel, the observation
     count or the score weights, so every point of a sweep, and every sweep in
@@ -230,17 +230,16 @@ def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
     sums, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
     cdf = np.cumsum(pmfs, axis=1)[:, :-1]
     cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
-    bins = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
-    counts = np.bincount((bins + [[0], [cells + 2]]).ravel(), minlength=2 * cells + 4)
-    guide = np.cumsum(counts.reshape(2, -1)[:, :-1], axis=1, dtype=np.int32)
+    grid = np.arange(cells + 1) / cells
+    guide = np.array([np.searchsorted(row, grid, "right") for row in cdf], dtype=np.int32)
     cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
     for table in (sums, cdf, guide):
         table.flags.writeable = False
     return sums, cdf, guide
 
 
-def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.ndarray,
-                    levels: list[_Level], n: int, rng: np.random.Generator) -> list[int]:
+def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
+                    rng: np.random.Generator) -> list[int]:
     """Simulate ``n`` sensing episodes from one stream and return, for each
     level, how many of them decide the wrong class.
 
@@ -248,10 +247,10 @@ def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.nda
     The classes, the post-combining SNRs and the uniforms that decide each
     packet's arrival are drawn once and shared by every level; each level
     only applies its own rate's loss to them. Each level's ``path`` (see
-    ``_Level``) then says what its arrivals draw: features or lemma-1 scores
-    first, once for the packets that arrive under any level on that path,
-    then one uniform each (see ``_Level.index_sums``) for those under any
-    lattice level; a path no level takes draws nothing. Each level scores its
+    ``_Level``) then says what its arrivals draw: features (from the model's
+    ``means`` and ``sd``) or lemma-1 scores first, once for the packets that
+    arrive under any level on that path, then a uniform each for those under
+    any lattice level; a path no level takes draws nothing. Each level scores its
     own arrivals and sums them per episode. An episode decides class 1 iff
     the sum is < 0; one with zero received packets guesses, the i-th such
     episode taking the i-th of n guesses drawn last. A level's outcome
@@ -259,7 +258,7 @@ def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.nda
     on its path, not on their order; with one level, or none on the lattice,
     the stream is consumed as by a single-policy engine of the same path.
     """
-    k = params.observations
+    k, model = params.observations, params.model
     classes = rng.integers(1, 3, size=n)
     snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
     uniforms = rng.random((n, k))
@@ -274,9 +273,9 @@ def _simulate_block(params: opt.TradeoffParams, means: np.ndarray, scale: np.nda
         episode = np.nonzero(reached)[0]
         arrived = classes[episode] - 1
         if path == "features":
-            draws = rng.standard_normal((episode.size, scale.size))
-            draws *= scale
-            draws += means[arrived]
+            draws = rng.standard_normal((episode.size, model.dim))
+            draws *= model.sd
+            draws += model.means[arrived]
         elif path == "lemma1":
             draws = rng.standard_normal(episode.size)
         else:
@@ -327,17 +326,13 @@ def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
     blocklength) and observation count. Block b draws from the stream keyed
     (*key, b, *tag). Repeats of a bit level share its work and its count.
     """
-    model = params.model
-    means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
-    scale = np.sqrt(model.eigvals)
     distinct = list(dict.fromkeys(bits))
-    levels = [_Level(params, means, b, noise_model) for b in distinct]
+    levels = [_Level(params, b, noise_model) for b in distinct]
     block_size = _block_size(params, levels)
     wrong = np.zeros(len(levels), dtype=np.int64)
     for block, start in enumerate(range(0, trials, block_size)):
         rng = np.random.default_rng([*key, block, *tag])
-        wrong += _simulate_block(params, means, scale, levels,
-                                 min(block_size, trials - start), rng)
+        wrong += _simulate_block(params, levels, min(block_size, trials - start), rng)
     return [int(wrong[distinct.index(b)]) for b in bits]
 
 
@@ -385,7 +380,8 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     SeedSequence pads a key with zeros, so no sweep key equals the key
     (seed, cell, b) of ``estimate_error``. A row's error depends on its
     value, its policy and the set of bit levels at its value, not on the
-    other values or the order of the policies.
+    other values or the order of the policies. Every value's point, channel
+    included, is built first, so a bad setting raises ``ValueError`` before any work.
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
@@ -395,17 +391,16 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         attr = SWEEP_FIELDS[param]
     except KeyError:
         raise ValueError(f"unknown sweep parameter {param!r}") from None
-    # every value's point is built, and so checked, before the first is decided;
     # a count that is not a whole number stays a float, which ExperimentConfig refuses
     numbers = [float(value) for value in values]
     points = [replace(config, **{attr: int(n) if attr != "snr_db" and n.is_integer() else n})
               for n in numbers]
     model = build_model(config)  # no swept field changes the model
+    point_params = [build_params(point, model) for point in points]  # one channel and table each
     rows = []
-    for value, number, point in zip(values, numbers, points):
+    for value, number, point, params in zip(values, numbers, points, point_params):
         decisions = []
         try:
-            params = build_params(point, model)  # one channel and bit-level table per value
             for policy in policies:
                 decisions.append(decide(replace(point, policy=policy), params))
             wrong = _count_errors(params, config.noise_model,
@@ -421,14 +416,12 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
 
 
 def rows_to_csv(rows) -> str:
-    """Render result rows with the fixed column order; output is byte-stable."""
+    """Render result rows in ``CSV_COLUMNS`` order, byte-stable: None as an empty
+    cell, a float (numpy's float64 too) as its Python float's repr, else as is."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            r.param, "" if r.value is None else repr(float(r.value)), r.policy,
-            r.bits, repr(float(r.rate)), repr(float(r.error)), repr(float(r.ci95)),
-            repr(float(r.pred_exact)), repr(float(r.pred_bound)), r.trials, r.seed,
-        ])
+    for row in rows:
+        writer.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                         for v in (getattr(row, name) for name in CSV_COLUMNS)])
     return buf.getvalue()

@@ -49,9 +49,10 @@ class TestSnrFromDb:
     def test_two_db(self):
         assert ch.snr_from_db(2.0) == pytest.approx(1.5848932, abs=1e-7)
 
-    @pytest.mark.parametrize("db", [4000.0, math.inf, math.nan])
+    @pytest.mark.parametrize("db", [4000.0, math.inf, math.nan, -3300.0, -math.inf])
     def test_rejects_ratio_beyond_float_range(self, db):
-        # 10^(4000/10) overflows a float; NaN and inf are no ratio at all
+        # 10^(4000/10) overflows a float and 10^(-3300/10) underflows to 0;
+        # NaN and inf are no ratio at all, and -inf dB is a ratio of 0
         with pytest.raises(ValueError, match="dB"):
             ch.snr_from_db(db)
 

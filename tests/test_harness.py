@@ -280,9 +280,7 @@ class TestGoldenRows:
 
 def engine_level(params, bits, noise_model):
     """The engine's ``_Level`` for ``bits`` at the point ``params``."""
-    model = params.model
-    means = np.stack([model.basis @ model.mu1, model.basis @ model.mu2])
-    return harness._Level(params, means, bits, noise_model)
+    return harness._Level(params, bits, noise_model)
 
 
 def asymmetric_model_file(tmp_path):
@@ -623,6 +621,17 @@ class TestSweep:
             harness.sweep(default_config, "antennas", [2, 0], ["bits:4"], 100, 0)
         assert not calls
 
+    @pytest.mark.parametrize("values", [[0.0, 4000.0], [0.0, -3300.0]],
+                             ids=["overflow", "underflow"])
+    def test_rejects_bad_snr_before_any_decision(self, default_config, values, monkeypatch):
+        # every value's channel is built before the first value is decided,
+        # so 0 dB is not simulated before a ratio beyond the float range is refused
+        calls = []
+        monkeypatch.setattr(harness, "decide", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="dB"):
+            harness.sweep(default_config, "snr-db", values, ["bits:4"], 100, 0)
+        assert not calls
+
     def test_unknown_param_rejected(self, default_config):
         with pytest.raises(ValueError):
             harness.sweep(default_config, "temperature", [1], ["adaptive"], 10, 0)
@@ -641,6 +650,14 @@ class TestCsv:
         assert lines[0] == ",".join(harness.CSV_COLUMNS)
         assert lines[1] == "snr-db,2.0,adaptive,4,2.0,0.1,0.0123,0.0214,0.125,100,0"
         assert text.endswith("\n")
+
+    def test_numpy_scalars(self):
+        # a float64 renders as its Python float, not as np.float64(...)
+        row = harness.ResultRow("snr-db", np.float64(2.0), "adaptive", np.int64(4),
+                                np.float64(2.0), np.float64(0.1), np.float64(0.0123),
+                                np.float64(0.0214), np.float64(0.125), np.int64(100), 0)
+        assert (harness.rows_to_csv([row]).split("\n")[1]
+                == "snr-db,2.0,adaptive,4,2.0,0.1,0.0123,0.0214,0.125,100,0")
 
     def test_byte_stable(self, default_config):
         rows = harness.sweep(default_config, "snr-db", [1.5], ["bits:4"],
@@ -799,6 +816,20 @@ class TestCli:
                       "--trials", "10", "--seed", "0", "--out", str(tmp_path / "out.csv")])
         assert isinstance(raised.value.__cause__, ZeroDivisionError)
         assert not (tmp_path / "out.csv").exists()
+
+    def test_sweep_bad_snr_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused with one usage line before any cell is decided; no file is written
+        calls = []
+        monkeypatch.setattr(harness, "decide", lambda *args: calls.append(args))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--param", "snr-db", "--values=0,4000", "--policies", "bits:4",
+                      "--trials", "10", "--seed", "0", "--out", str(out)])
+        assert exit_info.value.code == 2 and not calls and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: ")
+        assert err[1].startswith("senselink: error: SNR of 4000.0 dB is not a")
+        assert "failed" not in err[1]
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
     def test_model_file_missing_key(self, key, tmp_path, capsys):
