@@ -15,9 +15,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .numerics import q_function, require_counts, require_finite, require_positive
+from .numerics import find_root, q_function, require_counts, require_finite, require_positive
 
 LN2 = math.log(2.0)
 LN4 = 2.0 * LN2
@@ -41,7 +41,6 @@ def _hermite_rule():
 
 
 _NODES, _WEIGHTS = _hermite_rule()
-_NEWTON_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,16 @@ class ChannelConfig:
                        blocklength=self.blocklength)
         require_counts(1, antennas=self.antennas, blocklength=self.blocklength)
         require_positive(snr_linear=self.snr_linear)
+        if self.snr_linear < sys.float_info.min:  # subnormal: the surrogate gradient is NaN there
+            raise ValueError(f"snr_linear must be a normal float, not {self.snr_linear!r}")
 
 
 def snr_from_db(db: float) -> float:
-    """Convert an SNR in decibels to a linear power ratio, which must be a positive finite float."""
-    # the ratio overflows above about 3082 dB and underflows to 0 below about -3236 dB
+    """Convert an SNR in decibels to a linear power ratio, which must be a normal finite float."""
+    # the ratio overflows above about 3082 dB and turns subnormal below about -3076.5 dB
     linear = 10.0 ** (db / 10.0) if db < _MAX_FINITE_DB else 0.0  # NaN too
-    if linear == 0.0:
-        raise ValueError(f"SNR of {db} dB is not a positive finite linear ratio")
+    if linear < sys.float_info.min:
+        raise ValueError(f"SNR of {db} dB is not a normal positive finite linear ratio")
     return linear
 
 
@@ -118,6 +119,8 @@ def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     the loss is bounded and monotone, to a tolerance scaled to that mass: a
     rate at which the whole law is lost gives a loss of 1 to rounding.
     """
+    from scipy import integrate  # loaded only when this oracle runs
+
     require_positive(**{"coding rate": rate})
     ell, g0, n = cfg.antennas, cfg.snr_linear, cfg.blocklength
     hi = g0 * float(special.gammainccinv(ell, _ERLANG_TAIL_MASS))
@@ -238,18 +241,12 @@ def _margin_inverse(rate, t, s: float) -> np.ndarray:
     # b is 0 where t > 0 (v^2 unused there), so b + sqrt(b^2 + 4R) never cancels to 0
     b = -np.minimum(t, 0.0) * math.sqrt(LN4) / s
     x = np.where(t > 0.0, rate + t / s, (2.0 * rate / (b + np.sqrt(b * b + 4.0 * rate))) ** 2)
-    done = np.zeros(x.shape[:-1], dtype=bool)
-    for _ in range(_NEWTON_MAX_STEPS):
+
+    def g_and_slope(x):
         u = np.sqrt(-np.expm1(-x * LN4))
-        step = (s * (x - rate) - t * u) / (s - t * LN2 * np.exp2(-2.0 * x) / u)
-        step[done] = 0.0  # a rate's row stops at its own convergence, whatever the other rows do
-        x = x - step
-        # Newton's error squares at each step, so a step below 1e-9 x
-        # leaves an error near 1e-18 x
-        done |= np.all(np.abs(step) <= 1e-9 * x, axis=-1)
-        if done.all():
-            return x
-    raise RuntimeError(f"margin inversion did not converge in {_NEWTON_MAX_STEPS} Newton steps")
+        return s * (x - rate) - t * u, s - t * LN2 * np.exp2(-2.0 * x) / u
+
+    return find_root(g_and_slope, x)
 
 
 def avg_packet_loss_approx(cfg: ChannelConfig, rate: float) -> float:

@@ -1,4 +1,4 @@
-"""Argument rules, special functions and discrete-distribution utilities shared by all modules."""
+"""Argument rules, special functions, the root-finder and discrete-distribution utilities."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 from scipy import special
 
 _LOG_TAIL_SWITCH = 1e-300  # below it, gammaincc nears the subnormal range
+_ROOT_MAX_STEPS = 100
 
 
 def require_finite(**values) -> None:
@@ -70,6 +71,49 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
         return math.log(q)
     k = np.arange(int(shape))
     return min(float(special.logsumexp(k * math.log(x) - special.gammaln(k + 1))) - x, 0.0)
+
+
+def find_root(f, x, end_values=None):
+    """Root of a monotone f: Newton steps where its slope is at hand, Illinois
+    steps on a bracket otherwise; RuntimeError after 100 steps.
+
+    Without ``end_values``, x is an array of starts, one problem per row of its
+    last axis, and f(x) returns (f, f'); a row stops once every |step| in it is
+    at most 1e-9 |x|, whatever the other rows do. With them, x is a bracket
+    (lo, hi) of floats whose f values ``end_values`` have opposite signs. Each
+    step is then the secant to the far end, whose value halves each time that
+    end is kept (Dowell and Jarratt, BIT 1971); a bisection once it has been
+    kept 4 times in a row, as a secant creeps where f spans many orders of
+    magnitude; and at least 5e-10 |x| long, so that a converged point steps
+    across the root. The root is a point where f is 0, or else the secant of
+    the first bracket at most 1e-9 |x| wide.
+    """
+    if end_values is None:
+        done = np.zeros(x.shape[:-1], dtype=bool)
+        for _ in range(_ROOT_MAX_STEPS):
+            step = np.divide(*f(x))
+            step[done] = 0.0
+            x = x - step
+            # Newton's error squares at each step, so a step below 1e-9 x
+            # leaves an error near 1e-18 x
+            done |= (np.abs(step) <= 1e-9 * np.abs(x)).all(axis=-1)
+            if done.all():
+                return x
+    else:
+        # one scalar problem: float operations cost far less than array calls here
+        (far, x), (f_far, fx), weight = x, end_values, 1.0  # weight of the far end's value
+        for _ in range(_ROOT_MAX_STEPS):
+            if fx == 0.0 or abs(x - far) <= 1e-9 * abs(x):
+                return x - fx * (x - far) / (fx - f_far)
+            part = fx / (fx - weight * f_far) if weight > 0.0625 else 0.5
+            new = x - math.copysign(max(abs(part * (x - far)), 5e-10 * abs(x)), x - far)
+            f_new = f(new)
+            if (f_new > 0.0) != (fx > 0.0):  # signs, not a product that can underflow
+                far, f_far, weight = x, fx, 1.0
+            else:
+                weight = max(0.5 * weight, 0.0625)
+            x, fx = new, f_new
+    raise RuntimeError(f"root-finding did not converge in {_ROOT_MAX_STEPS} steps")
 
 
 def binomial_pmf(success_prob, trials: int) -> np.ndarray:

@@ -4,10 +4,10 @@ The objective is a concave surrogate ln[(1 - e^{-D(Rc)/4})(1 - eps(Rc))]
 combining the distortion-degraded discriminant gain with the closed-form
 average packet loss. Its approximate gradient is available in closed form
 and, since the surrogate is concave, decreases monotonically on the rate
-domain. The rate is therefore the gradient's root, found by one bracketed
-Brent solve (or the domain edge where the gradient keeps its sign), and is
-then rounded to an integer bits-per-feature level. Fixed-step gradient
-ascent on the same gradient is kept for the convergence study.
+domain. The rate is therefore the gradient's root, bracketed by the domain
+(or the domain edge where the gradient keeps its sign), and is then rounded
+to an integer bits-per-feature level. Fixed-step gradient ascent on the same
+gradient is kept for the convergence study.
 
 Every policy (adaptive rounding, exhaustive search, reliability-first,
 fixed resolution) ends in a lookup in one bit-level table per operating
@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize as sciopt
 from scipy import special
 
 from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
 from .gmm import (InferenceModel, _gains, effective_discriminant_gain, sensing_error_bound,
                   sensing_error_exact)
-from .numerics import log_regularized_upper_gamma, require_counts, require_finite, require_positive
+from .numerics import (find_root, log_regularized_upper_gamma, require_counts, require_finite,
+                       require_positive)
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
 _BRUTE_STOP_LOSS = 0.999
@@ -208,15 +208,16 @@ def solve_rate(params: TradeoffParams) -> float:
 
     The surrogate is concave on ``rate_domain``, so its gradient is monotone
     there: a gradient <= 0 at the lower edge or >= 0 at the upper edge puts
-    the maximizer at that edge, and otherwise Brent's method finds the one
-    sign change. This is the point fixed-step gradient ascent approaches.
+    the maximizer at that edge, and otherwise ``numerics.find_root`` finds
+    the one sign change from the two edge gradients already at hand. This is
+    the point fixed-step gradient ascent approaches.
     """
     lo, hi = rate_domain(params)
-    if surrogate_gradient(lo, params) <= 0.0:
+    if (g_lo := surrogate_gradient(lo, params)) <= 0.0:
         return lo
-    if surrogate_gradient(hi, params) >= 0.0:
+    if (g_hi := surrogate_gradient(hi, params)) >= 0.0:
         return hi
-    return sciopt.brentq(surrogate_gradient, lo, hi, args=(params,))
+    return find_root(lambda rate: surrogate_gradient(rate, params), (lo, hi), (g_lo, g_hi))
 
 
 def gradient_ascent(params: TradeoffParams, settings: OptimizerSettings = OptimizerSettings(),

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from senselink import channel as ch
+from senselink import numerics
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -49,10 +50,12 @@ class TestSnrFromDb:
     def test_two_db(self):
         assert ch.snr_from_db(2.0) == pytest.approx(1.5848932, abs=1e-7)
 
-    @pytest.mark.parametrize("db", [4000.0, math.inf, math.nan, -3300.0, -math.inf])
+    @pytest.mark.parametrize("db", [4000.0, math.inf, math.nan, -3080.0, -3100.0, -3300.0,
+                                    -math.inf])
     def test_rejects_ratio_beyond_float_range(self, db):
-        # 10^(4000/10) overflows a float and 10^(-3300/10) underflows to 0;
-        # NaN and inf are no ratio at all, and -inf dB is a ratio of 0
+        # 10^(4000/10) overflows a float, 10^(-3080/10) and 10^(-3100/10) are
+        # subnormal and 10^(-3300/10) underflows to 0; NaN and inf are no
+        # ratio at all, and -inf dB is a ratio of 0
         with pytest.raises(ValueError, match="dB"):
             ch.snr_from_db(db)
 
@@ -292,7 +295,7 @@ def loss_tolerance(eps):
 class TestGaussHermiteLoss:
     @pytest.mark.parametrize("antennas", [1, 2, 4, 16, 64, 256])
     def test_matches_quadrature_over_envelope(self, antennas, monkeypatch):
-        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 12)  # each table inverts in at most 12 steps
+        monkeypatch.setattr(numerics, "_ROOT_MAX_STEPS", 12)  # each table inverts in at most 12 steps
         checked = 0
         for snr_db in (-30.0, -10.0, 0.0, 2.0, 10.0, 20.0, 40.0, 60.0):
             for n in (10, 100, 400, 2000):
@@ -335,7 +338,7 @@ class TestGaussHermiteLoss:
     @pytest.mark.parametrize("rate", [5e-4, 0.3, 4.0, 300.0])
     def test_margin_inverse_round_trip(self, blocklength, rate, monkeypatch):
         # from gamma -> 0 up to 1024 bits per channel use, in at most 12 Newton steps
-        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 12)
+        monkeypatch.setattr(numerics, "_ROOT_MAX_STEPS", 12)
         s = math.sqrt(blocklength) * math.log(2.0)
         x = np.concatenate([np.logspace(-14, 3, 120), [1024.0]])
         t = s * (x - rate) / np.sqrt(-np.expm1(-x * math.log(4.0)))
@@ -343,7 +346,7 @@ class TestGaussHermiteLoss:
         np.testing.assert_allclose(back, x, rtol=1e-12, atol=0.0)
 
     def test_non_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(ch, "_NEWTON_MAX_STEPS", 1)
+        monkeypatch.setattr(numerics, "_ROOT_MAX_STEPS", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             ch.avg_packet_loss(ch.ChannelConfig(4, ch.snr_from_db(2.0), 100), [1.0, 2.0])
 
@@ -365,6 +368,12 @@ class TestChannelConfig:
             ch.ChannelConfig(4, 0.0, 100)
         with pytest.raises(ValueError):
             ch.ChannelConfig(4, 1.0, 0)
+
+    @pytest.mark.parametrize("snr_linear", [1e-310, 5e-324])
+    def test_rejects_subnormal_snr(self, snr_linear):
+        # a subnormal ratio once reached the optimizer, whose gradient was NaN there
+        with pytest.raises(ValueError, match="snr_linear must be a normal float"):
+            ch.ChannelConfig(4, snr_linear, 100)
 
     @pytest.mark.parametrize("field", ["antennas", "snr_linear", "blocklength"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -621,8 +621,8 @@ class TestSweep:
             harness.sweep(default_config, "antennas", [2, 0], ["bits:4"], 100, 0)
         assert not calls
 
-    @pytest.mark.parametrize("values", [[0.0, 4000.0], [0.0, -3300.0]],
-                             ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("values", [[0.0, 4000.0], [0.0, -3300.0], [0.0, -3100.0]],
+                             ids=["overflow", "underflow", "subnormal"])
     def test_rejects_bad_snr_before_any_decision(self, default_config, values, monkeypatch):
         # every value's channel is built before the first value is decided,
         # so 0 dB is not simulated before a ratio beyond the float range is refused
@@ -923,11 +923,13 @@ class TestCli:
 
 
 def test_engine_and_cli_import_without_scipy_stats():
-    # scipy.stats is the validation suite's alone; the engine and the CLI
-    # must not pay for its import
+    # scipy.stats is the validation suite's alone and scipy.integrate the
+    # quadrature oracle's, which imports it when it runs; the library has no
+    # use for scipy.optimize. The engine and the CLI must not pay for them
     src = Path(harness.__file__).resolve().parents[1]
     code = ("import sys, senselink, senselink.harness, senselink.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.integrate'))))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -11,9 +11,11 @@ from scipy.special import logsumexp
 from senselink import channel as ch
 from senselink import gmm
 from senselink import harness
+from senselink import numerics
 from senselink import optimizer as opt
 from senselink.numerics import (
     binomial_pmf,
+    find_root,
     log_regularized_upper_gamma,
     poisson_binomial_pmf,
     q_function,
@@ -181,6 +183,63 @@ class TestBinomialPmf:
             binomial_pmf([0.5, -0.1], 3)
         with pytest.raises(ValueError):
             binomial_pmf(0.5, 0)
+
+
+def cube_minus(a):
+    """f(x) = x^3 - a with its slope, for Newton steps; the root is a^(1/3)."""
+    return lambda x: (x ** 3 - a, 3.0 * x ** 2)
+
+
+def illinois(f, lo, hi):
+    return find_root(f, (lo, hi), (f(lo), f(hi)))
+
+
+class TestFindRoot:
+    def test_newton_known_roots(self):
+        a = np.array([[0.001, 2.0, 27.0], [1e6, 5.0, 0.5]])
+        np.testing.assert_allclose(find_root(cube_minus(a), np.full(a.shape, 3.0)), np.cbrt(a),
+                                   rtol=1e-15)
+
+    def test_newton_rows_independent(self):
+        # a row's roots are the same to the last bit whichever rows share the call
+        a = np.array([[0.001, 2.0], [27.0, 1e6], [5.0, 0.5], [8.0, 8.0]])
+        stacked = find_root(cube_minus(a), np.full(a.shape, 3.0))
+        for i in range(a.shape[0]):
+            row = a[i:i + 1]
+            assert np.array_equal(find_root(cube_minus(row), np.full(row.shape, 3.0)),
+                                  stacked[i:i + 1])
+
+    @pytest.mark.parametrize("f, lo, hi, root", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: math.exp(-x) - 0.5, 0.0, 5.0, math.log(2.0)),  # decreasing
+        (lambda x: x ** 3 - 2.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: x ** 3 - 27.0, 0.01, 100.0, 3.0),  # far end steep
+        (lambda x: math.log(x) - 3.0, 1.0, 1e4, math.exp(3.0)),
+        (lambda x: x ** 3 - 1e6, 0.01, 100.0, 100.0),  # a root at the bracket's end
+    ])
+    def test_illinois_known_roots(self, f, lo, hi, root):
+        assert abs(illinois(f, lo, hi) - root) <= 1e-14 * root
+
+    def test_bracket_where_f_spans_many_orders(self):
+        # e^{-8x} - 1e-200 e^{8x} falls from 1 through 1e-100 at its root to
+        # -3e8 at 60: a secant alone creeps along the tiny values
+        got = illinois(lambda x: math.exp(-8.0 * x) - 1e-200 * math.exp(8.0 * x), 0.0, 60.0)
+        assert abs(got - 200.0 * math.log(10.0) / 16.0) <= 1e-9 * got
+
+    def test_bracket_on_a_plateau_of_zeros(self):
+        # every point of [1, 3] is a root; the iteration stops at one
+        got = illinois(lambda x: max(1.0 - x, 0.0) - max(x - 3.0, 0.0), 0.0, 10.0)
+        assert 1.0 <= got <= 3.0
+
+    def test_step_cap_raises(self, monkeypatch):
+        # Newton on the cube root overshoots to -2x at every step and never settles
+        with pytest.raises(RuntimeError, match="did not converge"):
+            find_root(lambda x: (np.cbrt(x), np.cbrt(x) ** -2 / 3.0), np.array([1.0]))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            illinois(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+        monkeypatch.setattr(numerics, "_ROOT_MAX_STEPS", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            illinois(lambda x: math.cos(x) - x, 0.0, 1.0)
 
 
 _CHANNEL = ch.ChannelConfig(4, 1.0, 100)

@@ -237,6 +237,15 @@ class TestGradientAscent:
             opt.OptimizerSettings(**{field: value})
 
 
+def sweep_points():
+    """The 20 operating points of ``scripts/run_sweeps.py``: each swept value
+    in turn at the base point with 10 observations."""
+    sweeps = {"observations": [1, 2, 5, 10, 20], "snr_db": [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+              "antennas": [1, 2, 4, 8], "blocklength": [50, 100, 200, 400]}
+    return [harness.build_params(harness.ExperimentConfig(**{"observations": 10, field: value}))
+            for field, values in sweeps.items() for value in values]
+
+
 @pytest.fixture
 def gradient_calls(monkeypatch):
     """Records the rate of every surrogate_gradient call the optimizer makes."""
@@ -312,6 +321,40 @@ class TestSolveRate:
     def test_gradient_call_budget(self, gradient_calls):
         harness.decide(harness.ExperimentConfig(policy="adaptive"))
         assert 0 < len(gradient_calls) <= 60
+
+    def test_matches_brentq_at_sweep_points(self):
+        # scipy's Brent solve is the independent reference for the Illinois steps
+        for params in sweep_points():
+            lo, hi = opt.rate_domain(params)
+            ref = brentq(opt.surrogate_gradient, lo, hi, args=(params,))
+            rate = opt.solve_rate(params)
+            assert abs(rate - ref) <= 1e-11 * ref
+            assert opt.round_rate(rate, params).bits_per_feature == \
+                opt.round_rate(ref, params).bits_per_feature
+
+    @pytest.mark.parametrize("overrides", [
+        {"snr_db": 60.0, "antennas": 256, "blocklength": 2000, "dim": 1},
+        {"snr_db": 7.5, "antennas": 171, "blocklength": 1178, "dim": 2, "observations": 148},
+    ], ids=["60dB", "plateau"])
+    def test_root_where_gradient_spans_many_orders(self, overrides):
+        # between the edges the gradient underflows to 0 or to values far
+        # below 1e-100, where Illinois steps alone creep without stopping
+        params = harness.build_params(harness.ExperimentConfig(**overrides))
+        rate = opt.solve_rate(params)
+        below, at, above = (opt.surrogate_gradient(rate * k, params) for k in (1 - 1e-8, 1, 1 + 1e-8))
+        assert at == 0.0 or below >= 0.0 >= above
+
+    def test_each_edge_evaluated_once(self, gradient_calls):
+        # the edge gradients that place the root inside the domain are the
+        # bracket's end values, not evaluated again; brentq took 264 calls
+        total = 0
+        for params in sweep_points():
+            gradient_calls.clear()
+            opt.solve_rate(params)
+            lo, hi = opt.rate_domain(params)
+            assert gradient_calls.count(lo) == gradient_calls.count(hi) == 1
+            total += len(gradient_calls)
+        assert total <= 264
 
 
 class TestRounding:
