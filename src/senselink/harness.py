@@ -251,15 +251,15 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     ``means`` and ``sd``) or lemma-1 scores first, once for the packets that
     arrive under any level on that path, then a uniform each for those under
     any lattice level; a path no level takes draws nothing. Each level scores its
-    own arrivals and sums them per episode. An episode decides class 1 iff
-    the sum is < 0; one with zero received packets guesses, the i-th such
-    episode taking the i-th of n guesses drawn last. A level's outcome
-    depends on the other levels only through the union of arriving packets
-    on its path, not on their order; with one level, or none on the lattice,
-    the stream is consumed as by a single-policy engine of the same path.
+    own arrivals and sums them per episode. Every episode decides class 1 iff
+    the sum is < 0, so one that receives nothing decides class 2: wrong with
+    probability 1/2, as the class is a fair draw. A level's outcome depends
+    on the other levels only through the union of arriving packets on its
+    path, not on their order; with one level, or none on the lattice, the
+    stream is consumed as by a single-policy engine of the same path.
     """
     k, model = params.observations, params.model
-    classes = rng.integers(1, 3, size=n)
+    classes = rng.integers(0, 2, size=n)  # 0 for class 1, 1 for class 2
     snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
     uniforms = rng.random((n, k))
     rates = np.array([lvl.rate for lvl in levels])
@@ -271,7 +271,7 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
             continue
         reached = success[on_path].any(axis=0)
         episode = np.nonzero(reached)[0]
-        arrived = classes[episode] - 1
+        arrived = classes[episode]
         if path == "features":
             draws = rng.standard_normal((episode.size, model.dim))
             draws *= model.sd
@@ -281,7 +281,7 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         else:
             draws = rng.random(episode.size)
         paths[path] = reached, episode, arrived, draws
-    guesses = rng.integers(1, 3, size=n)
+    first = classes == 0
 
     wrong = []
     for lvl, ok in zip(levels, success):
@@ -300,10 +300,7 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         else:
             scores = lvl.lattice_scores[lvl.index_sums(own, label)]
         total = np.bincount(owner, weights=scores, minlength=n)
-        decisions = np.where(total < 0.0, 1, 2)
-        silent = ~ok.any(axis=1)
-        decisions[silent] = guesses[:int(silent.sum())]
-        wrong.append(int(np.count_nonzero(decisions != classes)))
+        wrong.append(int(np.count_nonzero((total < 0.0) != first)))
     return wrong
 
 

@@ -64,8 +64,6 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
     require_counts(1, shape=shape)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
     q = float(special.gammaincc(shape, x))
     if q > _LOG_TAIL_SWITCH:
         return math.log(q)
