@@ -106,6 +106,20 @@ def packet_loss(gamma, blocklength: int, rate: float):
     return out
 
 
+def decodable_rate(gamma, blocklength: int, uniforms) -> np.ndarray:
+    """The highest coding rate at which each packet arrives, given its receive
+    SNR gamma and its uniform draw u.
+
+    A packet arrives at rate R iff u >= ``packet_loss(gamma, N, R)``, that is
+    iff sqrt(N / V(gamma)) (R - C(gamma)) <= Phi^-1(u), which is
+    R <= C(gamma) + sqrt(V(gamma) / N) Phi^-1(u). The right side is computed
+    once per packet and serves every rate with one comparison; at gamma = 0 it
+    is 0, so nothing arrives, as the loss there is 1.
+    """
+    g = np.asarray(gamma, dtype=float)
+    return capacity(g) + np.sqrt(dispersion(g) / blocklength) * special.ndtri(uniforms)
+
+
 def avg_packet_loss_exact(cfg: ChannelConfig, rate: float) -> float:
     """Average loss probability by adaptive quadrature against the Erlang density.
 

@@ -245,8 +245,9 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
 
     Each episode draws a class and sends K packets over the fading channel.
     The classes, the post-combining SNRs and the uniforms that decide each
-    packet's arrival are drawn once and shared by every level; each level
-    only applies its own rate's loss to them. Each level's ``path`` (see
+    packet's arrival are drawn once and shared by every level, which give
+    each packet its decodable rate (``channel.decodable_rate``); each level
+    only compares its own rate with it. Each level's ``path`` (see
     ``_Level``) then says what its arrivals draw: features (from the model's
     ``means`` and ``sd``) or lemma-1 scores first, once for the packets that
     arrive under any level on that path, then a uniform each for those under
@@ -261,9 +262,8 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     k, model = params.observations, params.model
     classes = rng.integers(0, 2, size=n)  # 0 for class 1, 1 for class 2
     snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
-    uniforms = rng.random((n, k))
-    rates = np.array([lvl.rate for lvl in levels])
-    success = uniforms >= ch.packet_loss(snrs, params.channel.blocklength, rates[:, None, None])
+    reach = ch.decodable_rate(snrs, params.channel.blocklength, rng.random((n, k)))
+    success = np.array([lvl.rate for lvl in levels])[:, None, None] <= reach
     paths = {}  # per path: the union of its levels' arrivals and their draws
     for path in ("features", "lemma1", "lattice"):
         on_path = [lvl.path == path for lvl in levels]

@@ -113,6 +113,24 @@ class TestPacketLoss:
             ch.packet_loss(1.0, 100, 0.0)
 
 
+class TestDecodableRate:
+    @pytest.mark.parametrize("blocklength", [10, 100, 2000])
+    def test_matches_loss_comparison(self, blocklength):
+        # rate <= decodable rate exactly when u >= packet_loss, at gamma = 0,
+        # down to the smallest uniforms a generator draws, and at rates from
+        # far below to far above capacity; RuntimeWarnings are errors here
+        rng = np.random.default_rng(blocklength)
+        gamma = np.concatenate([[0.0, 0.0, 0.0], 10.0 ** rng.uniform(-4.0, 6.0, 200_000)])
+        u = np.concatenate([[2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], rng.random(200_000)])
+        u[3:2003] = 2.0 ** -53 * rng.integers(1, 1000, 2000)
+        u[2003:4003] = 1.0 - 2.0 ** -53 * rng.integers(1, 1000, 2000)
+        reach = ch.decodable_rate(gamma, blocklength, u)
+        assert np.all(reach[:3] == 0.0)
+        for rate in (1e-3, 0.02, 0.5, 2.0, 5.0, 19.9, 40.0):
+            expected = u >= ch.packet_loss(gamma, blocklength, rate)
+            np.testing.assert_array_equal(rate <= reach, expected, err_msg=f"rate={rate}")
+
+
 class TestPostMrcSampler:
     def test_mean(self, cfg4):
         rng = np.random.default_rng(0)
