@@ -70,9 +70,10 @@ def snr_from_db(db: float) -> float:
 
 
 def sample_post_mrc_snr(cfg: ChannelConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` post-combining SNRs, each gamma0 times a sum of L unit
-    exponentials: Erlang(L, 1/gamma0) distributed."""
-    return cfg.snr_linear * rng.standard_exponential((size, cfg.antennas)).sum(axis=1)
+    """Draw ``size`` post-combining SNRs, each gamma0 times one unit-scale
+    gamma variate of shape L: Erlang(L, 1/gamma0) distributed, the law of
+    gamma0 times a sum of L unit exponentials, at one draw per SNR."""
+    return cfg.snr_linear * rng.standard_gamma(cfg.antennas, size)
 
 
 def capacity(gamma):

@@ -28,10 +28,11 @@ from . import optimizer as opt
 from . import quant
 from .numerics import require_counts, require_finite, require_positive
 
-# Values in a block's largest draw (see ``_block_size``): enough that numpy's
-# fixed cost per call is spread thin, few enough that a block's arrays take
-# about a megabyte whatever the trial count.
-_BLOCK_VALUES = 2 ** 16
+# Values in a block's largest per-packet array (see ``_block_size``) and in a
+# chunk of drawn features: enough that numpy's fixed cost per call is spread
+# thin, few enough that a block's arrays stay near a megabyte whatever the
+# trial count, bit levels or dimension.
+_BLOCK_VALUES = 2 ** 14
 # Most index-sum points d (2^b - 1) + 1 a level is simulated on: its law
 # then takes a few milliseconds to build, and it covers the levels that
 # adaptive, brute force and urllc pick at d = 50 below 11 bits.
@@ -169,14 +170,16 @@ class _Level:
     weights are equal and a packet's score is an affine function of the sum
     of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
     points, ``path`` is "lattice": ``cdf`` holds each class's exact CDF of
-    the sum without the final 1, padded with +inf to cells + 1 entries,
+    the sum without the final 1, padded with +inf to cells + 1 entries, and
     ``guide[c, j]`` the number of CDF values <= j / cells, for ``cells`` a
-    power of two above that number (Chen and Asau's guide table), and
-    ``lattice_scores`` the score at each sum, so a packet takes one uniform.
-    Otherwise it is "features". The CDF and guide table are built once per
-    process for each model, clip, bit level and d (``_lattice_law``), and
-    shared read-only; the scores, which follow the level's weights, are
-    computed here.
+    power of two above that number (Chen and Asau's guide table), so a
+    packet takes one uniform. A packet with index sum t in 0..``span``
+    scores (2 t - span) ``half_step`` + const (``lattice_scores``), so m
+    packets with index sums adding to T score (2 T - m span) half_step +
+    m const in all, whose first factor is an exact integer. Otherwise the
+    path is "features". The CDF and guide table are built once per process
+    for each model, clip, bit level and d (``_lattice_law``), and shared
+    read-only; the step, which follows the level's weights, is computed here.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
@@ -193,10 +196,16 @@ class _Level:
         if (self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
                 and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
             self.path = "lattice"
-            sums, self.cdf, self.guide = _lattice_law(
+            self.cdf, self.guide = _lattice_law(
                 float(means[0, 0]), float(means[1, 0]), float(lam[0]), params.clip,
                 bits, dim)
-            self.lattice_scores = sums * self.weights[0] + self.const
+            self.span = dim * (2 ** bits - 1)
+            self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
+
+    @property
+    def lattice_scores(self) -> np.ndarray:
+        """A lattice packet's score at each index sum 0..``span``."""
+        return (2.0 * np.arange(self.span + 1) - self.span) * self.half_step + self.const
 
     def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``:
@@ -215,27 +224,27 @@ class _Level:
 
 @functools.lru_cache(maxsize=_LATTICE_LAWS)
 def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
-                 dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index sums' values, padded CDFs and guide table of a lattice level
-    (see ``_Level``) whose classes have coordinate means ``mean1`` and
-    ``mean2`` and every eigenvalue ``lam``; the arrays are read-only. Row c
-    of the guide table is one search of the grid j / cells in ``cdf[c]``.
+                 dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded CDFs and guide table of a lattice level's index sums (see
+    ``_Level``) whose classes have coordinate means ``mean1`` and ``mean2``
+    and every eigenvalue ``lam``; the arrays are read-only. Row c of the
+    guide table is one search of the grid j / cells in ``cdf[c]``.
 
     They depend only on these arguments, not on the channel, the observation
     count or the score weights, so every point of a sweep, and every sweep in
     the process, shares them. An entry at the widest span, 2^16 + 1 index
-    sums, holds 0.5 MB of sums, 2.1 MB of CDFs and 1.0 MB of guide table, so
-    ``_LATTICE_LAWS`` entries retain at most about 29 MB.
+    sums, holds 2.1 MB of CDFs and 1.0 MB of guide table, so
+    ``_LATTICE_LAWS`` entries retain at most about 25 MB.
     """
-    sums, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
+    _, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
     cdf = np.cumsum(pmfs, axis=1)[:, :-1]
     cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
     grid = np.arange(cells + 1) / cells
     guide = np.array([np.searchsorted(row, grid, "right") for row in cdf], dtype=np.int32)
     cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
-    for table in (sums, cdf, guide):
+    for table in (cdf, guide):
         table.flags.writeable = False
-    return sums, cdf, guide
+    return cdf, guide
 
 
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
@@ -244,74 +253,111 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     level, how many of them decide the wrong class.
 
     Each episode draws a class and sends K packets over the fading channel.
-    The classes, the post-combining SNRs and the uniforms that decide each
-    packet's arrival are drawn once and shared by every level, which give
-    each packet its decodable rate (``channel.decodable_rate``); each level
-    only compares its own rate with it. Each level's ``path`` (see
-    ``_Level``) then says what its arrivals draw: features (from the model's
-    ``means`` and ``sd``) or lemma-1 scores first, once for the packets that
-    arrive under any level on that path, then a uniform each for those under
-    any lattice level; a path no level takes draws nothing. Each level scores its
-    own arrivals and sums them per episode. Every episode decides class 1 iff
-    the sum is < 0, so one that receives nothing decides class 2: wrong with
-    probability 1/2, as the class is a fair draw. A level's outcome depends
-    on the other levels only through the union of arriving packets on its
-    path, not on their order; with one level, or none on the lattice, the
-    stream is consumed as by a single-policy engine of the same path.
+    The classes, the post-combining SNRs (one gamma draw per packet) and the
+    uniforms that decide each packet's arrival are drawn once and shared by
+    every level, which give each packet its decodable rate
+    (``channel.decodable_rate``); each level only compares its own rate with
+    it. Each level's ``path`` (see ``_Level``) then says what its arrivals
+    draw, in this order: features (from the model's ``means`` and ``sd``,
+    in chunks of ``_feature_rows`` rows), lemma-1 scores, then a uniform
+    each on the lattice, once for the packets that arrive under any level on
+    that path; a path no level takes draws nothing. Each level scores its own
+    arrivals, keeping one value per packet, and sums them per episode; the
+    lattice sums integer index sums, so its totals are exact (see
+    ``_Level``). Every episode decides class 1 iff its total is < 0, so one
+    that receives nothing, or whose lattice total is an exact tie, decides
+    class 2: a silent episode is wrong with probability 1/2, as the class is
+    a fair draw. A level's outcome depends on the other levels only through
+    the union of arriving packets on its path, not on their order; with one
+    level, or none on the lattice, the stream is consumed as by a
+    single-policy engine of the same path.
     """
-    k, model = params.observations, params.model
+    k = params.observations
     classes = rng.integers(0, 2, size=n)  # 0 for class 1, 1 for class 2
     snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
     reach = ch.decodable_rate(snrs, params.channel.blocklength, rng.random((n, k)))
     success = np.array([lvl.rate for lvl in levels])[:, None, None] <= reach
-    paths = {}  # per path: the union of its levels' arrivals and their draws
-    for path in ("features", "lemma1", "lattice"):
-        on_path = [lvl.path == path for lvl in levels]
-        if not any(on_path):
-            continue
-        reached = success[on_path].any(axis=0)
-        episode = np.nonzero(reached)[0]
-        arrived = classes[episode]
-        if path == "features":
-            draws = rng.standard_normal((episode.size, model.dim))
-            draws *= model.sd
-            draws += model.means[arrived]
-        elif path == "lemma1":
-            draws = rng.standard_normal(episode.size)
-        else:
-            draws = rng.random(episode.size)
-        paths[path] = reached, episode, arrived, draws
     first = classes == 0
-
-    wrong = []
-    for lvl, ok in zip(levels, success):
-        reached, episode, arrived, draws = paths[lvl.path]
-        mine = ok[reached]  # this level's packets among those drawn
-        if mine.all():
-            own, owner, label = draws, episode, arrived
-        else:
-            own, owner, label = draws[mine], episode[mine], arrived[mine]
-        if lvl.path == "features":
-            scores = quant.scalar_quantize(own, params.clip, lvl.bits) @ lvl.weights
-            scores += lvl.const
-        elif lvl.path == "lemma1":
-            scores = own * lvl.score_sd
-            scores += lvl.score_means[label]
-        else:
-            scores = lvl.lattice_scores[lvl.index_sums(own, label)]
-        total = np.bincount(owner, weights=scores, minlength=n)
-        wrong.append(int(np.count_nonzero((total < 0.0) != first)))
+    wrong = [0] * len(levels)
+    for path, totals_of in (("features", _feature_totals), ("lemma1", _lemma1_totals),
+                            ("lattice", _lattice_totals)):
+        mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
+        if not mine:
+            continue
+        reached = success[mine].any(axis=0)
+        episode = np.nonzero(reached)[0]
+        # each level's own packets among those the path draws for
+        owns = [success[i][reached] for i in mine]
+        totals = totals_of(params, [levels[i] for i in mine], owns, episode,
+                           classes[episode], n, rng)
+        for i, total in zip(mine, totals):
+            wrong[i] = int(np.count_nonzero((total < 0.0) != first))
     return wrong
 
 
+def _feature_rows(dim: int) -> int:
+    """Feature vectors drawn at a time: at most ``_BLOCK_VALUES`` values."""
+    return max(1, _BLOCK_VALUES // dim)
+
+
+def _feature_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
+    """Episode totals on the features path. The arrivals' features are drawn in
+    chunks of ``_feature_rows`` rows; a chunk is quantized and scored for
+    every level, then dropped. Split draws keep their values, so the totals
+    do not depend on the chunk size."""
+    model = params.model
+    rows = _feature_rows(model.dim)
+    parts = [[] for _ in levels]
+    for start in range(0, episode.size, rows):
+        draws = rng.standard_normal((min(rows, episode.size - start), model.dim))
+        draws *= model.sd
+        draws += model.means[arrived[start:start + rows]]
+        for lvl, own, part in zip(levels, owns, parts):
+            chunk = own[start:start + rows]
+            quantized = quant.scalar_quantize(draws if chunk.all() else draws[chunk],
+                                              params.clip, lvl.bits)
+            part.append(quantized @ lvl.weights)
+    totals = []
+    for lvl, own, part in zip(levels, owns, parts):
+        scores = np.concatenate(part) if part else np.empty(0)
+        scores += lvl.const
+        totals.append(np.bincount(episode[own], weights=scores, minlength=n))
+    return totals
+
+
+def _lemma1_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
+    """Episode totals on the lemma-1 path: one normal score draw per arrival."""
+    draws = rng.standard_normal(episode.size)
+    totals = []
+    for lvl, own in zip(levels, owns):
+        scores = draws[own] * lvl.score_sd
+        scores += lvl.score_means[arrived[own]]
+        totals.append(np.bincount(episode[own], weights=scores, minlength=n))
+    return totals
+
+
+def _lattice_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
+    """Episode totals on the lattice path: one uniform per arrival gives its
+    index sum; an episode's m packets with index sums adding to T total
+    (2 T - m span) half_step + m const, T and m summed exactly."""
+    draws = rng.random(episode.size)
+    totals = []
+    for lvl, own in zip(levels, owns):
+        owner = episode[own]
+        index_sum = np.bincount(owner, weights=lvl.index_sums(draws[own], arrived[own]),
+                                minlength=n)
+        count = np.bincount(owner, minlength=n)
+        totals.append((2.0 * index_sum - count * lvl.span) * lvl.half_step + count * lvl.const)
+    return totals
+
+
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:
-    """Trials per block at a point simulated at ``levels``: each of a trial's
-    K packets draws L fading gains, then d features if some level is on the
-    features path, else one value (a lattice uniform or a lemma-1 score),
-    and the larger of the two draws holds ``_BLOCK_VALUES``."""
-    features = any(lvl.path == "features" for lvl in levels)
-    width = max(params.channel.antennas, params.model.dim if features else 1)
-    return max(1, _BLOCK_VALUES // (params.observations * width))
+    """Trials per block at a point simulated at ``levels``: a block's largest
+    per-packet array, one arrival flag per packet and level, holds at most
+    ``_BLOCK_VALUES`` values. Each packet draws one SNR and one uniform
+    whatever L, and features come in chunks of at most ``_BLOCK_VALUES``
+    values whatever d, so neither sizes the block."""
+    return max(1, _BLOCK_VALUES // (params.observations * len(levels)))
 
 
 def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],

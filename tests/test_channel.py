@@ -151,6 +151,14 @@ class TestPostMrcSampler:
         dist = stats.gamma(a=cfg4.antennas, scale=cfg4.snr_linear)
         assert stats.kstest(draws, dist.cdf).statistic <= 0.01
 
+    @pytest.mark.parametrize("antennas", [1, 4, 256])
+    def test_gamma_law(self, antennas):
+        # one gamma draw per SNR has the law of gamma0 times L unit exponentials
+        cfg = ch.ChannelConfig(antennas, 2.5, 100)
+        draws = ch.sample_post_mrc_snr(cfg, np.random.default_rng(antennas), size=100_000)
+        assert draws.shape == (100_000,)
+        assert stats.kstest(draws, stats.gamma(antennas, scale=2.5).cdf).statistic <= 0.01
+
     def test_deterministic_under_seed(self, cfg4):
         a = ch.sample_post_mrc_snr(cfg4, np.random.default_rng(3), size=10)
         b = ch.sample_post_mrc_snr(cfg4, np.random.default_rng(3), size=10)

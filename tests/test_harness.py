@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from senselink import channel as ch
 from senselink import cli
@@ -278,10 +280,10 @@ class TestGoldenRows:
     moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 48),
-        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 61),
-        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 573),
-        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 36),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 72),
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 84),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 498),
+        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 37),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
         row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
@@ -296,7 +298,7 @@ class TestGoldenRows:
         rows = harness.sweep(harness.ExperimentConfig(observations=3), "snr-db", [12.0],
                              policies, 20_000, seed=0)
         assert [row.policy for row in rows] == policies
-        assert [row.error for row in rows] == [w / 20_000 for w in (2199, 2596, 3357, 4935)]
+        assert [row.error for row in rows] == [w / 20_000 for w in (2256, 2617, 3366, 4968)]
 
 
 def engine_level(params, bits, noise_model):
@@ -439,12 +441,70 @@ class TestLatticePath:
             assert abs(a.error - b.error) <= 3.0 * spread, a.policy
 
 
+    def test_tied_totals_are_exact_zeros(self):
+        # at symmetric means an episode whose index sums add up to m span / 2
+        # totals exactly 0, and every other total has the sign of its excess
+        params = harness.build_params(harness.ExperimentConfig(observations=4))
+        level = engine_level(params, 1, "quantizer")
+        n, k = 5000, params.observations
+        episode = np.repeat(np.arange(n), k)
+        arrived = np.random.default_rng(1).integers(0, 2, n)[episode]
+        own = np.random.default_rng(2).random(episode.size) < 0.8
+        total, = harness._lattice_totals(params, [level], [own], episode, arrived, n,
+                                         np.random.default_rng(3))
+        sums = level.index_sums(np.random.default_rng(3).random(episode.size)[own], arrived[own])
+        excess = np.bincount(episode[own], weights=2 * sums - level.span, minlength=n)
+        assert np.count_nonzero(excess == 0) > 100
+        np.testing.assert_array_equal(total == 0.0, excess == 0)
+        np.testing.assert_array_equal(total < 0.0, excess * level.half_step < 0.0)
+
+    @pytest.mark.parametrize("dim, bits, observations", [
+        (1, 1, 4), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
+    ])
+    def test_exact_ties_match_enumeration(self, dim, bits, observations):
+        # every packet arrives, so an episode sums the K d grid indices of
+        # class means +0.3 (class 1) and -0.3; at symmetric means a total at
+        # the centre c = K d (2^b - 1) / 2 is an exact tie, which decides
+        # class 2. By the grid's symmetry the error is then
+        # P1(T < c) + P1(T = c) / 2, enumerated here over every index tuple
+        cfg = harness.ExperimentConfig(dim=dim, centroid=0.3, snr_db=60.0,
+                                       observations=observations, policy=f"bits:{bits}")
+        decision = harness.decide(cfg)
+        assert engine_level(decision.params, bits, "quantizer").path == "lattice"
+        assert ch.avg_packet_loss_approx(decision.params.channel, decision.rounded_rate) < 1e-12
+        levels = 2 ** bits
+        delta = 2.0 * cfg.clip / (levels - 1)
+        at_least = stats.norm.sf(-cfg.clip + (np.arange(1, levels) - 0.5) * delta - 0.3)
+        pmf = -np.diff(np.concatenate([[1.0], at_least, [0.0]]))
+        centre = observations * dim * (levels - 1) / 2
+        below = tie = 0.0
+        for indices in itertools.product(range(levels), repeat=observations * dim):
+            mass = math.prod(pmf[j] for j in indices)
+            below += mass if sum(indices) < centre else 0.0
+            tie += mass if sum(indices) == centre else 0.0
+        expected = below + 0.5 * tie
+        trials = 200_000
+        row = harness.estimate_error(cfg, decision, trials, seed=43)
+        assert abs(row.error - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / trials)
+
+
 class TestEstimateError:
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_feature_chunks_keep_counts(self, rows, monkeypatch):
+        # splitting the feature draw into chunks keeps its values, so the
+        # wrong counts of levels on the features path, here with different
+        # arrivals, and of the lattice level drawn after them do not move
+        policies = ["bits:11", "bits:12", "bits:16", "bits:4"]
+        cfg = harness.ExperimentConfig(observations=3)
+        chunked = harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8)
+        monkeypatch.setattr(harness, "_feature_rows", lambda dim: rows)
+        assert harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8) == chunked
+
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
         # second block and leaves the first one's outcomes as they were; a
-        # lattice uniform and a lemma-1 score are one value per packet, so
-        # the L = 4 fading gains size those blocks, and 50 features the last
+        # block holds 2^14 arrival flags, one per packet and level, on every
+        # path: features are drawn in chunks, so d does not size the block
         sizes = []
         for cfg in (harness.ExperimentConfig(policy="bits:4"),
                     harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"),
@@ -459,11 +519,11 @@ class TestEstimateError:
             one = harness.estimate_error(cfg, decision, 1, seed=6)
             assert one.trials == 1 and one.error in (0.0, 1.0)
             sizes.append(size)
-        assert sizes == [1638, 1638, 131]  # 2^16 // (K L), twice, then 2^16 // (K d)
+        assert sizes == [1638, 1638, 1638]  # 2^14 // (K levels), K = 10 and one level
 
     def test_block_memory_follows_the_antennas(self):
-        # one value per packet on the lattice but 256 fading gains: blocks
-        # sized by d = 1 alone would hold a 65,536 x 256 array of exponentials
+        # 256 antennas, but one gamma draw per packet: the fading gains do not
+        # size the block, which holds 2^14 one-level packets here
         cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
         decision = harness.decide(cfg)
         tracemalloc.start()
