@@ -139,9 +139,11 @@ def build_params(config: ExperimentConfig, model: gmm.InferenceModel | None = No
 def decide(config: ExperimentConfig, params: opt.TradeoffParams | None = None) -> opt.RateDecision:
     """Resolve the policy string, with R in ``bits:R`` ASCII decimal digits, into
     a rate decision; decisions that share ``params`` share its bit-level table."""
-    if params is None:
-        params = build_params(config)
-    policy = config.policy
+    return _decide_policy(config.policy, build_params(config) if params is None else params)
+
+
+def _decide_policy(policy: str, params: opt.TradeoffParams) -> opt.RateDecision:
+    """``decide`` for a policy string at the point ``params``."""
     if policy == "adaptive":
         return opt.round_rate(opt.solve_rate(params), params)
     if policy == "brute":
@@ -445,7 +447,7 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         decisions = []
         try:
             for policy in policies:
-                decisions.append(decide(replace(point, policy=policy), params))
+                decisions.append(_decide_policy(policy, params))
             wrong = _count_errors(params, config.noise_model,
                                   [d.bits_per_feature for d in decisions], trials,
                                   key=(seed, *_float_words(number)), tag=(_SWEEP_STREAMS[param],))

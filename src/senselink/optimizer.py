@@ -162,14 +162,19 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     feature instead of overflowing. The distortion term is 0 wherever the
     gain derivative is 0, including at zero class separation.
     """
+    if not rate > 0.0:  # NaN too
+        raise ValueError("coding rate must be positive")
     n = params.channel.blocklength
     d = params.dim
     bits = n * rate / d
-    s2 = sigma_q2_of_rate(rate, params)
-    gain = effective_discriminant_gain(params.model, s2)
+    # sigma_q2_of_rate in scalar arithmetic; from 511 bits on the variance is
+    # below clip^2 / 10^307, which moves no eigenvalue, and is taken as 0
+    s2 = params.clip ** 2 / (3.0 * float(np.expm1(bits * LN2)) ** 2) if bits < 511.0 else 0.0
+    inflated = params.model.eigvals + s2
+    gain = 0.5 * float((params.model.gap ** 2 / inflated).sum())
 
     # w = (Sigma + s2 I)^{-1} (mu1 - mu2) has |w|^2 = sum c_i^2 / (lambda_i + s2)^2
-    w_norm2 = float(np.sum((params.model.gap / (params.model.eigvals + s2)) ** 2))
+    w_norm2 = float(((params.model.gap / inflated) ** 2).sum())
     distortion = 2.0 ** (-2.0 * bits) / (-math.expm1(-bits * LN2)) ** 3
     d_prime = (n * params.clip ** 2 * distortion * LN2) / (3.0 * d) * w_norm2
     # d_prime / (4 expm1(D/4)) in e^{-D/4}, which underflows where e^{D/4} would
