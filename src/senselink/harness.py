@@ -2,13 +2,14 @@
 
 The engine simulates each decision at its bit level and at the point it was
 made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
-sweep builds its model once. Trials run in blocks that bound the largest
-array a block draws, fading gains or features. Each block draws from its own
-random stream: keyed by (seed, cell, block) for a single cell, and by (seed,
-swept value, block, sweep parameter) for a sweep point, whose policies are
-all scored on the same episodes. Any output is a pure function of its
-configuration and seed, and sweeps over different parameters or values draw
-different numbers.
+sweep builds its model once. Trials run in blocks sized by their packets,
+and features are drawn in bounded chunks, so a block's arrays stay small
+whatever the trial count, dimension or antenna count. Each block draws from
+its own random stream: keyed by (seed, cell, block) for a single cell, and
+by (seed, swept value, block, sweep parameter) for a sweep point, whose
+policies are all scored on the same episodes. Any output is a pure function
+of its configuration and seed, and sweeps over different parameters or
+values draw different numbers.
 """
 
 from __future__ import annotations
@@ -288,8 +289,10 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
             continue
         reached = success[mine].any(axis=0)
         episode = np.nonzero(reached)[0]
-        # each level's own packets among those the path draws for
-        owns = [success[i][reached] for i in mine]
+        # each level's own packets among those the path draws for; a slice,
+        # whose indexing takes no copy, where that is all of them
+        owns = [slice(None) if own.all() else own
+                for own in (success[i][reached] for i in mine)]
         totals = totals_of(params, [levels[i] for i in mine], owns, episode,
                            classes[episode], n, rng)
         for i, total in zip(mine, totals):
@@ -315,10 +318,8 @@ def _feature_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.n
         draws *= model.sd
         draws += model.means[arrived[start:start + rows]]
         for lvl, own, part in zip(levels, owns, parts):
-            chunk = own[start:start + rows]
-            quantized = quant.scalar_quantize(draws if chunk.all() else draws[chunk],
-                                              params.clip, lvl.bits)
-            part.append(quantized @ lvl.weights)
+            mine = draws if isinstance(own, slice) else draws[own[start:start + rows]]
+            part.append(quant.scalar_quantize(mine, params.clip, lvl.bits) @ lvl.weights)
     totals = []
     for lvl, own, part in zip(levels, owns, parts):
         scores = np.concatenate(part) if part else np.empty(0)

@@ -167,8 +167,9 @@ def surrogate_gradient(rate: float, params: TradeoffParams) -> float:
     n = params.channel.blocklength
     d = params.dim
     bits = n * rate / d
-    # sigma_q2_of_rate in scalar arithmetic; from 511 bits on the variance is
-    # below clip^2 / 10^307, which moves no eigenvalue, and is taken as 0
+    # sigma_q2_of_rate in scalar arithmetic; from 511 bits on, where
+    # (2^b - 1)^2 nears overflow, the variance is below clip^2 / 10^308 and
+    # is taken as its limit 0
     s2 = params.clip ** 2 / (3.0 * float(np.expm1(bits * LN2)) ** 2) if bits < 511.0 else 0.0
     inflated = params.model.eigvals + s2
     gain = 0.5 * float((params.model.gap ** 2 / inflated).sum())
