@@ -177,10 +177,9 @@ class _Level:
     ``guide[c, j]`` the number of CDF values <= j / cells, for ``cells`` a
     power of two above that number (Chen and Asau's guide table), so a
     packet takes one uniform. A packet with index sum t in 0..``span``
-    scores (2 t - span) ``half_step`` + const (``lattice_scores``), so m
-    packets with index sums adding to T score (2 T - m span) half_step +
-    m const in all, whose first factor is an exact integer. Otherwise the
-    path is "features". The CDF and guide table are built once per process
+    scores (2 t - span) ``half_step`` + const (``lattice_scores``), and
+    ``episode_totals`` adds these up exactly. Otherwise the path is
+    "features". The CDF and guide table are built once per process
     for each model, clip, bit level and d (``_lattice_law``), and shared
     read-only; the step, which follows the level's weights, is computed here.
     """
@@ -209,6 +208,15 @@ class _Level:
     def lattice_scores(self) -> np.ndarray:
         """A lattice packet's score at each index sum 0..``span``."""
         return (2.0 * np.arange(self.span + 1) - self.span) * self.half_step + self.const
+
+    def episode_totals(self, owner: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
+        """Each of ``n`` episodes' total score on the lattice, from the index
+        sums of its packets (``owner`` their episodes): m packets whose index
+        sums add up to T total (2 T - m span) half_step + m const, with T and
+        m summed exactly, so a tie at symmetric class means is exactly 0."""
+        count = np.bincount(owner, minlength=n)
+        excess = 2.0 * np.bincount(owner, weights=sums, minlength=n) - count * self.span
+        return excess * self.half_step + count * self.const
 
     def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``:
@@ -265,9 +273,8 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     in chunks of ``_feature_rows`` rows), lemma-1 scores, then a uniform
     each on the lattice, once for the packets that arrive under any level on
     that path; a path no level takes draws nothing. Each level scores its own
-    arrivals, keeping one value per packet, and sums them per episode; the
-    lattice sums integer index sums, so its totals are exact (see
-    ``_Level``). Every episode decides class 1 iff its total is < 0, so one
+    arrivals, keeping one value per packet, and sums them per episode,
+    exactly on the lattice (``_Level.episode_totals``). Every episode decides class 1 iff its total is < 0, so one
     that receives nothing, or whose lattice total is an exact tie, decides
     class 2: a silent episode is wrong with probability 1/2, as the class is
     a fair draw. A level's outcome depends on the other levels only through
@@ -282,20 +289,29 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     success = np.array([lvl.rate for lvl in levels])[:, None, None] <= reach
     first = classes == 0
     wrong = [0] * len(levels)
-    for path, totals_of in (("features", _feature_totals), ("lemma1", _lemma1_totals),
-                            ("lattice", _lattice_totals)):
+    for path in ("features", "lemma1", "lattice"):
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
         reached = success[mine].any(axis=0)
         episode = np.nonzero(reached)[0]
+        arrived = classes[episode]
         # each level's own packets among those the path draws for; a slice,
         # whose indexing takes no copy, where that is all of them
-        owns = [slice(None) if own.all() else own
-                for own in (success[i][reached] for i in mine)]
-        totals = totals_of(params, [levels[i] for i in mine], owns, episode,
-                           classes[episode], n, rng)
-        for i, total in zip(mine, totals):
+        owns = [slice(None) if own.all() else own for own in success[mine][:, reached]]
+        if path == "features":
+            scores = _feature_scores(params, [levels[i] for i in mine], owns, arrived, rng)
+        else:
+            draws = rng.standard_normal(episode.size) if path == "lemma1" else rng.random(episode.size)
+        for j, (i, own) in enumerate(zip(mine, owns)):
+            lvl, owner, label = levels[i], episode[own], arrived[own]
+            if path == "features":
+                total = np.bincount(owner, weights=scores[j], minlength=n)
+            elif path == "lemma1":
+                total = np.bincount(owner, weights=draws[own] * lvl.score_sd + lvl.score_means[label],
+                                    minlength=n)
+            else:
+                total = lvl.episode_totals(owner, lvl.index_sums(draws[own], label), n)
             wrong[i] = int(np.count_nonzero((total < 0.0) != first))
     return wrong
 
@@ -305,53 +321,24 @@ def _feature_rows(dim: int) -> int:
     return max(1, _BLOCK_VALUES // dim)
 
 
-def _feature_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
-    """Episode totals on the features path. The arrivals' features are drawn in
-    chunks of ``_feature_rows`` rows; a chunk is quantized and scored for
-    every level, then dropped. Split draws keep their values, so the totals
-    do not depend on the chunk size."""
+def _feature_scores(params: opt.TradeoffParams, levels: list[_Level], owns: list,
+                    arrived: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each feature-path level's scores of its own packets (``owns``) among
+    arrivals of classes ``arrived``. Their features are drawn in chunks of
+    ``_feature_rows`` rows; a chunk is quantized and scored for every level,
+    then dropped. Split draws keep their values, so no score depends on the
+    chunk size."""
     model = params.model
     rows = _feature_rows(model.dim)
     parts = [[] for _ in levels]
-    for start in range(0, episode.size, rows):
-        draws = rng.standard_normal((min(rows, episode.size - start), model.dim))
+    for start in range(0, arrived.size, rows):
+        draws = rng.standard_normal((min(rows, arrived.size - start), model.dim))
         draws *= model.sd
         draws += model.means[arrived[start:start + rows]]
         for lvl, own, part in zip(levels, owns, parts):
             mine = draws if isinstance(own, slice) else draws[own[start:start + rows]]
             part.append(quant.scalar_quantize(mine, params.clip, lvl.bits) @ lvl.weights)
-    totals = []
-    for lvl, own, part in zip(levels, owns, parts):
-        scores = np.concatenate(part) if part else np.empty(0)
-        scores += lvl.const
-        totals.append(np.bincount(episode[own], weights=scores, minlength=n))
-    return totals
-
-
-def _lemma1_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
-    """Episode totals on the lemma-1 path: one normal score draw per arrival."""
-    draws = rng.standard_normal(episode.size)
-    totals = []
-    for lvl, own in zip(levels, owns):
-        scores = draws[own] * lvl.score_sd
-        scores += lvl.score_means[arrived[own]]
-        totals.append(np.bincount(episode[own], weights=scores, minlength=n))
-    return totals
-
-
-def _lattice_totals(params, levels, owns, episode, arrived, n, rng) -> list[np.ndarray]:
-    """Episode totals on the lattice path: one uniform per arrival gives its
-    index sum; an episode's m packets with index sums adding to T total
-    (2 T - m span) half_step + m const, T and m summed exactly."""
-    draws = rng.random(episode.size)
-    totals = []
-    for lvl, own in zip(levels, owns):
-        owner = episode[own]
-        index_sum = np.bincount(owner, weights=lvl.index_sums(draws[own], arrived[own]),
-                                minlength=n)
-        count = np.bincount(owner, minlength=n)
-        totals.append((2.0 * index_sum - count * lvl.span) * lvl.half_step + count * lvl.const)
-    return totals
+    return [np.concatenate(part or [np.empty(0)]) + lvl.const for lvl, part in zip(levels, parts)]
 
 
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:

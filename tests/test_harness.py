@@ -444,16 +444,12 @@ class TestLatticePath:
     def test_tied_totals_are_exact_zeros(self):
         # at symmetric means an episode whose index sums add up to m span / 2
         # totals exactly 0, and every other total has the sign of its excess
-        params = harness.build_params(harness.ExperimentConfig(observations=4))
-        level = engine_level(params, 1, "quantizer")
-        n, k = 5000, params.observations
-        episode = np.repeat(np.arange(n), k)
-        arrived = np.random.default_rng(1).integers(0, 2, n)[episode]
-        own = np.random.default_rng(2).random(episode.size) < 0.8
-        total, = harness._lattice_totals(params, [level], [own], episode, arrived, n,
-                                         np.random.default_rng(3))
-        sums = level.index_sums(np.random.default_rng(3).random(episode.size)[own], arrived[own])
-        excess = np.bincount(episode[own], weights=2 * sums - level.span, minlength=n)
+        level = engine_level(harness.build_params(harness.ExperimentConfig()), 1, "quantizer")
+        rng = np.random.default_rng(1)
+        n, owner = 5000, np.sort(rng.integers(0, 5000, size=15_000))
+        sums = level.index_sums(rng.random(owner.size), rng.integers(0, 2, size=owner.size))
+        total = level.episode_totals(owner, sums, n)
+        excess = np.bincount(owner, weights=2 * sums - level.span, minlength=n)
         assert np.count_nonzero(excess == 0) > 100
         np.testing.assert_array_equal(total == 0.0, excess == 0)
         np.testing.assert_array_equal(total < 0.0, excess * level.half_step < 0.0)
