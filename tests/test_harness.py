@@ -440,7 +440,6 @@ class TestLatticePath:
             spread = math.sqrt((a.error * (1 - a.error) + b.error * (1 - b.error)) / trials)
             assert abs(a.error - b.error) <= 3.0 * spread, a.policy
 
-
     def test_tied_totals_are_exact_zeros(self):
         # at symmetric means an episode whose index sums add up to m span / 2
         # totals exactly 0, and every other total has the sign of its excess
