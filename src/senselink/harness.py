@@ -3,13 +3,13 @@
 The engine simulates each decision at its bit level and at the point it was
 made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
 sweep builds its model once. Trials run in blocks sized by their packets,
-and features are drawn in bounded chunks, so a block's arrays stay small
-whatever the trial count, dimension or antenna count. Each block draws from
-its own random stream: keyed by (seed, cell, block) for a single cell, and
-by (seed, swept value, block, sweep parameter) for a sweep point, whose
-policies are all scored on the same episodes. Any output is a pure function
-of its configuration and seed, and sweeps over different parameters or
-values draw different numbers.
+and features or index uniforms are drawn in bounded chunks, so a block's
+arrays stay small whatever the trial count, dimension or antenna count.
+Each block draws from its own random stream: keyed by (seed, cell, block)
+for a single cell, and by (seed, swept value, block, sweep parameter) for a
+sweep point, whose policies are all scored on the same episodes. Any output
+is a pure function of its configuration and seed, and sweeps over different
+parameters or values draw different numbers.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ _LATTICE_SPAN = 2 ** 16
 # Lattice laws kept per process (see ``_lattice_law``): a sweep over the
 # default model revisits seven, the levels of 1 to 7 bits at d = 50.
 _LATTICE_LAWS = 8
+# Guide cells per grid point on the indices path (see ``_Level``): with one,
+# as on the lattice, 12.5% of the uniforms of a dense 4-bit cell fall in bins
+# holding two or more CDF values; with four, about 3%.
+_INDEX_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -168,20 +172,30 @@ class _Level:
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
 
+    The real quantizer's paths draw from exact CDFs, one per row of the
+    tables ``cdf``, ``guide`` and ``bounds`` (``_guide_tables``), each
+    uniform inverted by ``lookup``.
+
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
     weights are equal and a packet's score is an affine function of the sum
     of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
-    points, ``path`` is "lattice": ``cdf`` holds each class's exact CDF of
-    the sum without the final 1, padded with +inf to cells + 1 entries, and
-    ``guide[c, j]`` the number of CDF values <= j / cells, for ``cells`` a
-    power of two above that number (Chen and Asau's guide table), so a
-    packet takes one uniform. A packet with index sum t in 0..``span``
-    scores (2 t - span) ``half_step`` + const (``lattice_scores``), and
-    ``episode_totals`` adds these up exactly. Otherwise the path is
-    "features". The CDF and guide table are built once per process
-    for each model, clip, bit level and d (``_lattice_law``), and shared
-    read-only; the step, which follows the level's weights, is computed here.
+    points, ``path`` is "lattice": row c is class c's law of the sum, with
+    ``cells`` the power of two above its span, so a packet takes one
+    uniform. A packet with index sum t in 0..``span`` scores
+    (2 t - span) ``half_step`` + const (``lattice_scores``), and
+    ``episode_totals`` adds these up exactly. The tables are built once per
+    process for each model, clip, bit level and d (``_lattice_law``), and
+    shared read-only; the step, which follows the level's weights, is
+    computed here.
+
+    Otherwise, if d (2^b - 1) is still at most ``_LATTICE_SPAN``, ``path`` is
+    "indices": row c d + i is the law (``quant.index_pmf``) of coordinate i's
+    grid index in class c, with ``_INDEX_CELLS`` cells per index, so each
+    coordinate takes one uniform, and a packet with indices k scores
+    k @ ``index_weights`` + ``index_const``, which is w @ (-clip + k delta)
+    + const. Wider levels take the "features" path: Gaussian features,
+    quantized.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
@@ -195,14 +209,23 @@ class _Level:
         self.score_means = means @ self.weights + self.const
         self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
         self.path = "features" if noise_model == "quantizer" else "lemma1"
-        if (self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN
-                and np.all(lam == lam[0]) and np.all(means == means[:, :1])):
-            self.path = "lattice"
-            self.cdf, self.guide = _lattice_law(
-                float(means[0, 0]), float(means[1, 0]), float(lam[0]), params.clip,
-                bits, dim)
-            self.span = dim * (2 ** bits - 1)
-            self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
+        if self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN:
+            if np.all(lam == lam[0]) and np.all(means == means[:, :1]):
+                self.path = "lattice"
+                self.cdf, self.guide, self.bounds, self.steps = _lattice_law(
+                    float(means[0, 0]), float(means[1, 0]), float(lam[0]), params.clip,
+                    bits, dim)
+                self.span = dim * (2 ** bits - 1)
+                self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
+            else:
+                self.path = "indices"
+                pmfs = quant.index_pmf(means[..., None], lam[:, None], params.clip, bits)
+                self.cdf, self.guide, self.bounds, self.steps = _guide_tables(
+                    pmfs.reshape(2 * dim, -1), _INDEX_CELLS << bits)
+                self.index_weights = 2.0 * params.clip / (2 ** bits - 1) * self.weights
+                self.index_const = self.const - params.clip * float(np.sum(self.weights))
+            # where row c m + i of the tables starts, at [c, i]
+            self.starts = np.arange(0, self.guide.size, self.guide.shape[1]).reshape(2, -1)
 
     @property
     def lattice_scores(self) -> np.ndarray:
@@ -219,43 +242,96 @@ class _Level:
         return excess * self.half_step + count * self.const
 
     def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``:
-        g + (u >= cdf[c, g]) for g = guide[c, floor(u cells)], or that search
-        in the few bins, all in the tails, that hold two or more CDF values."""
-        cells = self.guide.shape[1] - 1
-        offsets = labels * (cells + 1)  # guide and cdf rows are cells + 1 long
-        bins = (uniforms * cells).astype(np.intp) + offsets
-        lo, hi = self.guide.ravel()[bins], self.guide.ravel()[bins + 1]
-        sums = lo + (uniforms >= self.cdf.ravel()[lo + offsets])
-        crowded = np.flatnonzero(hi - lo > 1)
-        searched = [np.searchsorted(row, uniforms[crowded], "right") for row in self.cdf]
-        sums[crowded] = np.choose(labels[crowded], searched)
-        return sums
+        """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``
+        for its class c in ``labels``."""
+        return self.lookup(labels, uniforms[:, None])[:, 0]
+
+    def lookup(self, labels: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """For uniforms of shape (n, m) and classes ``labels``, each uniform's
+        place in the CDF of table row c m + i, for its class c and column i
+        (see ``_guide_tables``): one guide read and one comparison. The few
+        uniforms in bins that hold two or more CDF values, mostly in the
+        tails, are bisected between their bin's guide entries where they
+        number at least 32 per bisection step, and else found by one search
+        of all rows."""
+        keys, guide, bounds = self.cdf, self.guide, self.bounds
+        width = guide.shape[1]
+        at = np.empty(uniforms.shape, dtype=np.intp)
+        np.multiply(uniforms, width - 1, out=at, casting="unsafe")  # floor(u cells)
+        at += self.starts.take(labels, axis=0)
+        bound = bounds.ravel()[at]
+        crowded = np.flatnonzero(np.isnan(bound))
+        above = uniforms >= bound
+        del bound
+        places = guide.ravel()[at]
+        places += above
+        if crowded.size:
+            at, u = at.ravel()[crowded], uniforms.ravel()[crowded]
+            rows = at // width
+            base = rows * keys.shape[1]  # where each row starts in keys
+            if crowded.size >= 32 * self.steps:
+                # a pass of the bisection costs about as much as searching 32
+                # uniforms. The place lies in lo..hi, where cdf[hi] > u, so
+                # steps of 2^(steps - 1) .. 1 reach it
+                lo, hi = guide.ravel()[at] + base, guide.ravel()[1:][at] + base
+                cdf = keys.ravel().imag
+                for step in (1 << np.arange(self.steps)[::-1]).tolist():
+                    np.add(lo, step, out=lo, where=u >= cdf[np.minimum(lo + (step - 1), hi)])
+            else:
+                lo = np.searchsorted(keys.ravel(), rows + 1j * u, "right")
+            np.put(places, crowded, lo - base)
+        return places
+
+
+def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The tables that invert the laws in the rows of ``pmfs`` (see
+    ``_Level``), for ``cells`` a power of two, so that u cells and j / cells
+    are exact, and at least the number of values in a row's CDF F, which
+    leaves out its final 1.
+
+    ``guide[r, j]`` is the number of values of F <= j / cells, so a uniform
+    u in bin j = floor(u cells) has its place ``np.searchsorted(F, u,
+    "right")`` between guide[r, j] and guide[r, j + 1]. ``bounds[r, j]`` is
+    F[guide[r, j]] (inf past F's end), where the bin holds at most one value
+    of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
+    where the bin holds more. ``cdf[r]`` holds r + i F, then r + i inf:
+    numpy orders complex numbers by real part, then by imaginary part, so
+    the table is sorted, and one search of r + i u finds u's place in row r,
+    whatever the row. The last item is the number of bisection steps that
+    find a place within any bin: the bit length of the most values a bin
+    holds.
+    """
+    cdf = np.pad(np.cumsum(pmfs, axis=1)[:, :-1], ((0, 0), (0, 1)), constant_values=np.inf)
+    grid = np.arange(cells + 1) / cells
+    guide = np.empty((len(cdf), cells + 1), dtype=np.int32)
+    for row, out in zip(cdf, guide):
+        out[:] = np.searchsorted(row, grid, "right")
+    counts = np.diff(guide, axis=1)
+    bounds = np.take_along_axis(cdf, guide, axis=1)
+    bounds[:, :-1][counts > 1] = np.nan
+    keys = np.empty(cdf.shape, dtype=complex)
+    keys.real, keys.imag = np.arange(len(cdf))[:, None], cdf
+    return keys, guide, bounds, int(counts.max()).bit_length()
 
 
 @functools.lru_cache(maxsize=_LATTICE_LAWS)
 def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
-                 dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The padded CDFs and guide table of a lattice level's index sums (see
-    ``_Level``) whose classes have coordinate means ``mean1`` and ``mean2``
-    and every eigenvalue ``lam``; the arrays are read-only. Row c of the
-    guide table is one search of the grid j / cells in ``cdf[c]``.
+                 dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The tables of a lattice level's index sums (see ``_Level``) whose
+    classes have coordinate means ``mean1`` and ``mean2`` and every
+    eigenvalue ``lam``; the arrays are read-only.
 
     They depend only on these arguments, not on the channel, the observation
     count or the score weights, so every point of a sweep, and every sweep in
     the process, shares them. An entry at the widest span, 2^16 + 1 index
-    sums, holds 2.1 MB of CDFs and 1.0 MB of guide table, so
-    ``_LATTICE_LAWS`` entries retain at most about 25 MB.
+    sums, holds 2.1 MB of CDF keys, 1.0 MB of guide table and 2.1 MB of
+    bounds, so ``_LATTICE_LAWS`` entries retain at most about 42 MB.
     """
     _, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
-    cdf = np.cumsum(pmfs, axis=1)[:, :-1]
-    cells = 1 << cdf.shape[1].bit_length()  # so u cells and j / cells are exact
-    grid = np.arange(cells + 1) / cells
-    guide = np.array([np.searchsorted(row, grid, "right") for row in cdf], dtype=np.int32)
-    cdf = np.pad(cdf, ((0, 0), (0, cells + 1 - cdf.shape[1])), constant_values=np.inf)
-    for table in (cdf, guide):
+    tables = _guide_tables(pmfs, 1 << (pmfs.shape[1] - 1).bit_length())
+    for table in tables[:3]:
         table.flags.writeable = False
-    return cdf, guide
+    return tables
 
 
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
@@ -269,10 +345,11 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     every level, which give each packet its decodable rate
     (``channel.decodable_rate``); each level only compares its own rate with
     it. Each level's ``path`` (see ``_Level``) then says what its arrivals
-    draw, in this order: features (from the model's ``means`` and ``sd``,
-    in chunks of ``_feature_rows`` rows), lemma-1 scores, then a uniform
-    each on the lattice, once for the packets that arrive under any level on
-    that path; a path no level takes draws nothing. Each level scores its own
+    draw, in this order: features (from the model's ``means`` and ``sd``),
+    then a uniform per coordinate on the indices path, both in chunks of
+    ``_feature_rows`` rows, lemma-1 scores, then a uniform each on the
+    lattice, once for the packets that arrive under any level on that path;
+    a path no level takes draws nothing. Each level scores its own
     arrivals, keeping one value per packet, and sums them per episode,
     exactly on the lattice (``_Level.episode_totals``). Every episode decides class 1 iff its total is < 0, so one
     that receives nothing, or whose lattice total is an exact tie, decides
@@ -283,29 +360,31 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     single-policy engine of the same path.
     """
     k = params.observations
-    classes = rng.integers(0, 2, size=n)  # 0 for class 1, 1 for class 2
-    snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
-    reach = ch.decodable_rate(snrs, params.channel.blocklength, rng.random((n, k)))
-    success = np.array([lvl.rate for lvl in levels])[:, None, None] <= reach
+    classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
+    # the SNRs, then the arrival uniforms; neither outlives the comparison
+    success = np.array([lvl.rate for lvl in levels])[:, None, None] <= ch.decodable_rate(
+        ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k),
+        params.channel.blocklength, rng.random((n, k)))
     first = classes == 0
     wrong = [0] * len(levels)
-    for path in ("features", "lemma1", "lattice"):
+    for path in ("features", "indices", "lemma1", "lattice"):
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
         reached = success[mine].any(axis=0)
-        episode = np.nonzero(reached)[0]
+        # each arrival's episode and class, 5 bytes a packet while the draws run
+        episode = np.nonzero(reached)[0].astype(np.int32)
         arrived = classes[episode]
         # each level's own packets among those the path draws for; a slice,
         # whose indexing takes no copy, where that is all of them
         owns = [slice(None) if own.all() else own for own in success[mine][:, reached]]
-        if path == "features":
+        if path in ("features", "indices"):
             scores = _feature_scores(params, [levels[i] for i in mine], owns, arrived, rng)
         else:
-            draws = rng.standard_normal(episode.size) if path == "lemma1" else rng.random(episode.size)
+            draws = rng.standard_normal(arrived.size) if path == "lemma1" else rng.random(arrived.size)
         for j, (i, own) in enumerate(zip(mine, owns)):
             lvl, owner, label = levels[i], episode[own], arrived[own]
-            if path == "features":
+            if path in ("features", "indices"):
                 total = np.bincount(owner, weights=scores[j], minlength=n)
             elif path == "lemma1":
                 total = np.bincount(owner, weights=draws[own] * lvl.score_sd + lvl.score_means[label],
@@ -317,28 +396,40 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
 
 
 def _feature_rows(dim: int) -> int:
-    """Feature vectors drawn at a time: at most ``_BLOCK_VALUES`` values."""
+    """Packets whose d coordinates are drawn at a time: at most
+    ``_BLOCK_VALUES`` values."""
     return max(1, _BLOCK_VALUES // dim)
 
 
 def _feature_scores(params: opt.TradeoffParams, levels: list[_Level], owns: list,
                     arrived: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Each feature-path level's scores of its own packets (``owns``) among
-    arrivals of classes ``arrived``. Their features are drawn in chunks of
-    ``_feature_rows`` rows; a chunk is quantized and scored for every level,
-    then dropped. Split draws keep their values, so no score depends on the
-    chunk size."""
+    """Each level's scores of its own packets (``owns``) among arrivals of
+    classes ``arrived``, for levels all on the features path or all on the
+    indices path. Each packet draws d values, in chunks of ``_feature_rows``
+    rows: Gaussian features, quantized for every level, or uniforms, each
+    mapped to its coordinate's grid index through every level's tables. A
+    chunk is scored for every level, then dropped. Split draws keep their
+    values, so no score depends on the chunk size."""
     model = params.model
     rows = _feature_rows(model.dim)
+    gaussian = levels[0].path == "features"
     parts = [[] for _ in levels]
     for start in range(0, arrived.size, rows):
-        draws = rng.standard_normal((min(rows, arrived.size - start), model.dim))
-        draws *= model.sd
-        draws += model.means[arrived[start:start + rows]]
+        labels = arrived[start:start + rows]
+        if gaussian:
+            draws = rng.standard_normal((labels.size, model.dim))
+            draws *= model.sd
+            draws += model.means[labels]
+        else:
+            draws = rng.random((labels.size, model.dim))
         for lvl, own, part in zip(levels, owns, parts):
-            mine = draws if isinstance(own, slice) else draws[own[start:start + rows]]
-            part.append(quant.scalar_quantize(mine, params.clip, lvl.bits) @ lvl.weights)
-    return [np.concatenate(part or [np.empty(0)]) + lvl.const for lvl, part in zip(levels, parts)]
+            mine = own if isinstance(own, slice) else own[start:start + rows]
+            if gaussian:
+                part.append(quant.scalar_quantize(draws[mine], params.clip, lvl.bits) @ lvl.weights)
+            else:
+                part.append(lvl.lookup(labels[mine], draws[mine]) @ lvl.index_weights)
+    return [np.concatenate(part or [np.empty(0)]) + (lvl.const if gaussian else lvl.index_const)
+            for lvl, part in zip(levels, parts)]
 
 
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:

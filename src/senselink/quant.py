@@ -90,6 +90,20 @@ def scalar_quantize(v, clip: float, bits: int):
     return out
 
 
+def index_pmf(mean, var, clip: float, bits: int) -> np.ndarray:
+    """Law of the grid index k = 0 .. 2^bits - 1 that ``scalar_quantize``
+    gives a N(mean, var) value, mapping it to -clip + k delta.
+
+    A value's index is >= k exactly when it is >= -clip + (k - 1/2) delta,
+    so the pmf is a difference of ``ndtr`` at those edges. ``mean`` and
+    ``var`` broadcast against the 2^bits - 1 edges along the last axis: a
+    column of c means, shape (c, 1), gives one row of probabilities each.
+    """
+    levels, delta = 2 ** bits, _resolution(clip, bits)
+    edges = -clip + (np.arange(1, levels) - 0.5) * delta
+    return np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
+
+
 def index_sum_law(mean, var: float, clip: float, bits: int,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the sum of ``count`` i.i.d. N(mean, var) values, each
@@ -97,10 +111,9 @@ def index_sum_law(mean, var: float, clip: float, bits: int,
     over the index sums t = 0 .. count (2^bits - 1), and their probabilities;
     a column of c means, shape (c, 1), gives c rows of probabilities.
 
-    A value's grid index is >= k exactly when it is >= -clip + (k - 1/2)
-    delta, so one coordinate's pmf is a difference of ``ndtr`` at those
-    edges; the sum's pmf is its count-fold convolution, one FFT power at a
-    fast length that does not wrap, cut back, clipped at 0 and normalised.
+    One coordinate's pmf is ``index_pmf``; the sum's pmf is its count-fold
+    convolution, one FFT power at a fast length that does not wrap, cut
+    back, clipped at 0 and normalised.
     Before the power, each transform term of modulus below 10^(-200/count)
     is set to 0, since its power, below 1e-200, would often underflow into
     subnormal numbers, whose arithmetic is slow. The inverse transform
@@ -108,8 +121,7 @@ def index_sum_law(mean, var: float, clip: float, bits: int,
     1e-200 or more, far below its float64 resolution.
     """
     levels, delta = 2 ** bits, _resolution(clip, bits)
-    edges = -clip + (np.arange(1, levels) - 0.5) * delta
-    one = np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
+    one = index_pmf(mean, var, clip, bits)
     size = count * (levels - 1) + 1
     fast = next_fast_len(size, real=True)
     terms = np.fft.rfft(one, fast)

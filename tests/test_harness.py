@@ -282,7 +282,7 @@ class TestGoldenRows:
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
         (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 72),
         (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 84),
-        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 498),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 537),
         (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 37),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
@@ -483,6 +483,130 @@ class TestLatticePath:
         assert abs(row.error - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / trials)
 
 
+def diagonal_model_file(tmp_path, mu1, mu2, sigma):
+    """A model file with diagonal covariance ``sigma`` and class means
+    ``mu1`` and ``mu2``."""
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"mu1": mu1, "mu2": mu2, "sigma": sigma}))
+    return str(path)
+
+
+class TestIndicesPath:
+    """Levels of the real quantizer whose coordinates are not i.i.d. draw
+    each coordinate's grid index from one uniform through its own exact CDF,
+    if d (2^b - 1) is at most the lattice's span."""
+
+    @staticmethod
+    def path(cfg, bits):
+        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).path
+
+    def test_eligibility_is_derived(self, tmp_path):
+        dense = dense_config("bits:4", "quantizer")  # d = 20
+        assert self.path(dense, 4) == "indices" and self.path(dense, 11) == "indices"
+        assert self.path(dense, 12) == "features"  # 20 (2^12 - 1) index sums
+        assert self.path(replace(dense, noise_model="lemma1"), 4) == "lemma1"
+        diagonal = harness.ExperimentConfig(sigma_spec=[1.0] * 49 + [2.0])
+        assert self.path(diagonal, 10) == "indices" and self.path(diagonal, 11) == "features"
+        unequal = diagonal_model_file(tmp_path, [0.1, 0.2], [-0.1, -0.2], [1.0, 1.0])
+        assert self.path(harness.ExperimentConfig(dim=2, model_file=unequal), 4) == "indices"
+        assert self.path(harness.ExperimentConfig(), 4) == "lattice"
+
+    @pytest.mark.parametrize("bits", range(1, 8))
+    def test_lookup_is_the_binary_search(self, bits):
+        # each uniform's index is np.searchsorted(cdf[c, i], u, "right") in its
+        # class's and coordinate's CDF: at 0, 2^-53 and 1 - 2^-53, at every
+        # CDF value and its neighbours, and at random; eigenvalues down to
+        # 1e-4 against a clip of 5 crowd the tail bins with CDF values. All
+        # at once, the uniforms in crowded bins are bisected; four packets
+        # at a time, they are too few for that, and are searched
+        cfg = harness.ExperimentConfig(dim=6, centroid=0.3,
+                                       sigma_spec=[1e-4, 0.01, 0.2, 1.0, 4.0, 25.0])
+        params = harness.build_params(cfg)
+        level = engine_level(params, bits, "quantizer")
+        assert level.path == "indices"
+        means, lam = params.model.means, params.model.eigvals
+        cdfs = np.cumsum(quant.index_pmf(means[..., None], lam[:, None], cfg.clip, bits),
+                         axis=-1)[..., :-1]
+        rng = np.random.default_rng(bits)
+        u = np.concatenate([[0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], cdfs.ravel(),
+                            np.nextafter(cdfs, 0.0).ravel(), np.nextafter(cdfs, 1.0).ravel(),
+                            rng.random(20_000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        uniforms = np.repeat(u, 6).reshape(-1, 6)
+        cells = level.guide.shape[1] - 1
+        crowded = 0
+        for c in (0, 1):
+            labels = np.full(u.size, c, dtype=np.int8)
+            expected = np.stack([np.searchsorted(cdfs[c, i], u, "right") for i in range(6)], axis=1)
+            np.testing.assert_array_equal(level.lookup(labels, uniforms), expected,
+                                          err_msg=f"class {c}")
+            for start in range(0, 6 * cdfs.shape[-1] + 3, 4):
+                np.testing.assert_array_equal(
+                    level.lookup(labels[start:start + 4], uniforms[start:start + 4]),
+                    expected[start:start + 4], err_msg=f"class {c}, from {start}")
+            crowded += sum(np.count_nonzero(np.diff(level.guide[c * 6 + i])[
+                (u * cells).astype(np.intp)] >= 2) for i in range(6))
+        assert crowded >= 32 * level.steps or bits == 1  # one CDF value a row at 1 bit
+
+    def test_tables_are_exact(self):
+        # every row of the tables is the CDF of its class and coordinate; a
+        # bound is NaN exactly where its guide bin holds two or more values
+        params = harness.build_params(dense_config("bits:5", "quantizer"))
+        level = engine_level(params, 5, "quantizer")
+        model = params.model
+        cdf = np.cumsum(quant.index_pmf(model.means[..., None], model.eigvals[:, None], 5.0, 5),
+                        axis=-1)[..., :-1].reshape(2 * model.dim, -1)
+        np.testing.assert_array_equal(level.cdf.imag[:, :-1], cdf)
+        assert np.all(level.cdf.imag[:, -1] == np.inf)
+        np.testing.assert_array_equal(level.cdf.real, np.arange(2 * model.dim)[:, None]
+                                      + np.zeros(cdf.shape[1] + 1))
+        cells = level.guide.shape[1] - 1
+        assert cells == 4 * 2 ** 5
+        grid = np.arange(cells + 1) / cells
+        for row, guide, bounds in zip(cdf, level.guide, level.bounds):
+            np.testing.assert_array_equal(guide, np.searchsorted(row, grid, "right"))
+            crowded = np.diff(guide) >= 2
+            assert np.all(np.isnan(bounds[:-1]) == crowded)
+            padded = np.append(row, np.inf)
+            np.testing.assert_array_equal(bounds[:-1][~crowded], padded[guide[:-1][~crowded]])
+
+    @pytest.mark.parametrize("dim, bits, observations", [
+        (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
+    ])
+    def test_matches_enumeration(self, dim, bits, observations, tmp_path):
+        # every packet arrives, so an episode decides on the sum of K scores
+        # w @ (-clip + k delta) + const over the grid indices k of its K d
+        # coordinates, each with its own law (quant.index_pmf): unequal
+        # eigenvalues and unequal class means. P(wrong) is enumerated here
+        # over every index tuple, class 1 wrong at a total >= 0
+        mu1, mu2 = [0.5, -0.2, 0.3][:dim], [-0.1, 0.4, -0.6][:dim]
+        cfg = harness.ExperimentConfig(
+            dim=dim, snr_db=60.0, observations=observations, clip=2.0, policy=f"bits:{bits}",
+            model_file=diagonal_model_file(tmp_path, mu1, mu2, [0.5, 2.0, 1.0][:dim]))
+        decision = harness.decide(cfg)
+        assert engine_level(decision.params, bits, "quantizer").path == "indices"
+        assert ch.avg_packet_loss_approx(decision.params.channel, decision.rounded_rate) < 1e-12
+        model = decision.params.model
+        inflated = model.eigvals + quant.noise_variance(bits, cfg.clip)
+        weights = (model.means[1] - model.means[0]) / inflated
+        const = 0.5 * np.sum((model.means[0] ** 2 - model.means[1] ** 2) / inflated)
+        grid = np.linspace(-cfg.clip, cfg.clip, 2 ** bits)
+        packets = list(itertools.product(range(2 ** bits), repeat=dim))
+        scores = np.array([grid[list(k)] @ weights + const for k in packets])
+        expected = 0.0
+        for c in (0, 1):
+            pmf = quant.index_pmf(model.means[c][:, None], model.eigvals[:, None], cfg.clip, bits)
+            mass = np.array([math.prod(pmf[i, j] for i, j in enumerate(k)) for k in packets])
+            for episode in itertools.product(range(len(packets)), repeat=observations):
+                total = scores[list(episode)].sum()
+                assert abs(total) > 1e-9
+                if (total >= 0.0) == (c == 0):
+                    expected += 0.5 * math.prod(mass[list(episode)])
+        trials = 200_000
+        row = harness.estimate_error(cfg, decision, trials, seed=47)
+        assert abs(row.error - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / trials)
+
+
 class TestEstimateError:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_feature_chunks_keep_counts(self, rows, monkeypatch):
@@ -492,8 +616,14 @@ class TestEstimateError:
         policies = ["bits:11", "bits:12", "bits:16", "bits:4"]
         cfg = harness.ExperimentConfig(observations=3)
         chunked = harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8)
+        # the same for uniforms split into chunks on the indices path (2 and
+        # 6 bits at the dense point), drawn after the features of 12 bits
+        dense = replace(dense_config("bits:2", "quantizer"), observations=3)
+        dense_policies = ["bits:2", "bits:6", "bits:12"]
+        dense_chunked = harness.sweep(dense, "snr-db", [6.0], dense_policies, 3000, seed=8)
         monkeypatch.setattr(harness, "_feature_rows", lambda dim: rows)
         assert harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8) == chunked
+        assert harness.sweep(dense, "snr-db", [6.0], dense_policies, 3000, seed=8) == dense_chunked
 
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
@@ -768,6 +898,22 @@ def test_engine_over_operating_envelope(snr_db, antennas, blocklength, dim, obse
     assert [(row.value, row.policy) for row in rows] == \
         [(value, policy) for value in (snr_db, 15.0) for policy in decided]
     assert all(0.0 <= row.error <= 1.0 for row in rows)
+
+
+def test_widest_index_tables_within_envelope():
+    # the widest level on the indices path, d (2^b - 1) = 512 x 127, at the
+    # envelope's slowest corner, keeps the envelope's bounds for
+    # estimate_error; two eigenvalues, 0.01 against a clip of 5, crowd the
+    # tail bins of half the rows
+    config = harness.ExperimentConfig(dim=512, sigma_spec=[0.01] * 256 + [4.0] * 256,
+                                      antennas=256, snr_db=60.0, blocklength=2000,
+                                      observations=200, policy="bits:7")
+    decision = harness.decide(config)
+    level = engine_level(decision.params, 7, "quantizer")
+    assert level.path == "indices" and level.guide.shape == (1024, 4 * 2 ** 7 + 1)
+    row, cpu, peak = traced_run(lambda: harness.estimate_error(config, decision, 20, seed=0))
+    assert cpu < 0.5 and peak < 16 * 2 ** 20
+    assert row.trials == 20 and 0.0 <= row.error <= 1.0
 
 
 class TestCsv:

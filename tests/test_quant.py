@@ -91,6 +91,43 @@ def cell_probabilities(mean, var, clip, bits):
     return grid, np.diff(stats.norm.cdf(np.r_[-np.inf, edges, np.inf], mean, np.sqrt(var)))
 
 
+class TestIndexPmf:
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    def test_matches_quantizer_frequencies(self, bits):
+        # one row per (mean, variance): each grid index's frequency among
+        # scalar_quantize outputs of Gaussian draws, at |Z| <= 5 per index
+        means = np.array([[0.3], [-1.2], [2.0]])
+        variances = np.array([[1.0], [0.25], [4.0]])
+        clip, draws = 3.0, 200_000
+        pmf = quant.index_pmf(means, variances, clip, bits)
+        assert pmf.shape == (3, 2 ** bits)
+        rng = np.random.default_rng(bits)
+        values = means + np.sqrt(variances) * rng.standard_normal((3, draws))
+        delta = 2.0 * clip / (2 ** bits - 1)
+        index = np.rint((quant.scalar_quantize(values, clip, bits) + clip) / delta).astype(int)
+        for row, p in zip(index, pmf):
+            freq = np.bincount(row, minlength=2 ** bits) / draws
+            assert np.all(np.abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / draws) + 1e-12)
+
+    def test_rows_sum_to_one(self):
+        # a scalar, a column and a (class, coordinate) grid of means, with
+        # tails far below the float resolution at small variances
+        rng = np.random.default_rng(8)
+        for bits in (1, 4, 7):
+            assert quant.index_pmf(0.1, 1.0, 5.0, bits).sum() == pytest.approx(1.0, abs=1e-15)
+            means = rng.uniform(-6.0, 6.0, size=(2, 40, 1))
+            variances = rng.uniform(1e-4, 9.0, size=(40, 1))
+            pmf = quant.index_pmf(means, variances, 5.0, bits)
+            assert pmf.shape == (2, 40, 2 ** bits) and pmf.min() >= 0.0
+            np.testing.assert_allclose(pmf.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    def test_one_coordinate_of_the_sum_law(self):
+        # the sum law of one value is its index pmf, up to the FFT's rounding
+        pmf = quant.index_pmf(np.array([[0.1], [-0.1]]), 1.0, 5.0, 4)
+        _, law = quant.index_sum_law(np.array([[0.1], [-0.1]]), 1.0, 5.0, 4, 1)
+        np.testing.assert_allclose(law, pmf, rtol=0, atol=1e-15)
+
+
 class TestIndexSumLaw:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("bits", [1, 2])
