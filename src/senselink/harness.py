@@ -3,7 +3,7 @@
 The engine simulates each decision at its bit level and at the point it was
 made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
 sweep builds its model once. Trials run in blocks sized by their packets,
-and features or index uniforms are drawn in bounded chunks, so a block's
+and every path's draws come in chunks of at most 2^14 values, so a block's
 arrays stay small whatever the trial count, dimension or antenna count.
 Each block draws from its own random stream: keyed by (seed, cell, block)
 for a single cell, and by (seed, swept value, block, sweep parameter) for a
@@ -30,7 +30,7 @@ from . import quant
 from .numerics import require_counts, require_finite, require_positive
 
 # Values in a block's largest per-packet array (see ``_block_size``) and in a
-# chunk of drawn features: enough that numpy's fixed cost per call is spread
+# chunk of any path's draws: enough that numpy's fixed cost per call is spread
 # thin, few enough that a block's arrays stay near a megabyte whatever the
 # trial count, bit levels or dimension.
 _BLOCK_VALUES = 2 ** 14
@@ -77,6 +77,11 @@ class ExperimentConfig:
         require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
                        observations=self.observations, trials=self.trials)
         require_counts(0, seed=self.seed)
+        for name, kinds, what in (("policy", str, "a string"), ("noise_model", str, "a string"),
+                                  ("model_file", (str, type(None)), "a string"),
+                                  ("sigma_spec", (str, list), "a string or a list")):
+            if not isinstance(getattr(self, name), kinds):
+                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
         if self.noise_model not in ("quantizer", "lemma1"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
@@ -118,9 +123,7 @@ def _sigma_from_spec(spec, dim: int) -> np.ndarray:
             raise ValueError(f"unknown covariance spec {spec!r}")
         return np.eye(dim)
     arr = np.asarray(spec, dtype=float)
-    if arr.ndim == 1:
-        return np.diag(arr)
-    return arr
+    return np.diag(arr) if arr.ndim == 1 else arr
 
 
 def build_model(config: ExperimentConfig) -> gmm.InferenceModel:
@@ -174,7 +177,9 @@ class _Level:
 
     The real quantizer's paths draw from exact CDFs, one per row of the
     tables ``cdf``, ``guide`` and ``bounds`` (``_guide_tables``), each
-    uniform inverted by ``lookup``.
+    uniform inverted by ``lookup``. On every path ``packet_values`` maps a
+    packet's draws to one value and ``episode_totals`` sums the values per
+    episode.
 
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
@@ -182,12 +187,11 @@ class _Level:
     of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
     points, ``path`` is "lattice": row c is class c's law of the sum, with
     ``cells`` the power of two above its span, so a packet takes one
-    uniform. A packet with index sum t in 0..``span`` scores
-    (2 t - span) ``half_step`` + const (``lattice_scores``), and
-    ``episode_totals`` adds these up exactly. The tables are built once per
-    process for each model, clip, bit level and d (``_lattice_law``), and
-    shared read-only; the step, which follows the level's weights, is
-    computed here.
+    uniform, and its value is its index sum t in 0..``span``, which scores
+    (2 t - span) ``half_step`` + const in ``episode_totals``, exactly. The
+    tables are built once per process for each model, clip, bit level and d
+    (``_lattice_law``) and shared read-only; the step, which follows the
+    level's weights, is computed here.
 
     Otherwise, if d (2^b - 1) is still at most ``_LATTICE_SPAN``, ``path`` is
     "indices": row c d + i is the law (``quant.index_pmf``) of coordinate i's
@@ -199,7 +203,7 @@ class _Level:
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
-        self.bits, self.rate = bits, params.level_rate(bits)
+        self.bits, self.rate, self.clip = bits, params.level_rate(bits), params.clip
         lam, means, dim = params.model.eigvals, params.model.means, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume.
@@ -227,24 +231,31 @@ class _Level:
             # where row c m + i of the tables starts, at [c, i]
             self.starts = np.arange(0, self.guide.size, self.guide.shape[1]).reshape(2, -1)
 
-    @property
-    def lattice_scores(self) -> np.ndarray:
-        """A lattice packet's score at each index sum 0..``span``."""
-        return (2.0 * np.arange(self.span + 1) - self.span) * self.half_step + self.const
+    def packet_values(self, labels: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """One value per packet, from its class in ``labels`` and its row of
+        ``draws``: the score of its quantized features, of the grid indices
+        its index uniforms look up, or of its lemma-1 normal z, score_sd z +
+        score_means[c]; on the lattice, the index sum its uniform looks up."""
+        if self.path == "features":
+            return quant.scalar_quantize(draws, self.clip, self.bits) @ self.weights + self.const
+        if self.path == "lemma1":
+            return draws[:, 0] * self.score_sd + self.score_means[labels]
+        places = self.lookup(labels, draws)
+        if self.path == "lattice":
+            return places[:, 0]
+        return places @ self.index_weights + self.index_const
 
-    def episode_totals(self, owner: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
-        """Each of ``n`` episodes' total score on the lattice, from the index
-        sums of its packets (``owner`` their episodes): m packets whose index
-        sums add up to T total (2 T - m span) half_step + m const, with T and
-        m summed exactly, so a tie at symmetric class means is exactly 0."""
+    def episode_totals(self, owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+        """Each of ``n`` episodes' total score, from the ``packet_values`` of
+        its packets (``owner`` their episodes). On the lattice, m packets
+        whose index sums add up to T total (2 T - m span) half_step + m
+        const, with T and m summed exactly, so a tie at symmetric class means
+        is exactly 0."""
+        if self.path != "lattice":
+            return np.bincount(owner, weights=values, minlength=n)
         count = np.bincount(owner, minlength=n)
-        excess = 2.0 * np.bincount(owner, weights=sums, minlength=n) - count * self.span
+        excess = 2.0 * np.bincount(owner, weights=values, minlength=n) - count * self.span
         return excess * self.half_step + count * self.const
-
-    def index_sums(self, uniforms: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Each uniform's index sum, ``np.searchsorted(cdf[c], u, "right")``
-        for its class c in ``labels``."""
-        return self.lookup(labels, uniforms[:, None])[:, 0]
 
     def lookup(self, labels: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """For uniforms of shape (n, m) and classes ``labels``, each uniform's
@@ -341,25 +352,24 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
 
     Each episode draws a class and sends K packets over the fading channel.
     The classes, the post-combining SNRs (one gamma draw per packet) and the
-    uniforms that decide each packet's arrival are drawn once and shared by
-    every level, which give each packet its decodable rate
-    (``channel.decodable_rate``); each level only compares its own rate with
-    it. Each level's ``path`` (see ``_Level``) then says what its arrivals
-    draw, in this order: features (from the model's ``means`` and ``sd``),
-    then a uniform per coordinate on the indices path, both in chunks of
-    ``_feature_rows`` rows, lemma-1 scores, then a uniform each on the
-    lattice, once for the packets that arrive under any level on that path;
-    a path no level takes draws nothing. Each level scores its own
-    arrivals, keeping one value per packet, and sums them per episode,
-    exactly on the lattice (``_Level.episode_totals``). Every episode decides class 1 iff its total is < 0, so one
-    that receives nothing, or whose lattice total is an exact tie, decides
-    class 2: a silent episode is wrong with probability 1/2, as the class is
-    a fair draw. A level's outcome depends on the other levels only through
-    the union of arriving packets on its path, not on their order; with one
-    level, or none on the lattice, the stream is consumed as by a
-    single-policy engine of the same path.
+    arrival uniforms are drawn once for every level, which only compares its
+    own rate with each packet's decodable rate (``channel.decodable_rate``).
+    Then each path (see ``_Level``) draws for the packets that arrive under
+    any of its levels, in chunks of ``_feature_rows`` rows and in this
+    order: d features, coloured by the model's ``means`` and ``sd``; d index
+    uniforms; one lemma-1 normal; one lattice uniform. Each level maps its
+    own rows of a chunk to one value per packet (``_Level.packet_values``)
+    and sums the values per episode (``_Level.episode_totals``). Split draws
+    keep their values, so no count depends on the chunk size. An episode
+    decides class 1 iff its total is < 0, so one that receives nothing, or
+    whose lattice total is an exact tie, decides class 2: a silent episode
+    is wrong with probability 1/2, as the class is a fair draw. A level's
+    outcome depends on the other levels only through the union of arriving
+    packets on its path, not on their order; with one level, or none on the
+    lattice, the stream is consumed as by a single-policy engine of the same
+    path.
     """
-    k = params.observations
+    k, model = params.observations, params.model
     classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
     # the SNRs, then the arrival uniforms; neither outlives the comparison
     success = np.array([lvl.rate for lvl in levels])[:, None, None] <= ch.decodable_rate(
@@ -367,7 +377,9 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         params.channel.blocklength, rng.random((n, k)))
     first = classes == 0
     wrong = [0] * len(levels)
-    for path in ("features", "indices", "lemma1", "lattice"):
+    for path, width, draw in (("features", model.dim, rng.standard_normal),
+                              ("indices", model.dim, rng.random),
+                              ("lemma1", 1, rng.standard_normal), ("lattice", 1, rng.random)):
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
@@ -378,65 +390,33 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         # each level's own packets among those the path draws for; a slice,
         # whose indexing takes no copy, where that is all of them
         owns = [slice(None) if own.all() else own for own in success[mine][:, reached]]
-        if path in ("features", "indices"):
-            scores = _feature_scores(params, [levels[i] for i in mine], owns, arrived, rng)
-        else:
-            draws = rng.standard_normal(arrived.size) if path == "lemma1" else rng.random(arrived.size)
-        for j, (i, own) in enumerate(zip(mine, owns)):
-            lvl, owner, label = levels[i], episode[own], arrived[own]
-            if path in ("features", "indices"):
-                total = np.bincount(owner, weights=scores[j], minlength=n)
-            elif path == "lemma1":
-                total = np.bincount(owner, weights=draws[own] * lvl.score_sd + lvl.score_means[label],
-                                    minlength=n)
-            else:
-                total = lvl.episode_totals(owner, lvl.index_sums(draws[own], label), n)
+        values = [[] for _ in mine]
+        rows = _feature_rows(width)
+        for start in range(0, arrived.size, rows):
+            labels = arrived[start:start + rows]
+            draws = draw((labels.size, width))
+            if path == "features":
+                draws *= model.sd
+                draws += model.means[labels]
+            for i, own, part in zip(mine, owns, values):
+                chunk = own if isinstance(own, slice) else own[start:start + rows]
+                part.append(levels[i].packet_values(labels[chunk], draws[chunk]))
+        for i, own, part in zip(mine, owns, values):
+            total = levels[i].episode_totals(episode[own], np.concatenate(part or [np.empty(0)]), n)
             wrong[i] = int(np.count_nonzero((total < 0.0) != first))
     return wrong
 
 
-def _feature_rows(dim: int) -> int:
-    """Packets whose d coordinates are drawn at a time: at most
-    ``_BLOCK_VALUES`` values."""
-    return max(1, _BLOCK_VALUES // dim)
-
-
-def _feature_scores(params: opt.TradeoffParams, levels: list[_Level], owns: list,
-                    arrived: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Each level's scores of its own packets (``owns``) among arrivals of
-    classes ``arrived``, for levels all on the features path or all on the
-    indices path. Each packet draws d values, in chunks of ``_feature_rows``
-    rows: Gaussian features, quantized for every level, or uniforms, each
-    mapped to its coordinate's grid index through every level's tables. A
-    chunk is scored for every level, then dropped. Split draws keep their
-    values, so no score depends on the chunk size."""
-    model = params.model
-    rows = _feature_rows(model.dim)
-    gaussian = levels[0].path == "features"
-    parts = [[] for _ in levels]
-    for start in range(0, arrived.size, rows):
-        labels = arrived[start:start + rows]
-        if gaussian:
-            draws = rng.standard_normal((labels.size, model.dim))
-            draws *= model.sd
-            draws += model.means[labels]
-        else:
-            draws = rng.random((labels.size, model.dim))
-        for lvl, own, part in zip(levels, owns, parts):
-            mine = own if isinstance(own, slice) else own[start:start + rows]
-            if gaussian:
-                part.append(quant.scalar_quantize(draws[mine], params.clip, lvl.bits) @ lvl.weights)
-            else:
-                part.append(lvl.lookup(labels[mine], draws[mine]) @ lvl.index_weights)
-    return [np.concatenate(part or [np.empty(0)]) + (lvl.const if gaussian else lvl.index_const)
-            for lvl, part in zip(levels, parts)]
+def _feature_rows(width: int) -> int:
+    """Packets drawn at a time, ``width`` values each: at most ``_BLOCK_VALUES`` values."""
+    return max(1, _BLOCK_VALUES // width)
 
 
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:
     """Trials per block at a point simulated at ``levels``: a block's largest
     per-packet array, one arrival flag per packet and level, holds at most
     ``_BLOCK_VALUES`` values. Each packet draws one SNR and one uniform
-    whatever L, and features come in chunks of at most ``_BLOCK_VALUES``
+    whatever L, and every path draws in chunks of at most ``_BLOCK_VALUES``
     values whatever d, so neither sizes the block."""
     return max(1, _BLOCK_VALUES // (params.observations * len(levels)))
 

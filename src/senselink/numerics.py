@@ -13,12 +13,14 @@ _ROOT_MAX_STEPS = 100
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first value that is NaN or infinite.
+    """Raise ValueError naming the first value that is a string, NaN or infinite.
 
     Integers are finite by type (a seed may exceed the float range); anything
     else is checked entry by entry as float.
     """
     for name, value in values.items():
+        if isinstance(value, (str, bytes)):
+            raise ValueError(f"{name} must be a number, not {value!r}")
         if isinstance(value, numbers.Integral):
             continue
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):

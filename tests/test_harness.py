@@ -290,15 +290,24 @@ class TestGoldenRows:
         assert row.error == wrong / trials
         assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
 
-    def test_shared_episode_rows_unchanged(self):
-        # one sweep point whose episodes feed two lattice levels (8 and 10
-        # bits, 1.7% and 14% average loss) and two feature-path levels (11
-        # and 12 bits, 31% and 56%): pins the stream that sweep points share
-        policies = ["bits:8", "bits:10", "bits:11", "bits:12"]
-        rows = harness.sweep(harness.ExperimentConfig(observations=3), "snr-db", [12.0],
-                             policies, 20_000, seed=0)
+    @pytest.mark.parametrize("cfg, value, policies, wrong", [
+        # two lattice levels (8 and 10 bits, 1.7% and 14% average loss) and
+        # two feature-path levels (11 and 12 bits, 31% and 56%)
+        (harness.ExperimentConfig(observations=3), 12.0,
+         ["bits:8", "bits:10", "bits:11", "bits:12"], (2256, 2617, 3366, 4968)),
+        # two indices-path levels (2 and 6 bits) and a feature-path level (12 bits)
+        (replace(dense_config("bits:2", "quantizer"), observations=3), 6.0,
+         ["bits:2", "bits:6", "bits:12"], (4890, 4668, 6761)),
+        # three lemma-1 levels
+        (harness.ExperimentConfig(observations=3, noise_model="lemma1"), 12.0,
+         ["bits:8", "bits:10", "bits:12"], (2250, 2665, 4976)),
+    ], ids=["lattice_and_features", "indices_and_features", "lemma1"])
+    def test_shared_episode_rows_unchanged(self, cfg, value, policies, wrong):
+        # one sweep point whose episodes feed levels on each path: pins the
+        # stream that sweep points share
+        rows = harness.sweep(cfg, "snr-db", [value], policies, 20_000, seed=0)
         assert [row.policy for row in rows] == policies
-        assert [row.error for row in rows] == [w / 20_000 for w in (2256, 2617, 3366, 4968)]
+        assert [row.error for row in rows] == [w / 20_000 for w in wrong]
 
 
 def engine_level(params, bits, noise_model):
@@ -355,7 +364,7 @@ class TestLatticePath:
                                 np.nextafter(cdf, 0.0).ravel(), np.nextafter(cdf, 1.0).ravel(),
                                 rng.random(10_000)])
             u = u[(u >= 0.0) & (u < 1.0)]
-            got = level.index_sums(np.tile(u, 2), np.repeat([0, 1], u.size))
+            got = level.lookup(np.repeat([0, 1], u.size), np.tile(u, 2)[:, None])[:, 0]
             expected = np.concatenate([np.searchsorted(row, u, "right") for row in cdf])
             np.testing.assert_array_equal(got, expected, err_msg=f"bits={bits}")
             bins = (u * cells).astype(np.intp)
@@ -417,9 +426,13 @@ class TestLatticePath:
         assert patched.cdf is plain.cdf
         inflated = 1.0 + 2.0 * real(4, 5.0)
         sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
-        np.testing.assert_allclose(patched.lattice_scores, sums * -0.2 / inflated,
+
+        def scores(level):  # one episode of one packet at each index sum 0..span
+            t = np.arange(level.span + 1)
+            return level.episode_totals(t, t, t.size)
+        np.testing.assert_allclose(scores(patched), sums * -0.2 / inflated,
                                    rtol=1e-12, atol=1e-12)
-        assert not np.allclose(patched.lattice_scores, plain.lattice_scores, rtol=1e-6)
+        assert not np.allclose(scores(patched), scores(plain), rtol=1e-6)
 
     @pytest.mark.parametrize("case", ["identity", "asymmetric"])
     def test_matches_feature_path(self, case, tmp_path, monkeypatch):
@@ -446,7 +459,8 @@ class TestLatticePath:
         level = engine_level(harness.build_params(harness.ExperimentConfig()), 1, "quantizer")
         rng = np.random.default_rng(1)
         n, owner = 5000, np.sort(rng.integers(0, 5000, size=15_000))
-        sums = level.index_sums(rng.random(owner.size), rng.integers(0, 2, size=owner.size))
+        u = rng.random(owner.size)
+        sums = level.lookup(rng.integers(0, 2, size=owner.size), u[:, None])[:, 0]
         total = level.episode_totals(owner, sums, n)
         excess = np.bincount(owner, weights=2 * sums - level.span, minlength=n)
         assert np.count_nonzero(excess == 0) > 100
@@ -610,7 +624,7 @@ class TestIndicesPath:
 class TestEstimateError:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_feature_chunks_keep_counts(self, rows, monkeypatch):
-        # splitting the feature draw into chunks keeps its values, so the
+        # splitting a path's draws into chunks keeps their values, so the
         # wrong counts of levels on the features path, here with different
         # arrivals, and of the lattice level drawn after them do not move
         policies = ["bits:11", "bits:12", "bits:16", "bits:4"]
@@ -621,9 +635,15 @@ class TestEstimateError:
         dense = replace(dense_config("bits:2", "quantizer"), observations=3)
         dense_policies = ["bits:2", "bits:6", "bits:12"]
         dense_chunked = harness.sweep(dense, "snr-db", [6.0], dense_policies, 3000, seed=8)
-        monkeypatch.setattr(harness, "_feature_rows", lambda dim: rows)
+        # and for lemma-1 normals, one per packet, split into chunks
+        lemma1 = replace(cfg, noise_model="lemma1")
+        lemma1_policies = ["bits:8", "bits:11", "bits:12"]
+        lemma1_chunked = harness.sweep(lemma1, "snr-db", [12.0], lemma1_policies, 3000, seed=8)
+        monkeypatch.setattr(harness, "_feature_rows", lambda width: rows)
         assert harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8) == chunked
         assert harness.sweep(dense, "snr-db", [6.0], dense_policies, 3000, seed=8) == dense_chunked
+        assert harness.sweep(lemma1, "snr-db", [12.0], lemma1_policies, 3000,
+                             seed=8) == lemma1_chunked
 
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
@@ -1156,18 +1176,36 @@ class TestCli:
         assert "error: model file has dimension 2, not dim=50" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [
-        ["simulate", "--policy", "bits:65", "--trials", "10", "--seed", "0"],
-        ["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:65",
-         "--trials", "10", "--seed", "0", "--out", "unused.csv"],
-    ], ids=["simulate", "sweep"])
-    def test_bad_setting_is_usage_error(self, command, capsys):
+    @pytest.mark.parametrize("command, config, message", [
+        (["simulate", "--policy", "bits:65", "--trials", "10", "--seed", "0"], None,
+         "bits must be an integer from 1 to 64"),
+        (["sweep", "--param", "snr-db", "--values", "0", "--policies", "bits:65",
+          "--trials", "10", "--seed", "0", "--out", "unused.csv"], None,
+         "bits must be an integer from 1 to 64"),
+        (["simulate"], {"policy": 5}, "policy must be a string"),
+        (["simulate"], {"centroid": "0.1"}, "centroid must be a number"),
+        (["simulate"], {"clip": "5"}, "clip must be a number"),
+        (["simulate"], {"snr_db": "2"}, "snr_db must be a number"),
+        (["simulate"], {"sigma_spec": {"a": 1}}, "sigma_spec must be a string or a list"),
+        (["simulate"], {"model_file": 0}, "model_file must be a string"),
+        (["simulate"], {"noise_model": 1}, "noise_model must be a string"),
+    ], ids=["simulate", "sweep", "policy", "centroid", "clip", "snr_db", "sigma_spec",
+            "model_file", "noise_model"])
+    def test_bad_setting_is_usage_error(self, command, config, message, tmp_path, capsys):
+        # a bad flag, or a --config value of the wrong type (a string where a
+        # number goes, an integer model_file that would name a file
+        # descriptor), is refused with one usage line
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            command = [*command, "--config", str(path), "--trials", "10", "--seed", "0"]
         with pytest.raises(SystemExit) as exit_info:
             cli.main(command)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "error: " in err and "bits must be an integer from 1 to 64" in err
+        assert "error: " in err and message in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 2 and err.startswith("usage: ")
 
     @pytest.mark.parametrize("policy", ["bits:1_0", "bits:+4", "bits: 4", "bits:\u0664", "bits:"])
     def test_bits_policy_takes_ascii_digits_only(self, default_config, policy, capsys):
