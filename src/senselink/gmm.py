@@ -88,7 +88,7 @@ def _gains(model: InferenceModel, sigma_q2) -> np.ndarray:
     bit-level table calls it directly, since the benchmark's tracer
     (``perfbench/tracing.py``) keys each public call by one float variance."""
     s2 = np.asarray(sigma_q2, dtype=float)
-    if s2.min(initial=0.0) < 0:
+    if not np.all(s2 >= 0.0):
         raise ValueError("noise variance must be nonnegative")
     return 0.5 * (model.gap ** 2 / (model.eigvals + s2[..., None])).sum(axis=-1)
 
@@ -99,7 +99,7 @@ def dg_reduction_bounds(model: InferenceModel, sigma_q2: float) -> tuple[float, 
     lower = sigma_q2 / tr(Sigma + sigma_q2 I),
     upper = sigma_q2 * tr((Sigma + sigma_q2 I)^{-1}).
     """
-    if sigma_q2 < 0:
+    if not sigma_q2 >= 0.0:
         raise ValueError("noise variance must be nonnegative")
     inflated = model.eigvals + sigma_q2
     return (sigma_q2 / float(np.sum(inflated)), sigma_q2 * float(np.sum(1.0 / inflated)))

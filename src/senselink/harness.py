@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -72,16 +73,22 @@ class ExperimentConfig:
     model_file: str | None = None
 
     def __post_init__(self):
+        number, string = (numbers.Real, "a number"), (str, "a string")
+        for name, (kinds, what) in {"centroid": number, "clip": number, "snr_db": number,
+                                    "policy": string, "noise_model": string,
+                                    "model_file": ((str, type(None)), "a string"),
+                                    "sigma_spec": ((str, list), "a string or a list")}.items():
+            if not isinstance(getattr(self, name), kinds):
+                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
+        rows = self.sigma_spec if isinstance(self.sigma_spec, list) else []
+        if not all(isinstance(row, numbers.Real) or isinstance(row, list) and all(
+                isinstance(x, numbers.Real) for x in row) for row in rows):
+            raise ValueError(f"sigma_spec entries must be numbers or lists of numbers, not {rows!r}")
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
         require_positive(clip=self.clip)
         require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
                        observations=self.observations, trials=self.trials)
         require_counts(0, seed=self.seed)
-        for name, kinds, what in (("policy", str, "a string"), ("noise_model", str, "a string"),
-                                  ("model_file", (str, type(None)), "a string"),
-                                  ("sigma_spec", (str, list), "a string or a list")):
-            if not isinstance(getattr(self, name), kinds):
-                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
         if self.noise_model not in ("quantizer", "lemma1"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
@@ -175,11 +182,11 @@ class _Level:
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
 
-    The real quantizer's paths draw from exact CDFs, one per row of the
-    tables ``cdf``, ``guide`` and ``bounds`` (``_guide_tables``), each
-    uniform inverted by ``lookup``. On every path ``packet_values`` maps a
-    packet's draws to one value and ``episode_totals`` sums the values per
-    episode.
+    The real quantizer's paths draw from exact CDFs, each a float row of
+    ``cdf`` with its rows of ``guide`` and ``bounds`` (``_guide_tables``),
+    and ``lookup`` inverts each uniform. On every path ``packet_values``
+    maps a packet's draws to one value and ``episode_totals`` sums the
+    values per episode.
 
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
@@ -206,8 +213,9 @@ class _Level:
         self.bits, self.rate, self.clip = bits, params.level_rate(bits), params.clip
         lam, means, dim = params.model.eigvals, params.model.means, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
-        # decoded features, and the one the analytic error expressions assume.
-        inflated = lam + quant.noise_variance(bits, params.clip)
+        # decoded features, and the one the analytic error expressions assume,
+        # at the noise variance the bit-level table takes.
+        inflated = lam + opt.sigma_q2_of_rate(self.rate, params)
         self.weights = (means[1] - means[0]) / inflated
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
         self.score_means = means @ self.weights + self.const
@@ -262,10 +270,8 @@ class _Level:
         place in the CDF of table row c m + i, for its class c and column i
         (see ``_guide_tables``): one guide read and one comparison. The few
         uniforms in bins that hold two or more CDF values, mostly in the
-        tails, are bisected between their bin's guide entries where they
-        number at least 32 per bisection step, and else found by one search
-        of all rows."""
-        keys, guide, bounds = self.cdf, self.guide, self.bounds
+        tails, are bisected between their bin's guide entries."""
+        cdf, guide, bounds = self.cdf, self.guide, self.bounds
         width = guide.shape[1]
         at = np.empty(uniforms.shape, dtype=np.intp)
         np.multiply(uniforms, width - 1, out=at, casting="unsafe")  # floor(u cells)
@@ -278,18 +284,13 @@ class _Level:
         places += above
         if crowded.size:
             at, u = at.ravel()[crowded], uniforms.ravel()[crowded]
-            rows = at // width
-            base = rows * keys.shape[1]  # where each row starts in keys
-            if crowded.size >= 32 * self.steps:
-                # a pass of the bisection costs about as much as searching 32
-                # uniforms. The place lies in lo..hi, where cdf[hi] > u, so
-                # steps of 2^(steps - 1) .. 1 reach it
-                lo, hi = guide.ravel()[at] + base, guide.ravel()[1:][at] + base
-                cdf = keys.ravel().imag
-                for step in (1 << np.arange(self.steps)[::-1]).tolist():
-                    np.add(lo, step, out=lo, where=u >= cdf[np.minimum(lo + (step - 1), hi)])
-            else:
-                lo = np.searchsorted(keys.ravel(), rows + 1j * u, "right")
+            base = at // width * cdf.shape[1]  # where each row starts in cdf
+            # the place lies in lo..hi, where cdf[hi] > u, so steps of
+            # 2^(steps - 1) .. 1 reach it
+            lo, hi = guide.ravel()[at] + base, guide.ravel()[1:][at] + base
+            flat = cdf.ravel()
+            for step in (1 << np.arange(self.steps)[::-1]).tolist():
+                np.add(lo, step, out=lo, where=u >= flat[np.minimum(lo + (step - 1), hi)])
             np.put(places, crowded, lo - base)
         return places
 
@@ -305,12 +306,10 @@ def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray,
     "right")`` between guide[r, j] and guide[r, j + 1]. ``bounds[r, j]`` is
     F[guide[r, j]] (inf past F's end), where the bin holds at most one value
     of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
-    where the bin holds more. ``cdf[r]`` holds r + i F, then r + i inf:
-    numpy orders complex numbers by real part, then by imaginary part, so
-    the table is sorted, and one search of r + i u finds u's place in row r,
-    whatever the row. The last item is the number of bisection steps that
-    find a place within any bin: the bit length of the most values a bin
-    holds.
+    where the bin holds more, and the place is then bisected in ``cdf[r]``,
+    which holds F, then inf. The last item is the number of bisection steps
+    that find a place within any bin: the bit length of the most values a
+    bin holds.
     """
     cdf = np.pad(np.cumsum(pmfs, axis=1)[:, :-1], ((0, 0), (0, 1)), constant_values=np.inf)
     grid = np.arange(cells + 1) / cells
@@ -320,9 +319,7 @@ def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray,
     counts = np.diff(guide, axis=1)
     bounds = np.take_along_axis(cdf, guide, axis=1)
     bounds[:, :-1][counts > 1] = np.nan
-    keys = np.empty(cdf.shape, dtype=complex)
-    keys.real, keys.imag = np.arange(len(cdf))[:, None], cdf
-    return keys, guide, bounds, int(counts.max()).bit_length()
+    return cdf, guide, bounds, int(counts.max()).bit_length()
 
 
 @functools.lru_cache(maxsize=_LATTICE_LAWS)
@@ -335,8 +332,8 @@ def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
     They depend only on these arguments, not on the channel, the observation
     count or the score weights, so every point of a sweep, and every sweep in
     the process, shares them. An entry at the widest span, 2^16 + 1 index
-    sums, holds 2.1 MB of CDF keys, 1.0 MB of guide table and 2.1 MB of
-    bounds, so ``_LATTICE_LAWS`` entries retain at most about 42 MB.
+    sums, holds 1.0 MB of CDF, 1.0 MB of guide table and 2.1 MB of bounds,
+    so ``_LATTICE_LAWS`` entries retain at most about 34 MB.
     """
     _, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
     tables = _guide_tables(pmfs, 1 << (pmfs.shape[1] - 1).bit_length())
@@ -484,8 +481,10 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     SeedSequence pads a key with zeros, so no sweep key equals the key
     (seed, cell, b) of ``estimate_error``. A row's error depends on its
     value, its policy and the set of bit levels at its value, not on the
-    other values or the order of the policies. Every value's point, channel
-    included, is built first, so a bad setting raises ``ValueError`` before any work.
+    other values or the order of the policies. A bad trial count, seed,
+    parameter or value (its point and channel) raises ``ValueError`` before any
+    work; a bad policy raises ``RuntimeError`` from the first value's cell,
+    once the policies before it are decided.
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")

@@ -64,7 +64,7 @@ def log_regularized_upper_gamma(shape: int, x: float) -> float:
     added up in log space with one ``logsumexp``.
     """
     require_counts(1, shape=shape)
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     q = float(special.gammaincc(shape, x))
     if q > _LOG_TAIL_SWITCH:
@@ -139,7 +139,7 @@ def poisson_binomial_pmf(success_probs) -> np.ndarray:
     p = np.asarray(success_probs, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("success_probs must be a nonempty 1-D sequence")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("success probabilities must lie in [0, 1]")
     pmf = np.zeros(p.size + 1)
     pmf[0] = 1.0

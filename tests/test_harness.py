@@ -420,11 +420,11 @@ class TestLatticePath:
         # distortion variance moves them while the shared law stays
         params = harness.build_params(harness.ExperimentConfig())
         plain = engine_level(params, 4, "quantizer")
-        real = quant.noise_variance
-        monkeypatch.setattr(quant, "noise_variance", lambda bits, clip: 2.0 * real(bits, clip))
+        real = opt.sigma_q2_of_rate
+        monkeypatch.setattr(opt, "sigma_q2_of_rate", lambda rate, point: 2.0 * real(rate, point))
         patched = engine_level(params, 4, "quantizer")
         assert patched.cdf is plain.cdf
-        inflated = 1.0 + 2.0 * real(4, 5.0)
+        inflated = 1.0 + 2.0 * real(params.level_rate(4), params)
         sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
 
         def scores(level):  # one episode of one packet at each index sum 0..span
@@ -531,8 +531,8 @@ class TestIndicesPath:
         # class's and coordinate's CDF: at 0, 2^-53 and 1 - 2^-53, at every
         # CDF value and its neighbours, and at random; eigenvalues down to
         # 1e-4 against a clip of 5 crowd the tail bins with CDF values. All
-        # at once, the uniforms in crowded bins are bisected; four packets
-        # at a time, they are too few for that, and are searched
+        # at once and four packets at a time, every uniform in a crowded bin
+        # is bisected
         cfg = harness.ExperimentConfig(dim=6, centroid=0.3,
                                        sigma_spec=[1e-4, 0.01, 0.2, 1.0, 4.0, 25.0])
         params = harness.build_params(cfg)
@@ -560,7 +560,7 @@ class TestIndicesPath:
                     expected[start:start + 4], err_msg=f"class {c}, from {start}")
             crowded += sum(np.count_nonzero(np.diff(level.guide[c * 6 + i])[
                 (u * cells).astype(np.intp)] >= 2) for i in range(6))
-        assert crowded >= 32 * level.steps or bits == 1  # one CDF value a row at 1 bit
+        assert crowded > 0 or bits == 1  # one CDF value a row at 1 bit
 
     def test_tables_are_exact(self):
         # every row of the tables is the CDF of its class and coordinate; a
@@ -570,10 +570,8 @@ class TestIndicesPath:
         model = params.model
         cdf = np.cumsum(quant.index_pmf(model.means[..., None], model.eigvals[:, None], 5.0, 5),
                         axis=-1)[..., :-1].reshape(2 * model.dim, -1)
-        np.testing.assert_array_equal(level.cdf.imag[:, :-1], cdf)
-        assert np.all(level.cdf.imag[:, -1] == np.inf)
-        np.testing.assert_array_equal(level.cdf.real, np.arange(2 * model.dim)[:, None]
-                                      + np.zeros(cdf.shape[1] + 1))
+        np.testing.assert_array_equal(level.cdf[:, :-1], cdf)
+        assert np.all(level.cdf[:, -1] == np.inf)
         cells = level.guide.shape[1] - 1
         assert cells == 4 * 2 ** 5
         grid = np.arange(cells + 1) / cells
@@ -1189,12 +1187,17 @@ class TestCli:
         (["simulate"], {"sigma_spec": {"a": 1}}, "sigma_spec must be a string or a list"),
         (["simulate"], {"model_file": 0}, "model_file must be a string"),
         (["simulate"], {"noise_model": 1}, "noise_model must be a string"),
+        (["simulate"], {"centroid": {"a": 1}}, "centroid must be a number"),
+        (["simulate"], {"clip": [5.0]}, "clip must be a number"),
+        (["simulate"], {"snr_db": [2.0, 3.0]}, "snr_db must be a number"),
+        (["simulate"], {"sigma_spec": [{"a": 1}]}, "sigma_spec entries must be numbers"),
     ], ids=["simulate", "sweep", "policy", "centroid", "clip", "snr_db", "sigma_spec",
-            "model_file", "noise_model"])
+            "model_file", "noise_model", "centroid-object", "clip-list", "snr_db-list",
+            "sigma_spec-entry"])
     def test_bad_setting_is_usage_error(self, command, config, message, tmp_path, capsys):
-        # a bad flag, or a --config value of the wrong type (a string where a
-        # number goes, an integer model_file that would name a file
-        # descriptor), is refused with one usage line
+        # a bad flag, or a --config value of the wrong type (a string, list or
+        # object where a number goes, an integer model_file that would name a
+        # file descriptor), is refused with one usage line
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))

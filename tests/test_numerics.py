@@ -295,6 +295,14 @@ BAD_ARGUMENTS = [
      "gain must be non-negative"),
     ("ExperimentConfig-clip-negative", lambda: harness.ExperimentConfig(clip=-1.0),
      "clip must be positive"),
+    ("effective_discriminant_gain-nan",
+     lambda: gmm.effective_discriminant_gain(_point().model, math.nan), "nonnegative"),
+    ("dg_reduction_bounds-nan", lambda: gmm.dg_reduction_bounds(_point().model, math.nan),
+     "nonnegative"),
+    ("log_regularized_upper_gamma-nan", lambda: log_regularized_upper_gamma(4, math.nan),
+     "nonnegative"),
+    ("poisson_binomial_pmf-nan", lambda: poisson_binomial_pmf([0.5, math.nan]),
+     r"must lie in \[0, 1\]"),
 ]
 
 
