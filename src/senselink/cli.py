@@ -120,10 +120,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:  # a bad setting or file: one usage line, exit status 2
         parser.error(str(exc))
-    except RuntimeError as exc:  # a sweep cell that failed on a bad setting or file
-        if not isinstance(exc.__cause__, (OSError, ValueError)):
-            raise
-        parser.error(f"{exc}: {exc.__cause__}")
 
 
 if __name__ == "__main__":

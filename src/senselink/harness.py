@@ -20,6 +20,7 @@ import io
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,12 +79,10 @@ class ExperimentConfig:
                                     "policy": string, "noise_model": string,
                                     "model_file": ((str, type(None)), "a string"),
                                     "sigma_spec": ((str, list), "a string or a list")}.items():
-            if not isinstance(getattr(self, name), kinds):
-                raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
-        rows = self.sigma_spec if isinstance(self.sigma_spec, list) else []
-        if not all(isinstance(row, numbers.Real) or isinstance(row, list) and all(
-                isinstance(x, numbers.Real) for x in row) for row in rows):
-            raise ValueError(f"sigma_spec entries must be numbers or lists of numbers, not {rows!r}")
+            if not isinstance(value := getattr(self, name), kinds) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, not {value!r}")  # bool is a Real
+        if isinstance(self.sigma_spec, list):
+            _require_numbers("sigma_spec", self.sigma_spec)
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
         require_positive(clip=self.clip)
         require_counts(1, dim=self.dim, antennas=self.antennas, blocklength=self.blocklength,
@@ -111,6 +110,16 @@ class ResultRow:
 CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
+def _require_numbers(name: str, value) -> None:
+    """Refuse ``value``, naming it ``name``, unless it is a nonempty list of
+    numbers or of equally long nonempty lists of numbers; a bool is not a number."""
+    rows = value if isinstance(value, list) and value and isinstance(value[0], list) else [value]
+    if not all(isinstance(row, list) and len(row) == len(rows[0]) > 0 and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row) for row in rows):
+        raise ValueError(f"{name} entries must be numbers, or lists of numbers of one length, "
+                         f"not {reprlib.repr(value)}")  # bounded: a matrix can be large
+
+
 def load_model_file(path: str) -> gmm.InferenceModel:
     """Read a JSON model: mu1, mu2 arrays and sigma as "identity" | diag | dense."""
     with open(path) as fh:
@@ -119,6 +128,8 @@ def load_model_file(path: str) -> gmm.InferenceModel:
         raise ValueError(f"model file {path} does not hold a JSON object")
     if missing := [key for key in ("mu1", "mu2", "sigma") if key not in spec]:
         raise ValueError(f"model file {path} has no {', '.join(missing)}")
+    for key in ("mu1", "mu2") if isinstance(spec["sigma"], str) else ("mu1", "mu2", "sigma"):
+        _require_numbers(key, spec[key])
     mu1 = np.asarray(spec["mu1"], dtype=float)
     mu2 = np.asarray(spec["mu2"], dtype=float)
     return gmm.InferenceModel(mu1, mu2, _sigma_from_spec(spec["sigma"], mu1.size))
@@ -483,8 +494,8 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     value, its policy and the set of bit levels at its value, not on the
     other values or the order of the policies. A bad trial count, seed,
     parameter or value (its point and channel) raises ``ValueError`` before any
-    work; a bad policy raises ``RuntimeError`` from the first value's cell,
-    once the policies before it are decided.
+    work, and a bad policy before any episode is simulated, once the first
+    value has decided the policies before it.
     """
     if not values or not policies:
         raise ValueError("values and policies must be nonempty")
@@ -501,18 +512,10 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
     model = build_model(config)  # no swept field changes the model
     point_params = [build_params(point, model) for point in points]  # one channel and table each
     rows = []
-    for value, number, point, params in zip(values, numbers, points, point_params):
-        decisions = []
-        try:
-            for policy in policies:
-                decisions.append(_decide_policy(policy, params))
-            wrong = _count_errors(params, config.noise_model,
-                                  [d.bits_per_feature for d in decisions], trials,
-                                  key=(seed, *_float_words(number)), tag=(_SWEEP_STREAMS[param],))
-        except Exception as exc:
-            failed = (f", policy={policies[len(decisions)]}"
-                      if len(decisions) < len(policies) else "")
-            raise RuntimeError(f"sweep cell ({param}={value}{failed}) failed") from exc
+    for number, params in zip(numbers, point_params):
+        decisions = [_decide_policy(policy, params) for policy in policies]
+        wrong = _count_errors(params, config.noise_model, [d.bits_per_feature for d in decisions],
+                              trials, (seed, *_float_words(number)), (_SWEEP_STREAMS[param],))
         rows += [_row(param, number, policy, d, w, trials, seed)
                  for policy, d, w in zip(policies, decisions, wrong)]
     return rows

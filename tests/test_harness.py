@@ -860,9 +860,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             harness.sweep(default_config, "temperature", [1], ["adaptive"], 10, 0)
 
-    def test_cell_failure_is_identified(self, default_config):
-        with pytest.raises(RuntimeError, match="policy=psychic"):
-            harness.sweep(default_config, "antennas", [2], ["psychic"], 10, 0)
+    def test_cell_failure_is_identified(self, default_config, monkeypatch):
+        # a bad policy is a plain ValueError that names it, raised while the
+        # first value's policies are decided, before any episode is simulated
+        calls = []
+        monkeypatch.setattr(harness, "_count_errors", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unknown policy 'psychic'"):
+            harness.sweep(default_config, "antennas", [2, 4], ["bits:4", "psychic"], 10, 0)
+        assert not calls
 
 
 def traced_run(call):
@@ -1099,7 +1104,8 @@ class TestCli:
         assert out.read_text() == "earlier rows\n"
 
     def test_sweep_failure_of_another_kind_is_raised(self, tmp_path, monkeypatch):
-        # only a cell that failed on a bad setting or file is a usage error
+        # only a bad setting or file (ValueError, OSError) is a usage error;
+        # any other exception propagates unchanged, with its cause
         def fail(*args):
             raise RuntimeError("sweep cell (snr-db=0) failed") from ZeroDivisionError()
 
@@ -1123,6 +1129,43 @@ class TestCli:
         assert len(err) == 2 and err[0].startswith("usage: ")
         assert err[1].startswith("senselink: error: SNR of 4000.0 dB is not a")
         assert "failed" not in err[1]
+
+    def test_sweep_bad_policy_is_usage_error(self, tmp_path, capsys):
+        # the first value decides adaptive, then refuses psychic as itself,
+        # before any episode is simulated; no file is written
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep", "--param", "snr-db", "--values", "0,2", "--policies",
+                      "adaptive,psychic", "--trials", "10", "--seed", "0", "--out", str(out)])
+        assert exit_info.value.code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 2 and err.startswith("usage: ")
+        assert err.splitlines()[1] == "senselink: error: unknown policy 'psychic'"
+        assert "sweep cell" not in err
+
+    @pytest.mark.parametrize("key, spec", [
+        ("mu1", {"mu1": {"a": 1}, "mu2": [-0.1, -0.1], "sigma": "identity"}),
+        ("sigma", {"mu1": [0.1, 0.1], "mu2": [-0.1, -0.1], "sigma": {"a": 1}}),
+        ("mu1", {"mu1": ["0.1", "0.1"], "mu2": ["-0.1", "-0.1"], "sigma": "identity"}),
+        ("mu1", {"mu1": [True, True], "mu2": [False, False], "sigma": "identity"}),
+        ("mu2", {"mu1": [0.1, 0.1], "mu2": [-0.1, False], "sigma": "identity"}),
+        ("sigma", {"mu1": [0.1, 0.1], "mu2": [-0.1, -0.1], "sigma": [True, 1.0]}),
+        ("sigma", {"mu1": [0.1, 0.1], "mu2": [-0.1, -0.1], "sigma": [[1.0, 0.0], [0.0]]}),
+        ("mu1", {"mu1": [], "mu2": [], "sigma": "identity"}),
+    ], ids=["mu1-object", "sigma-object", "mu-strings", "mu-bools", "mu2-bool",
+            "sigma-bool", "sigma-ragged", "mu-empty"])
+    def test_model_file_value_is_usage_error(self, key, spec, tmp_path, capsys):
+        # a model-file value that is not a list of numbers, or of equally long
+        # lists of numbers, is refused with one usage line that names its key
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["simulate", "--model-file", str(model), "--dim", "2",
+                      "--policy", "bits:4", "--trials", "10", "--seed", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 2 and err.startswith("usage: ")
+        assert err.splitlines()[1].startswith(f"senselink: error: {key} entries must be numbers")
 
     @pytest.mark.parametrize("key", ["mu1", "mu2", "sigma"])
     def test_model_file_missing_key(self, key, tmp_path, capsys):
@@ -1191,13 +1234,23 @@ class TestCli:
         (["simulate"], {"clip": [5.0]}, "clip must be a number"),
         (["simulate"], {"snr_db": [2.0, 3.0]}, "snr_db must be a number"),
         (["simulate"], {"sigma_spec": [{"a": 1}]}, "sigma_spec entries must be numbers"),
+        (["simulate"], {"centroid": True}, "centroid must be a number"),
+        (["simulate"], {"snr_db": False}, "snr_db must be a number"),
+        (["simulate"], {"clip": True}, "clip must be a number"),
+        (["simulate"], {"dim": 2, "sigma_spec": [True, 1.0]}, "sigma_spec entries must be numbers"),
+        (["simulate"], {"dim": 2, "sigma_spec": [[1.0, 0.0], [0.0]]},
+         "sigma_spec entries must be numbers"),
+        (["simulate"], {"dim": 2, "sigma_spec": [1.0, [1.0, 0.0]]},
+         "sigma_spec entries must be numbers"),
     ], ids=["simulate", "sweep", "policy", "centroid", "clip", "snr_db", "sigma_spec",
             "model_file", "noise_model", "centroid-object", "clip-list", "snr_db-list",
-            "sigma_spec-entry"])
+            "sigma_spec-entry", "centroid-bool", "snr_db-bool", "clip-bool", "sigma_spec-bool",
+            "sigma_spec-ragged", "sigma_spec-mixed"])
     def test_bad_setting_is_usage_error(self, command, config, message, tmp_path, capsys):
-        # a bad flag, or a --config value of the wrong type (a string, list or
-        # object where a number goes, an integer model_file that would name a
-        # file descriptor), is refused with one usage line
+        # a bad flag, or a --config value of the wrong type (a bool, string,
+        # list or object where a number goes, ragged sigma_spec rows, an
+        # integer model_file that would name a file descriptor), is refused
+        # with one usage line
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
