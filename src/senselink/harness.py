@@ -501,10 +501,9 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         raise ValueError("values and policies must be nonempty")
     require_counts(1, trials=trials)
     require_counts(0, seed=seed)
-    try:
-        attr = SWEEP_FIELDS[param]
-    except KeyError:
-        raise ValueError(f"unknown sweep parameter {param!r}") from None
+    if param not in SWEEP_FIELDS:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    attr = SWEEP_FIELDS[param]
     # a count that is not a whole number stays a float, which ExperimentConfig refuses
     numbers = [float(value) for value in values]
     points = [replace(config, **{attr: int(n) if attr != "snr_db" and n.is_integer() else n})
