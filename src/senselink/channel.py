@@ -52,8 +52,7 @@ class ChannelConfig:
     blocklength: int
 
     def __post_init__(self):
-        require_finite(antennas=self.antennas, snr_linear=self.snr_linear,
-                       blocklength=self.blocklength)
+        require_finite(snr_linear=self.snr_linear)
         require_counts(1, antennas=self.antennas, blocklength=self.blocklength)
         require_positive(snr_linear=self.snr_linear)
         if self.snr_linear < sys.float_info.min:  # subnormal: the surrogate gradient is NaN there

@@ -80,7 +80,7 @@ class ExperimentConfig:
                                     "model_file": ((str, type(None)), "a string"),
                                     "sigma_spec": ((str, list), "a string or a list")}.items():
             if not isinstance(value := getattr(self, name), kinds) or isinstance(value, bool):
-                raise ValueError(f"{name} must be {what}, not {value!r}")  # bool is a Real
+                raise ValueError(f"{name} must be {what}, not {reprlib.repr(value)}")
         if isinstance(self.sigma_spec, list):
             _require_numbers("sigma_spec", self.sigma_spec)
         require_finite(centroid=self.centroid, clip=self.clip, snr_db=self.snr_db)
@@ -314,7 +314,10 @@ def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray,
 
     ``guide[r, j]`` is the number of values of F <= j / cells, so a uniform
     u in bin j = floor(u cells) has its place ``np.searchsorted(F, u,
-    "right")`` between guide[r, j] and guide[r, j + 1]. ``bounds[r, j]`` is
+    "right")`` between guide[r, j] and guide[r, j + 1]. It is counted, as
+    F <= j / cells exactly when ceil(F cells) <= j, by one bincount of every
+    row's keys, summed along the row; the inf padding and any F past 1 fall
+    in a last key, cells + 1, which is dropped. ``bounds[r, j]`` is
     F[guide[r, j]] (inf past F's end), where the bin holds at most one value
     of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
     where the bin holds more, and the place is then bisected in ``cdf[r]``,
@@ -323,10 +326,10 @@ def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray,
     bin holds.
     """
     cdf = np.pad(np.cumsum(pmfs, axis=1)[:, :-1], ((0, 0), (0, 1)), constant_values=np.inf)
-    grid = np.arange(cells + 1) / cells
-    guide = np.empty((len(cdf), cells + 1), dtype=np.int32)
-    for row, out in zip(cdf, guide):
-        out[:] = np.searchsorted(row, grid, "right")
+    keys = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
+    keys += np.arange(len(cdf))[:, None] * (cells + 2)
+    guide = np.cumsum(np.bincount(keys.ravel(), minlength=len(cdf) * (cells + 2)).reshape(
+        len(cdf), cells + 2)[:, :-1], axis=1).astype(np.int32)
     counts = np.diff(guide, axis=1)
     bounds = np.take_along_axis(cdf, guide, axis=1)
     bounds[:, :-1][counts > 1] = np.nan

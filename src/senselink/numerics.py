@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 from scipy import special
@@ -20,7 +21,7 @@ def require_finite(**values) -> None:
     """
     for name, value in values.items():
         if isinstance(value, (str, bytes)):
-            raise ValueError(f"{name} must be a number, not {value!r}")
+            raise ValueError(f"{name} must be a number, not {reprlib.repr(value)}")
         if isinstance(value, numbers.Integral):
             continue
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
@@ -31,7 +32,7 @@ def require_counts(least: int, **counts) -> None:
     """Raise ValueError naming the first of ``counts`` not an integer >= ``least``; a bool is not one."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+            raise ValueError(f"{name} must be an integer, not {reprlib.repr(value)}")
         if value < least:
             raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, not {value}")
 

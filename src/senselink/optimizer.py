@@ -33,7 +33,6 @@ from .numerics import (find_root, log_regularized_upper_gamma, require_counts, r
                        require_positive)
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
-_BRUTE_STOP_LOSS = 0.999
 _EDGE_SURVIVAL = 1e-9  # the rate domain ends where the closed-form loss is 1 - this
 
 
@@ -49,7 +48,7 @@ class TradeoffParams:
     observations: int
 
     def __post_init__(self):
-        require_finite(clip=self.clip, observations=self.observations)
+        require_finite(clip=self.clip)
         require_positive(clip=self.clip)
         require_counts(1, observations=self.observations)
 
@@ -62,10 +61,10 @@ class TradeoffParams:
         return bits * self.dim / self.channel.blocklength
 
     @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The bit-level table: (closed-form loss, error bound, exact error)
-        of every level 1.._MAX_BITS, level b at index b - 1, shared by every
-        policy that decides with these parameters.
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bit-level table: (error bound, exact error) of every level
+        1.._MAX_BITS, level b at index b - 1, shared by every policy that
+        decides with these parameters.
 
         One array pass: each level's rate gives the distortion-degraded gain
         (one levels x d sum over the cached eigenbasis); the error bound takes
@@ -76,7 +75,7 @@ class TradeoffParams:
         gains = _gains(self.model, sigma_q2_of_rate(rates, self))
         loss = avg_packet_loss_approx(self.channel, rates)
         exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
-        return loss, sensing_error_bound(gains, loss, self.observations), exact
+        return sensing_error_bound(gains, loss, self.observations), exact
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def _level_decision(bits: int, params: TradeoffParams, continuous_rate: float | 
     the error bound at the closed-form loss and the exact error at the
     Gauss-Hermite loss, both at the distortion-degraded gain."""
     rate = params.level_rate(bits)
-    _, bound, exact = params.table
+    bound, exact = params.table
     return RateDecision(rate if continuous_rate is None else continuous_rate, bits, rate,
                         float(bound[bits - 1]), float(exact[bits - 1]), infeasible, params=params)
 
@@ -282,13 +281,10 @@ def round_rate(continuous_rate: float, params: TradeoffParams) -> RateDecision:
 def brute_force_rate(params: TradeoffParams) -> RateDecision:
     """Exhaustive search over integer bit levels; ties break toward fewer bits.
 
-    Each level's figure is the exact error of the bit-level table. The
-    search stops after the first level whose closed-form loss exceeds 0.999.
+    The level is the argmin of the bit-level table's exact error over every
+    level 1.._MAX_BITS, so no policy predicts a smaller exact error.
     """
-    loss, _, exact = params.table
-    past = np.flatnonzero(loss > _BRUTE_STOP_LOSS)
-    stop = int(past[0]) + 1 if past.size else _MAX_BITS
-    return _level_decision(int(np.argmin(exact[:stop])) + 1, params)
+    return _level_decision(int(np.argmin(params.table[1])) + 1, params)
 
 
 def urllc_rate(params: TradeoffParams, threshold: float = 1e-5) -> RateDecision:

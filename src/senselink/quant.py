@@ -29,7 +29,7 @@ class QuantizerConfig:
     basis: np.ndarray
 
     def __post_init__(self):
-        require_finite(clip=self.clip, bits=self.bits, basis=self.basis)
+        require_finite(clip=self.clip, basis=self.basis)
         require_positive(clip=self.clip)
         require_counts(1, bits=self.bits)
         basis = np.asarray(self.basis, dtype=float)

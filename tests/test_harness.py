@@ -71,6 +71,14 @@ class TestConfigAndModel:
         with pytest.raises(ValueError, match=f"{field} must be positive, not 0"):
             harness.ExperimentConfig(**{field: 0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", [0] * 20_000), ("clip", [0.0] * 20_000), ("snr_db", "x" * 20_000),
+        ("policy", ["a"] * 20_000)], ids=["dim", "clip", "snr_db", "policy"])
+    def test_wrongly_typed_value_is_echoed_short(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be") as info:
+            harness.ExperimentConfig(**{field: value})
+        assert len(str(info.value)) < 200
+
     def test_decide_rejects_snr_beyond_float_range(self):
         with pytest.raises(ValueError, match="dB"):
             harness.decide(harness.ExperimentConfig(snr_db=4000.0, policy="bits:4"))
@@ -370,6 +378,17 @@ class TestLatticePath:
             bins = (u * cells).astype(np.intp)
             crowded += sum(np.count_nonzero(np.diff(row)[bins] >= 2) for row in level.guide)
         assert crowded > 0
+
+    @pytest.mark.parametrize("bits", [4, 10])
+    def test_guide_is_the_binary_search(self, bits):
+        # each guide row is the binary search of its class's CDF at every
+        # bin edge, as on the indices path
+        level = engine_level(harness.build_params(harness.ExperimentConfig()), bits, "quantizer")
+        assert level.path == "lattice"
+        cells = level.guide.shape[1] - 1
+        grid = np.arange(cells + 1) / cells
+        for row, guide in zip(level.cdf[:, :-1], level.guide):
+            np.testing.assert_array_equal(guide, np.searchsorted(row, grid, "right"))
 
     def test_points_share_read_only_tables(self):
         # the law depends on the model, clip, bit level and d, not on the

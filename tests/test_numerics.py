@@ -261,6 +261,8 @@ BAD_ARGUMENTS = [
      "observations must be an integer, not 2.5"),
     ("TradeoffParams-observations-bool", lambda: _point(observations=True),
      "observations must be an integer, not True"),
+    ("TradeoffParams-observations-nan", lambda: _point(observations=math.nan),
+     "observations must be an integer, not nan"),
     ("OptimizerSettings-max_iters-float", lambda: opt.OptimizerSettings(max_iters=2.5),
      "max_iters must be an integer, not 2.5"),
     ("round_rate-inf", lambda: opt.round_rate(math.inf, _point()), "coding rate must be finite"),
@@ -273,6 +275,8 @@ BAD_ARGUMENTS = [
      "observations must be an integer, not 2.5"),
     ("ChannelConfig-antennas-bool", lambda: ch.ChannelConfig(True, 1.0, 100),
      "antennas must be an integer, not True"),
+    ("ChannelConfig-antennas-nan", lambda: ch.ChannelConfig(math.nan, 1.0, 100),
+     "antennas must be an integer, not nan"),
     ("ChannelConfig-antennas-float", lambda: ch.ChannelConfig(4.0, 1.0, 100.0),
      "antennas must be an integer, not 4.0"),
     ("ChannelConfig-blocklength-float", lambda: ch.ChannelConfig(4, 1.0, 100.0),
