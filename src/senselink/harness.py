@@ -4,7 +4,9 @@ The engine simulates each decision at its bit level and at the point it was
 made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
 sweep builds its model once. Trials run in blocks sized by their packets,
 and every path's draws come in chunks of at most 2^14 values, so a block's
-arrays stay small whatever the trial count, dimension or antenna count.
+arrays stay small whatever the trial count, dimension or antenna count. A
+row of draws serves one packet, or on the indices path one bundle of 2^k
+packets of an episode, whose index sums it draws from their exact law.
 Each block draws from its own random stream: keyed by (seed, cell, block)
 for a single cell, and by (seed, swept value, block, sweep parameter) for a
 sweep point, whose policies are all scored on the same episodes. Any output
@@ -43,10 +45,18 @@ _LATTICE_SPAN = 2 ** 16
 # Lattice laws kept per process (see ``_lattice_law``): a sweep over the
 # default model revisits seven, the levels of 1 to 7 bits at d = 50.
 _LATTICE_LAWS = 8
-# Guide cells per grid point on the indices path (see ``_Level``): with one,
-# as on the lattice, 12.5% of the uniforms of a dense 4-bit cell fall in bins
-# holding two or more CDF values; with four, about 3%.
+# Guide cells per grid index in an indices-path level's tables for one
+# packet (see ``_Level``): with one, as on the lattice, 12.5% of the uniforms
+# of a dense 4-bit cell fall in bins holding two or more CDF values; with
+# four, about 3%. Its tables for bundles of two or more packets take one cell
+# per value, which ran faster there than four.
 _INDEX_CELLS = 4
+# Most values the CDF tables of an indices-path level's bundles of 2, 4, ...
+# packets hold in all, 2 d (2^k (2^b - 1) + 1) for bundles of 2^k: a dense
+# 4-bit level at d = 128 gets bundles of up to 8 packets, whose tables take
+# 1.1 MB with their guides and bounds. Bundles of up to 16 packets there took
+# 5.6 MB more of RSS and ran no faster.
+_BUNDLE_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -193,11 +203,12 @@ class _Level:
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
 
-    The real quantizer's paths draw from exact CDFs, each a float row of
-    ``cdf`` with its rows of ``guide`` and ``bounds`` (``_guide_tables``),
-    and ``lookup`` inverts each uniform. On every path ``packet_values``
-    maps a packet's draws to one value and ``episode_totals`` sums the
-    values per episode.
+    The real quantizer's paths draw from exact CDFs: ``tables[k]`` holds a
+    float ``cdf`` table with its ``guide`` and ``bounds`` (``_guide_tables``),
+    and ``lookup`` inverts each uniform through one of them; ``cdf``,
+    ``guide`` and ``bounds`` name those of ``tables[0]``. On every path
+    ``row_values`` maps a row of draws to one value and ``episode_totals``
+    sums the values per episode.
 
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
@@ -212,12 +223,21 @@ class _Level:
     level's weights, is computed here.
 
     Otherwise, if d (2^b - 1) is still at most ``_LATTICE_SPAN``, ``path`` is
-    "indices": row c d + i is the law (``quant.index_pmf``) of coordinate i's
-    grid index in class c, with ``_INDEX_CELLS`` cells per index, so each
-    coordinate takes one uniform, and a packet with indices k scores
-    k @ ``index_weights`` + ``index_const``, which is w @ (-clip + k delta)
-    + const. Wider levels take the "features" path: Gaussian features,
-    quantized.
+    "indices". Coordinate i's grid index in class c has the law
+    ``quant.index_pmf``, and its index sum over a bundle of 2^k packets of
+    one episode has that law's 2^k-fold convolution
+    (``quant.index_sum_law``). Row c d + i of ``tables[k]`` inverts that
+    law, with ``_INDEX_CELLS`` cells per index at k = 0 and one cell per
+    value above. The level has bundles of 2^k packets for k = 0 .. top, the
+    largest top with 2^top <= K whose tables for k >= 1 hold at most
+    ``_BUNDLE_VALUES`` values in all. An episode that receives m packets
+    sends m >> top bundles of 2^top packets, then one of 2^k for each set
+    bit k of m mod 2^top, highest first (``bundles``, ``bundle_tables``).
+    A bundle takes one row of d uniforms, one per coordinate, which look up
+    its index sums s, and it scores s @ ``index_weights``; the episode adds
+    m ``index_const`` once. Its total is the sum over its packets, with
+    indices k, of w @ (-clip + k delta) + const. Wider levels take the
+    "features" path: Gaussian features, quantized.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
@@ -235,58 +255,95 @@ class _Level:
         if self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN:
             if np.all(lam == lam[0]) and np.all(means == means[:, :1]):
                 self.path = "lattice"
-                self.cdf, self.guide, self.bounds, self.steps = _lattice_law(
-                    float(means[0, 0]), float(means[1, 0]), float(lam[0]), params.clip,
-                    bits, dim)
+                self.tables = [_lattice_law(float(means[0, 0]), float(means[1, 0]),
+                                            float(lam[0]), params.clip, bits, dim)]
                 self.span = dim * (2 ** bits - 1)
                 self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
             else:
                 self.path = "indices"
                 pmfs = quant.index_pmf(means[..., None], lam[:, None], params.clip, bits)
-                self.cdf, self.guide, self.bounds, self.steps = _guide_tables(
-                    pmfs.reshape(2 * dim, -1), _INDEX_CELLS << bits)
+                self.tables = [_guide_tables(pmfs.reshape(2 * dim, -1), _INDEX_CELLS << bits)]
+                size, held = 2, 0
+                while size <= params.observations:
+                    held += 2 * dim * (size * (2 ** bits - 1) + 1)
+                    if held > _BUNDLE_VALUES:
+                        break
+                    _, pmfs = quant.index_sum_law(means[..., None], lam[:, None], params.clip,
+                                                  bits, size)
+                    self.tables.append(_guide_tables(
+                        pmfs.reshape(2 * dim, -1), 1 << (pmfs.shape[-1] - 1).bit_length()))
+                    size *= 2
                 self.index_weights = 2.0 * params.clip / (2 ** bits - 1) * self.weights
                 self.index_const = self.const - params.clip * float(np.sum(self.weights))
-            # where row c m + i of the tables starts, at [c, i]
-            self.starts = np.arange(0, self.guide.size, self.guide.shape[1]).reshape(2, -1)
+            self.cdf, self.guide, self.bounds, _ = self.tables[0]
+            # where row c m + i of each table starts, at [c, i]
+            self.starts = [np.arange(0, guide.size, guide.shape[1]).reshape(2, -1)
+                           for _, guide, _, _ in self.tables]
 
-    def packet_values(self, labels: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """One value per packet, from its class in ``labels`` and its row of
-        ``draws``: the score of its quantized features, of the grid indices
-        its index uniforms look up, or of its lemma-1 normal z, score_sd z +
-        score_means[c]; on the lattice, the index sum its uniform looks up."""
+    def row_values(self, labels: np.ndarray, draws: np.ndarray, table: int = 0) -> np.ndarray:
+        """One value per row of ``draws``, from its class in ``labels``: the
+        score of a packet's quantized features, or of its lemma-1 normal z,
+        score_sd z + score_means[c]; on the lattice, the index sum a packet's
+        uniform looks up; on the indices path, s @ index_weights for the
+        index sums s that a bundle's uniforms look up in ``tables[table]``."""
         if self.path == "features":
             return quant.scalar_quantize(draws, self.clip, self.bits) @ self.weights + self.const
         if self.path == "lemma1":
             return draws[:, 0] * self.score_sd + self.score_means[labels]
-        places = self.lookup(labels, draws)
+        places = self.lookup(labels, draws, table)
         if self.path == "lattice":
             return places[:, 0]
-        return places @ self.index_weights + self.index_const
+        return places @ self.index_weights
 
-    def episode_totals(self, owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-        """Each of ``n`` episodes' total score, from the ``packet_values`` of
-        its packets (``owner`` their episodes). On the lattice, m packets
+    def episode_totals(self, owner: np.ndarray, values: np.ndarray, n: int,
+                       packets: np.ndarray | None = None) -> np.ndarray:
+        """Each of ``n`` episodes' total score, from the ``row_values`` of its
+        rows (``owner`` their episodes) and the number of ``packets`` it
+        received, by default its number of rows. On the lattice, m packets
         whose index sums add up to T total (2 T - m span) half_step + m
         const, with T and m summed exactly, so a tie at symmetric class means
-        is exactly 0."""
-        if self.path != "lattice":
+        is exactly 0; on the indices path, the rows' values plus m
+        index_const."""
+        if self.path in ("features", "lemma1"):
             return np.bincount(owner, weights=values, minlength=n)
-        count = np.bincount(owner, minlength=n)
-        excess = 2.0 * np.bincount(owner, weights=values, minlength=n) - count * self.span
-        return excess * self.half_step + count * self.const
+        if packets is None:
+            packets = np.bincount(owner, minlength=n)
+        if self.path == "indices":
+            return np.bincount(owner, weights=values, minlength=n) + packets * self.index_const
+        excess = 2.0 * np.bincount(owner, weights=values, minlength=n) - packets * self.span
+        return excess * self.half_step + packets * self.const
 
-    def lookup(self, labels: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def bundles(self, packets: np.ndarray) -> np.ndarray:
+        """How many bundles an indices-path episode that receives ``packets``
+        packets sends: m >> top, plus the set bits of m mod 2^top."""
+        top = len(self.tables) - 1
+        return (packets >> top) + sum(packets >> k & 1 for k in range(top))
+
+    def bundle_tables(self, packets: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """For bundle ``slot`` of an indices-path episode that receives
+        ``packets`` packets, the k of its 2^k packets, which index its
+        table, or -1 past the episode's last bundle."""
+        top = len(self.tables) - 1
+        rest = slot - (packets >> top)  # its place among the bundles of m mod 2^top
+        table = np.where(rest < 0, top, -1).astype(np.int8)
+        for k in range(top - 1, -1, -1):
+            bit = packets >> k & 1
+            table[(rest == 0) & (bit == 1)] = k
+            rest -= bit
+        return table
+
+    def lookup(self, labels: np.ndarray, uniforms: np.ndarray, table: int = 0) -> np.ndarray:
         """For uniforms of shape (n, m) and classes ``labels``, each uniform's
-        place in the CDF of table row c m + i, for its class c and column i
-        (see ``_guide_tables``): one guide read and one comparison. The few
-        uniforms in bins that hold two or more CDF values, mostly in the
-        tails, are bisected between their bin's guide entries."""
-        cdf, guide, bounds = self.cdf, self.guide, self.bounds
+        place in the CDF of row c m + i of ``tables[table]``, for its class c
+        and column i (see ``_guide_tables``): one guide read and one
+        comparison. The few uniforms in bins that hold two or more CDF
+        values, mostly in the tails, are bisected between their bin's guide
+        entries."""
+        cdf, guide, bounds, steps = self.tables[table]
         width = guide.shape[1]
         at = np.empty(uniforms.shape, dtype=np.intp)
         np.multiply(uniforms, width - 1, out=at, casting="unsafe")  # floor(u cells)
-        at += self.starts.take(labels, axis=0)
+        at += self.starts[table].take(labels, axis=0)
         bound = bounds.ravel()[at]
         crowded = np.flatnonzero(np.isnan(bound))
         above = uniforms >= bound
@@ -300,7 +357,7 @@ class _Level:
             # 2^(steps - 1) .. 1 reach it
             lo, hi = guide.ravel()[at] + base, guide.ravel()[1:][at] + base
             flat = cdf.ravel()
-            for step in (1 << np.arange(self.steps)[::-1]).tolist():
+            for step in (1 << np.arange(steps)[::-1]).tolist():
                 np.add(lo, step, out=lo, where=u >= flat[np.minimum(lo + (step - 1), hi)])
             np.put(places, crowded, lo - base)
         return places
@@ -365,20 +422,25 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     The classes, the post-combining SNRs (one gamma draw per packet) and the
     arrival uniforms are drawn once for every level, which only compares its
     own rate with each packet's decodable rate (``channel.decodable_rate``).
-    Then each path (see ``_Level``) draws for the packets that arrive under
-    any of its levels, in chunks of ``_feature_rows`` rows and in this
-    order: d features, coloured by the model's ``means`` and ``sd``; d index
-    uniforms; one lemma-1 normal; one lattice uniform. Each level maps its
-    own rows of a chunk to one value per packet (``_Level.packet_values``)
-    and sums the values per episode (``_Level.episode_totals``). Split draws
-    keep their values, so no count depends on the chunk size. An episode
-    decides class 1 iff its total is < 0, so one that receives nothing, or
-    whose lattice total is an exact tie, decides class 2: a silent episode
-    is wrong with probability 1/2, as the class is a fair draw. A level's
-    outcome depends on the other levels only through the union of arriving
-    packets on its path, not on their order; with one level, or none on the
-    lattice, the stream is consumed as by a single-policy engine of the same
-    path.
+    Then each path (see ``_Level``) draws rows, in chunks of
+    ``_feature_rows`` rows and in this order: d features, coloured by the
+    model's ``means`` and ``sd``, for each packet that arrives under any of
+    its levels; d index uniforms for each bundle slot, slot 0 of every
+    episode that has one, then slot 1, and so on, where an episode has as
+    many slots as the level with the most bundles there (``_Level.bundles``)
+    and levels with a bundle in a slot share its row; one lemma-1 normal and
+    one lattice uniform for each packet that arrives under any of their
+    levels. Each level maps its own rows of a chunk to one value each
+    (``_Level.row_values``) and sums the values per episode
+    (``_Level.episode_totals``). Split draws keep their values, so no count
+    depends on the chunk size. An episode decides class 1 iff its total is
+    < 0, so one that receives nothing, or whose lattice total is an exact
+    tie, decides class 2: a silent episode is wrong with probability 1/2, as
+    the class is a fair draw. A level's outcome depends on the other levels
+    only through the rows its path draws, the union of arriving packets or,
+    on the indices path, the most bundles per episode, not on their order;
+    with one level, or none on the lattice, the stream is consumed as by a
+    single-policy engine of the same path.
     """
     k, model = params.observations, params.model
     classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
@@ -394,26 +456,41 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
-        reached = success[mine].any(axis=0)
-        # each arrival's episode and class, 5 bytes a packet while the draws run
-        episode = np.nonzero(reached)[0].astype(np.int32)
-        arrived = classes[episode]
-        # each level's own packets among those the path draws for; a slice,
-        # whose indexing takes no copy, where that is all of them
-        owns = [slice(None) if own.all() else own for own in success[mine][:, reached]]
-        values = [[] for _ in mine]
+        arrivals = success[mine]
+        packets = arrivals.sum(axis=2)  # each level's packets per episode
+        # each row's episode, and each level's rows for each of its tables
+        if path == "indices":
+            slots = np.max([levels[i].bundles(m) for i, m in zip(mine, packets)], axis=0)
+            slot, episode = np.nonzero(np.arange(slots.max())[:, None] < slots)
+            episode = episode.astype(np.int32)
+            picks = []
+            for i, m in zip(mine, packets):
+                tables = levels[i].bundle_tables(m[episode], slot)
+                picks.append([(t, tables == t) for t in range(len(levels[i].tables))])
+        else:
+            reached = arrivals.any(axis=0)
+            episode = np.nonzero(reached)[0].astype(np.int32)
+            picks = [[(0, own)] for own in arrivals[:, reached]]
+        arrived = classes[episode]  # 5 bytes a row while the draws run
+        values = np.zeros((len(mine), episode.size))
         rows = _feature_rows(width)
-        for start in range(0, arrived.size, rows):
+        for start in range(0, episode.size, rows):
             labels = arrived[start:start + rows]
             draws = draw((labels.size, width))
             if path == "features":
                 draws *= model.sd
                 draws += model.means[labels]
-            for i, own, part in zip(mine, owns, values):
-                chunk = own if isinstance(own, slice) else own[start:start + rows]
-                part.append(levels[i].packet_values(labels[chunk], draws[chunk]))
-        for i, own, part in zip(mine, owns, values):
-            total = levels[i].episode_totals(episode[own], np.concatenate(part or [np.empty(0)]), n)
+            for i, level_picks, out in zip(mine, picks, values):
+                for table, pick in level_picks:
+                    chunk = pick[start:start + rows]
+                    if chunk.all():  # a slice, whose indexing takes no copy
+                        chunk = slice(None)
+                    elif not chunk.any():
+                        continue
+                    out[start:start + rows][chunk] = levels[i].row_values(
+                        labels[chunk], draws[chunk], table)
+        for i, m, out in zip(mine, packets, values):
+            total = levels[i].episode_totals(episode, out, n, m)
             wrong[i] = int(np.count_nonzero((total < 0.0) != first))
     return wrong
 

@@ -104,12 +104,15 @@ def index_pmf(mean, var, clip: float, bits: int) -> np.ndarray:
     return np.diff(special.ndtr((edges - mean) / np.sqrt(var)), prepend=0.0, append=1.0)
 
 
-def index_sum_law(mean, var: float, clip: float, bits: int,
+def index_sum_law(mean, var, clip: float, bits: int,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the sum of ``count`` i.i.d. N(mean, var) values, each
     mapped by ``scalar_quantize``: the sums (t - count (2^bits - 1) / 2) delta
-    over the index sums t = 0 .. count (2^bits - 1), and their probabilities;
-    a column of c means, shape (c, 1), gives c rows of probabilities.
+    over the index sums t = 0 .. count (2^bits - 1), and their probabilities.
+    ``mean`` and ``var`` broadcast as in ``index_pmf``, one row of
+    probabilities per row of their broadcast: a column of c means, shape
+    (c, 1), gives c rows, and means of shape (2, d, 1) against variances of
+    shape (d, 1) give one row per class and variance.
 
     One coordinate's pmf is ``index_pmf``; the sum's pmf is its count-fold
     convolution, one FFT power at a fast length that does not wrap, cut

@@ -290,7 +290,7 @@ class TestGoldenRows:
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
         (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 72),
         (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 84),
-        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 537),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 511),
         (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 37),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
@@ -305,7 +305,7 @@ class TestGoldenRows:
          ["bits:8", "bits:10", "bits:11", "bits:12"], (2256, 2617, 3366, 4968)),
         # two indices-path levels (2 and 6 bits) and a feature-path level (12 bits)
         (replace(dense_config("bits:2", "quantizer"), observations=3), 6.0,
-         ["bits:2", "bits:6", "bits:12"], (4890, 4668, 6761)),
+         ["bits:2", "bits:6", "bits:12"], (4720, 4583, 6761)),
         # three lemma-1 levels
         (harness.ExperimentConfig(observations=3, noise_model="lemma1"), 12.0,
          ["bits:8", "bits:10", "bits:12"], (2250, 2665, 4976)),
@@ -526,8 +526,9 @@ def diagonal_model_file(tmp_path, mu1, mu2, sigma):
 
 class TestIndicesPath:
     """Levels of the real quantizer whose coordinates are not i.i.d. draw
-    each coordinate's grid index from one uniform through its own exact CDF,
-    if d (2^b - 1) is at most the lattice's span."""
+    each coordinate's grid index sum over a bundle of 2^k packets from one
+    uniform through its own exact CDF, if d (2^b - 1) is at most the
+    lattice's span."""
 
     @staticmethod
     def path(cfg, bits):
@@ -601,21 +602,63 @@ class TestIndicesPath:
             padded = np.append(row, np.inf)
             np.testing.assert_array_equal(bounds[:-1][~crowded], padded[guide[:-1][~crowded]])
 
-    @pytest.mark.parametrize("dim, bits, observations", [
-        (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bundle_tables_are_convolutions(self, k, tmp_path):
+        # the tables of bundles of 2^k packets: each row is the CDF of the
+        # 2^k-fold convolution of its class's and coordinate's index law, at
+        # unequal eigenvalues and class means, with one guide cell per value
+        cfg = harness.ExperimentConfig(dim=3, observations=8, model_file=diagonal_model_file(
+            tmp_path, [0.5, -0.2, 0.3], [-0.1, 0.4, -0.6], [0.01, 2.0, 0.7]))
+        params = harness.build_params(cfg)
+        level = engine_level(params, 3, "quantizer")
+        assert level.path == "indices" and len(level.tables) == 4
+        cdf, guide, bounds, _ = level.tables[k]
+        model = params.model
+        pmfs = quant.index_pmf(model.means[..., None], model.eigvals[:, None], cfg.clip, 3)
+        values = 2 ** k * 7 + 1
+        cells = guide.shape[1] - 1
+        assert cdf.shape == (6, values) and cells == 1 << (values - 1).bit_length()
+        grid = np.arange(cells + 1) / cells
+        for row, pmf, guide_row in zip(cdf, pmfs.reshape(6, -1), guide):
+            law = pmf
+            for _ in range(2 ** k - 1):
+                law = np.convolve(law, pmf)
+            np.testing.assert_allclose(row[:-1], np.cumsum(law)[:-1], rtol=0, atol=1e-12)
+            assert row[-1] == np.inf
+            np.testing.assert_array_equal(guide_row, np.searchsorted(row[:-1], grid, "right"))
+
+    @pytest.mark.parametrize("dim, bits, observations, budget, sizes", [
+        pytest.param(2, 1, 3, None, [2, 1], id="2-1-3"),
+        pytest.param(3, 1, 2, None, [2], id="3-1-2"),
+        pytest.param(2, 2, 3, None, [2, 1], id="2-2-3"),
+        pytest.param(3, 2, 2, None, [2], id="3-2-2"),
+        pytest.param(2, 1, 5, None, [4, 1], id="2-1-5"),
+        pytest.param(2, 1, 7, None, [4, 2, 1], id="2-1-7"),
+        # a budget of 12 values holds the tables of bundles of 2 alone (2 d
+        # (2 (2^b - 1) + 1) = 12), so 7 packets send that bundle three times
+        pytest.param(2, 1, 7, 12, [2, 2, 2, 1], id="2-1-7-budget12"),
     ])
-    def test_matches_enumeration(self, dim, bits, observations, tmp_path):
+    def test_matches_enumeration(self, dim, bits, observations, budget, sizes, tmp_path,
+                                 monkeypatch):
         # every packet arrives, so an episode decides on the sum of K scores
         # w @ (-clip + k delta) + const over the grid indices k of its K d
         # coordinates, each with its own law (quant.index_pmf): unequal
-        # eigenvalues and unequal class means. P(wrong) is enumerated here
+        # eigenvalues and unequal class means. The engine draws the index
+        # sums of bundles of ``sizes`` packets. P(wrong) is enumerated here
         # over every index tuple, class 1 wrong at a total >= 0
+        if budget is not None:
+            monkeypatch.setattr(harness, "_BUNDLE_VALUES", budget)
         mu1, mu2 = [0.5, -0.2, 0.3][:dim], [-0.1, 0.4, -0.6][:dim]
         cfg = harness.ExperimentConfig(
             dim=dim, snr_db=60.0, observations=observations, clip=2.0, policy=f"bits:{bits}",
             model_file=diagonal_model_file(tmp_path, mu1, mu2, [0.5, 2.0, 1.0][:dim]))
         decision = harness.decide(cfg)
-        assert engine_level(decision.params, bits, "quantizer").path == "indices"
+        level = engine_level(decision.params, bits, "quantizer")
+        assert level.path == "indices"
+        every = np.full(observations, observations)
+        assert level.bundles(every[:1]).tolist() == [len(sizes)]
+        assert [1 << int(k) for k in level.bundle_tables(every, np.arange(observations))
+                if k >= 0] == sizes
         assert ch.avg_packet_loss_approx(decision.params.channel, decision.rounded_rate) < 1e-12
         model = decision.params.model
         inflated = model.eigvals + quant.noise_variance(bits, cfg.clip)
@@ -952,7 +995,25 @@ def test_widest_index_tables_within_envelope():
                                       observations=200, policy="bits:7")
     decision = harness.decide(config)
     level = engine_level(decision.params, 7, "quantizer")
-    assert level.path == "indices" and level.guide.shape == (1024, 4 * 2 ** 7 + 1)
+    # one table, for bundles of one packet: those of two would exceed the budget
+    assert level.path == "indices" and len(level.tables) == 1
+    assert level.guide.shape == (1024, 4 * 2 ** 7 + 1)
+    row, cpu, peak = traced_run(lambda: harness.estimate_error(config, decision, 20, seed=0))
+    assert cpu < 0.5 and peak < 16 * 2 ** 20
+    assert row.trials == 20 and 0.0 <= row.error <= 1.0
+
+
+def test_bundled_index_tables_within_envelope():
+    # a dense 4-bit level at d = 128 and the envelope's slowest channel, where
+    # all K = 200 packets arrive, sends bundles of up to 8 packets, twenty-five
+    # of them an episode; it keeps the envelope's bounds for estimate_error
+    sigma = validation._random_spd(np.random.default_rng(5), 128, (0.1, 5.0))
+    config = harness.ExperimentConfig(dim=128, sigma_spec=sigma.tolist(), antennas=256,
+                                      snr_db=60.0, blocklength=2000, observations=200,
+                                      policy="bits:4")
+    decision = harness.decide(config)
+    level = engine_level(decision.params, 4, "quantizer")
+    assert level.path == "indices" and len(level.tables) == 4
     row, cpu, peak = traced_run(lambda: harness.estimate_error(config, decision, 20, seed=0))
     assert cpu < 0.5 and peak < 16 * 2 ** 20
     assert row.trials == 20 and 0.0 <= row.error <= 1.0
