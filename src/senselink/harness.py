@@ -24,6 +24,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,9 @@ _INDEX_CELLS = 4
 # 1.1 MB with their guides and bounds. Bundles of up to 16 packets there took
 # 5.6 MB more of RSS and ran no faster.
 _BUNDLE_VALUES = 2 ** 16
+# Indices-path tables kept per process (see ``_index_law``): a sweep over a
+# dense model simulates two or three indices-path levels at each value.
+_INDEX_LAWS = 4
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,12 @@ class _Level:
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
 
     The real quantizer's paths draw from exact CDFs: ``tables[k]`` holds a
-    float ``cdf`` table with its ``guide`` and ``bounds`` (``_guide_tables``),
-    and ``lookup`` inverts each uniform through one of them; ``cdf``,
-    ``guide`` and ``bounds`` name those of ``tables[0]``. On every path
-    ``row_values`` maps a row of draws to one value and ``episode_totals``
-    sums the values per episode.
+    float ``cdf`` table with its ``guide`` and ``bounds``, views of the flat
+    read-only arrays of ``law`` (``_guide_tables``), and ``lookup`` inverts
+    each uniform through the table of its row; ``cdf``, ``guide`` and
+    ``bounds`` name those of ``tables[0]``. On every path ``row_values``
+    maps a row of draws to one value and ``episode_totals`` sums the values
+    per episode.
 
     When the real quantizer sees i.i.d. coordinates given the class (equal
     eigenvalues, and each class mean constant across coordinates), all
@@ -230,14 +235,18 @@ class _Level:
     law, with ``_INDEX_CELLS`` cells per index at k = 0 and one cell per
     value above. The level has bundles of 2^k packets for k = 0 .. top, the
     largest top with 2^top <= K whose tables for k >= 1 hold at most
-    ``_BUNDLE_VALUES`` values in all. An episode that receives m packets
-    sends m >> top bundles of 2^top packets, then one of 2^k for each set
-    bit k of m mod 2^top, highest first (``bundles``, ``bundle_tables``).
-    A bundle takes one row of d uniforms, one per coordinate, which look up
-    its index sums s, and it scores s @ ``index_weights``; the episode adds
-    m ``index_const`` once. Its total is the sum over its packets, with
-    indices k, of w @ (-clip + k delta) + const. Wider levels take the
-    "features" path: Gaussian features, quantized.
+    ``_BUNDLE_VALUES`` values in all; top reads only d, b and K. The tables
+    are built once per process for each model (its ``means`` and
+    eigenvalues), clip, bit level and top (``_index_law``) and shared
+    read-only; the weights are computed here. An episode that receives m
+    packets sends m >> top bundles of 2^top packets, then one of 2^k for
+    each set bit k of m mod 2^top, highest first (``bundles``,
+    ``bundle_tables``). A bundle takes one row of d uniforms, one per
+    coordinate, which look up its index sums s, and it scores s @
+    ``index_weights``; the episode adds m ``index_const`` once. Its total is
+    the sum over its packets, with indices k, of w @ (-clip + k delta) +
+    const. Wider levels take the "features" path: Gaussian features,
+    quantized.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
@@ -255,42 +264,36 @@ class _Level:
         if self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN:
             if np.all(lam == lam[0]) and np.all(means == means[:, :1]):
                 self.path = "lattice"
-                self.tables = [_lattice_law(float(means[0, 0]), float(means[1, 0]),
-                                            float(lam[0]), params.clip, bits, dim)]
+                self.law = _lattice_law(float(means[0, 0]), float(means[1, 0]), float(lam[0]),
+                                        params.clip, bits, dim)
                 self.span = dim * (2 ** bits - 1)
                 self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
             else:
                 self.path = "indices"
-                pmfs = quant.index_pmf(means[..., None], lam[:, None], params.clip, bits)
-                self.tables = [_guide_tables(pmfs.reshape(2 * dim, -1), _INDEX_CELLS << bits)]
-                size, held = 2, 0
-                while size <= params.observations:
-                    held += 2 * dim * (size * (2 ** bits - 1) + 1)
+                top, held = 0, 0  # bundles of up to 2^top packets
+                while 2 << top <= params.observations:
+                    held += 2 * dim * ((2 << top) * (2 ** bits - 1) + 1)
                     if held > _BUNDLE_VALUES:
                         break
-                    _, pmfs = quant.index_sum_law(means[..., None], lam[:, None], params.clip,
-                                                  bits, size)
-                    self.tables.append(_guide_tables(
-                        pmfs.reshape(2 * dim, -1), 1 << (pmfs.shape[-1] - 1).bit_length()))
-                    size *= 2
+                    top += 1
+                self.law = _index_law(means.tobytes(), lam.tobytes(), params.clip, bits, top)
                 self.index_weights = 2.0 * params.clip / (2 ** bits - 1) * self.weights
                 self.index_const = self.const - params.clip * float(np.sum(self.weights))
+            self.tables = self.law.views
             self.cdf, self.guide, self.bounds, _ = self.tables[0]
-            # where row c m + i of each table starts, at [c, i]
-            self.starts = [np.arange(0, guide.size, guide.shape[1]).reshape(2, -1)
-                           for _, guide, _, _ in self.tables]
 
-    def row_values(self, labels: np.ndarray, draws: np.ndarray, table: int = 0) -> np.ndarray:
+    def row_values(self, labels: np.ndarray, draws: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """One value per row of ``draws``, from its class in ``labels``: the
         score of a packet's quantized features, or of its lemma-1 normal z,
         score_sd z + score_means[c]; on the lattice, the index sum a packet's
         uniform looks up; on the indices path, s @ index_weights for the
-        index sums s that a bundle's uniforms look up in ``tables[table]``."""
+        index sums s that a bundle's uniforms look up in the table of its
+        bundle, ``tables[k]`` for its k in ``tables``."""
         if self.path == "features":
             return quant.scalar_quantize(draws, self.clip, self.bits) @ self.weights + self.const
         if self.path == "lemma1":
             return draws[:, 0] * self.score_sd + self.score_means[labels]
-        places = self.lookup(labels, draws, table)
+        places = self.lookup(labels, draws, tables)
         if self.path == "lattice":
             return places[:, 0]
         return places @ self.index_weights
@@ -332,42 +335,67 @@ class _Level:
             rest -= bit
         return table
 
-    def lookup(self, labels: np.ndarray, uniforms: np.ndarray, table: int = 0) -> np.ndarray:
-        """For uniforms of shape (n, m) and classes ``labels``, each uniform's
-        place in the CDF of row c m + i of ``tables[table]``, for its class c
-        and column i (see ``_guide_tables``): one guide read and one
+    def lookup(self, labels: np.ndarray, uniforms: np.ndarray,
+               tables: np.ndarray | int = 0) -> np.ndarray:
+        """For uniforms of shape (n, m), classes ``labels`` and table numbers
+        ``tables``, one per row or one for all, each uniform's place in the
+        CDF of row c m + i of ``tables[k]``, for its row's class c and table
+        k and its column i (see ``_guide_tables``): one guide read and one
         comparison. The few uniforms in bins that hold two or more CDF
         values, mostly in the tails, are bisected between their bin's guide
-        entries."""
-        cdf, guide, bounds, steps = self.tables[table]
-        width = guide.shape[1]
+        entries, all in one bisection whose steps reach across the
+        most crowded bin of any table."""
+        law = self.law
+        if len(law.views) == 1:
+            tables = 0  # as a scalar, which takes no gather per row
+        rows = labels + 2 * tables  # each row's rows in ``law.starts``
         at = np.empty(uniforms.shape, dtype=np.intp)
-        np.multiply(uniforms, width - 1, out=at, casting="unsafe")  # floor(u cells)
-        at += self.starts[table].take(labels, axis=0)
-        bound = bounds.ravel()[at]
+        np.multiply(uniforms, law.cells[tables, None], out=at, casting="unsafe")  # floor(u cells)
+        at += law.starts[0].take(rows, axis=0)
+        bound = law.bounds[at]
         crowded = np.flatnonzero(np.isnan(bound))
         above = uniforms >= bound
         del bound
-        places = guide.ravel()[at]
+        places = law.guide[at]
         places += above
         if crowded.size:
             at, u = at.ravel()[crowded], uniforms.ravel()[crowded]
-            base = at // width * cdf.shape[1]  # where each row starts in cdf
+            row, column = np.divmod(crowded, uniforms.shape[1])
+            base = law.starts[1][rows[row], column]  # where each CDF row starts
             # the place lies in lo..hi, where cdf[hi] > u, so steps of
             # 2^(steps - 1) .. 1 reach it
-            lo, hi = guide.ravel()[at] + base, guide.ravel()[1:][at] + base
-            flat = cdf.ravel()
-            for step in (1 << np.arange(steps)[::-1]).tolist():
-                np.add(lo, step, out=lo, where=u >= flat[np.minimum(lo + (step - 1), hi)])
+            lo, hi = law.guide[at] + base, law.guide[at + 1] + base
+            for step in (1 << np.arange(law.steps)[::-1]).tolist():
+                np.add(lo, step, out=lo, where=u >= law.cdf[np.minimum(lo + (step - 1), hi)])
             np.put(places, crowded, lo - base)
         return places
 
 
-def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The tables that invert the laws in the rows of ``pmfs`` (see
-    ``_Level``), for ``cells`` a power of two, so that u cells and j / cells
-    are exact, and at least the number of values in a row's CDF F, which
-    leaves out its final 1.
+class _Tables(NamedTuple):
+    """Guide tables stored one after another in flat arrays (see ``_guide_tables``)."""
+    views: tuple  # per table: its cdf, guide and bounds, 2-D views, and its steps
+    cdf: np.ndarray
+    guide: np.ndarray
+    bounds: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
+    steps: int
+
+
+def _guide_tables(laws: list[tuple[np.ndarray, int]]) -> _Tables:
+    """The tables that invert the laws in the rows of each (pmfs, cells) of
+    ``laws`` (see ``_Level``): every ``pmfs`` has 2 m rows, m columns for
+    each of two classes; ``cells`` is a power of two, so that u cells and
+    j / cells are exact, and at least the number of values in a row's CDF
+    F, which leaves out its final 1.
+
+    Table t's arrays come one after another in the flat read-only ``cdf``,
+    ``guide`` and ``bounds``, each table with its own row widths, and
+    ``views[t]`` holds them as 2-D views, with the table's own step count.
+    ``starts[0, 2 t + c, i]`` is where row c m + i of table t starts in the
+    flat ``guide`` and ``bounds``, ``starts[1, 2 t + c, i]`` where it starts
+    in the flat ``cdf``, and ``cells[t]`` is the table's cells, as a float.
+    ``steps`` is the most steps of any table. In one table:
 
     ``guide[r, j]`` is the number of values of F <= j / cells, so a uniform
     u in bin j = floor(u cells) has its place ``np.searchsorted(F, u,
@@ -378,27 +406,49 @@ def _guide_tables(pmfs: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray,
     F[guide[r, j]] (inf past F's end), where the bin holds at most one value
     of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
     where the bin holds more, and the place is then bisected in ``cdf[r]``,
-    which holds F, then inf. The last item is the number of bisection steps
-    that find a place within any bin: the bit length of the most values a
-    bin holds.
+    which holds F, then inf. A table's step count is the number of bisection
+    steps that find a place within any of its bins: the bit length of the
+    most values a bin holds.
     """
-    cdf = np.pad(np.cumsum(pmfs, axis=1)[:, :-1], ((0, 0), (0, 1)), constant_values=np.inf)
-    keys = np.minimum(np.ceil(cdf * cells), cells + 1).astype(np.intp)
-    keys += np.arange(len(cdf))[:, None] * (cells + 2)
-    guide = np.cumsum(np.bincount(keys.ravel(), minlength=len(cdf) * (cells + 2)).reshape(
-        len(cdf), cells + 2)[:, :-1], axis=1).astype(np.int32)
-    counts = np.diff(guide, axis=1)
-    bounds = np.take_along_axis(cdf, guide, axis=1)
-    bounds[:, :-1][counts > 1] = np.nan
-    return cdf, guide, bounds, int(counts.max()).bit_length()
+    rows = len(laws[0][0])
+    widths = np.array([[cells + 1, pmfs.shape[1]] for pmfs, cells in laws])  # guide, cdf
+    firsts = np.cumsum(rows * widths, axis=0) - rows * widths  # where each table starts
+    cdf, guide = np.empty(rows * widths[:, 1].sum()), np.empty(rows * widths[:, 0].sum(), np.int32)
+    bounds = np.empty(guide.size)
+    views = []
+    for (pmfs, cells), (first, cdf_first), (width, cdf_width) in zip(laws, firsts, widths):
+        table_cdf = cdf[cdf_first:cdf_first + rows * cdf_width].reshape(rows, cdf_width)
+        table_guide = guide[first:first + rows * width].reshape(rows, width)
+        table_bounds = bounds[first:first + rows * width].reshape(rows, width)
+        np.cumsum(pmfs[:, :-1], axis=1, out=table_cdf[:, :-1])
+        table_cdf[:, -1] = np.inf
+        keys = np.minimum(np.ceil(table_cdf * cells), cells + 1).astype(np.intp)
+        keys += np.arange(rows)[:, None] * (cells + 2)
+        counts = np.bincount(keys.ravel(), minlength=rows * (cells + 2)).reshape(rows, cells + 2)
+        del keys
+        crowded = counts[:, 1:-1] > 1  # bins that hold two or more values
+        steps = int(counts[:, 1:-1].max()).bit_length()
+        table_guide[:] = np.cumsum(counts, axis=1, out=counts)[:, :-1]
+        del counts
+        np.take(table_cdf, table_guide + np.arange(0, rows * cdf_width, cdf_width)[:, None],
+                out=table_bounds, mode="clip")  # in range; "clip" writes without a buffer
+        table_bounds[:, :-1][crowded] = np.nan
+        views.append((table_cdf, table_guide, table_bounds, steps))
+    starts = firsts.T[..., None] + widths.T[..., None] * np.arange(rows)
+    tables = _Tables(tuple(views), cdf, guide, bounds, starts.reshape(2, 2 * len(laws), -1),
+                     widths[:, 0] - 1.0, max(steps for *_, steps in views))
+    for array in (cdf, guide, bounds, tables.starts, tables.cells,
+                  *(array for view in views for array in view[:3])):
+        array.flags.writeable = False
+    return tables
 
 
 @functools.lru_cache(maxsize=_LATTICE_LAWS)
 def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
-                 dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                 dim: int) -> _Tables:
     """The tables of a lattice level's index sums (see ``_Level``) whose
     classes have coordinate means ``mean1`` and ``mean2`` and every
-    eigenvalue ``lam``; the arrays are read-only.
+    eigenvalue ``lam``, one table of two rows; the arrays are read-only.
 
     They depend only on these arguments, not on the channel, the observation
     count or the score weights, so every point of a sweep, and every sweep in
@@ -407,10 +457,32 @@ def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
     so ``_LATTICE_LAWS`` entries retain at most about 34 MB.
     """
     _, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
-    tables = _guide_tables(pmfs, 1 << (pmfs.shape[1] - 1).bit_length())
-    for table in tables[:3]:
-        table.flags.writeable = False
-    return tables
+    return _guide_tables([(pmfs, 1 << (pmfs.shape[1] - 1).bit_length())])
+
+
+@functools.lru_cache(maxsize=_INDEX_LAWS)
+def _index_law(means: bytes, eigvals: bytes, clip: float, bits: int, top: int) -> _Tables:
+    """The tables of an indices-path level (see ``_Level``) whose model has
+    class means ``means`` (2 by d) and eigenvalues ``eigvals`` in its
+    eigenbasis, given as the bytes of their float64 arrays: table k inverts
+    the index sums over bundles of 2^k packets, for k = 0 .. ``top``. The
+    arrays are read-only.
+
+    They depend only on these arguments, not on the channel or the score
+    weights, so every point of a sweep, and every sweep in the process,
+    shares them. The widest entries, such as d = 512 at 7 bits, have one
+    table, with 1.0 MB of CDF, 2.1 MB of guide table and 4.2 MB of bounds;
+    a level with bundles holds at most 3.2 MB. So ``_INDEX_LAWS`` entries
+    retain at most about 30 MB.
+    """
+    lam = np.frombuffer(eigvals)[:, None]
+    means = np.frombuffer(means).reshape(2, -1, 1)
+    pmfs = quant.index_pmf(means, lam, clip, bits)
+    laws = [(pmfs.reshape(2 * lam.size, -1), _INDEX_CELLS << bits)]
+    for k in range(1, top + 1):
+        _, pmfs = quant.index_sum_law(means, lam, clip, bits, 1 << k)
+        laws.append((pmfs.reshape(2 * lam.size, -1), 1 << (pmfs.shape[-1] - 1).bit_length()))
+    return _guide_tables(laws)
 
 
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
@@ -430,8 +502,9 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     many slots as the level with the most bundles there (``_Level.bundles``)
     and levels with a bundle in a slot share its row; one lemma-1 normal and
     one lattice uniform for each packet that arrives under any of their
-    levels. Each level maps its own rows of a chunk to one value each
-    (``_Level.row_values``) and sums the values per episode
+    levels. Each level maps its own rows of a chunk to one value each in one
+    call (``_Level.row_values``), on the indices path each row through the
+    table of its bundle, and sums the values per episode
     (``_Level.episode_totals``). Split draws keep their values, so no count
     depends on the chunk size. An episode decides class 1 iff its total is
     < 0, so one that receives nothing, or whose lattice total is an exact
@@ -458,19 +531,16 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
             continue
         arrivals = success[mine]
         packets = arrivals.sum(axis=2)  # each level's packets per episode
-        # each row's episode, and each level's rows for each of its tables
+        # each row's episode, and for each level each row's table, -1 for none
         if path == "indices":
             slots = np.max([levels[i].bundles(m) for i, m in zip(mine, packets)], axis=0)
             slot, episode = np.nonzero(np.arange(slots.max())[:, None] < slots)
             episode = episode.astype(np.int32)
-            picks = []
-            for i, m in zip(mine, packets):
-                tables = levels[i].bundle_tables(m[episode], slot)
-                picks.append([(t, tables == t) for t in range(len(levels[i].tables))])
+            tables = [levels[i].bundle_tables(m[episode], slot) for i, m in zip(mine, packets)]
         else:
             reached = arrivals.any(axis=0)
             episode = np.nonzero(reached)[0].astype(np.int32)
-            picks = [[(0, own)] for own in arrivals[:, reached]]
+            tables = arrivals[:, reached].view(np.int8) - 1
         arrived = classes[episode]  # 5 bytes a row while the draws run
         values = np.zeros((len(mine), episode.size))
         rows = _feature_rows(width)
@@ -480,15 +550,15 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
             if path == "features":
                 draws *= model.sd
                 draws += model.means[labels]
-            for i, level_picks, out in zip(mine, picks, values):
-                for table, pick in level_picks:
-                    chunk = pick[start:start + rows]
-                    if chunk.all():  # a slice, whose indexing takes no copy
-                        chunk = slice(None)
-                    elif not chunk.any():
-                        continue
-                    out[start:start + rows][chunk] = levels[i].row_values(
-                        labels[chunk], draws[chunk], table)
+            for i, table, out in zip(mine, tables, values):
+                table = table[start:start + rows]
+                pick = table >= 0
+                if pick.all():  # a slice, whose indexing takes no copy
+                    pick = slice(None)
+                elif not pick.any():
+                    continue
+                out[start:start + rows][pick] = levels[i].row_values(
+                    labels[pick], draws[pick], table[pick])
         for i, m, out in zip(mine, packets, values):
             total = levels[i].episode_totals(episode, out, n, m)
             wrong[i] = int(np.count_nonzero((total < 0.0) != first))
@@ -585,13 +655,13 @@ def sweep(config: ExperimentConfig, param: str, values, policies,
         raise ValueError(f"unknown sweep parameter {param!r}")
     attr = SWEEP_FIELDS[param]
     # a count that is not a whole number stays a float, which ExperimentConfig refuses
-    numbers = [float(value) for value in values]
+    swept = [float(value) for value in values]
     points = [replace(config, **{attr: int(n) if attr != "snr_db" and n.is_integer() else n})
-              for n in numbers]
+              for n in swept]
     model = build_model(config)  # no swept field changes the model
     point_params = [build_params(point, model) for point in points]  # one channel and table each
     rows = []
-    for number, params in zip(numbers, point_params):
+    for number, params in zip(swept, point_params):
         decisions = [_decide_policy(policy, params) for policy in policies]
         wrong = _count_errors(params, config.noise_model, [d.bits_per_feature for d in decisions],
                               trials, (seed, *_float_words(number)), (_SWEEP_STREAMS[param],))

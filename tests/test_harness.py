@@ -627,6 +627,85 @@ class TestIndicesPath:
             assert row[-1] == np.inf
             np.testing.assert_array_equal(guide_row, np.searchsorted(row[:-1], grid, "right"))
 
+    def test_mixed_bundle_lookup(self, tmp_path):
+        # one lookup over rows of every bundle size, shuffled, gives each row
+        # the places that its own table gives it, and that a binary search of
+        # its CDF rows gives: at 0, 2^-53 and 1 - 2^-53, at every CDF value of
+        # every table and its neighbours, and at random; the eigenvalue 0.01
+        # crowds tail bins of every table with CDF values
+        cfg = harness.ExperimentConfig(dim=3, observations=8, model_file=diagonal_model_file(
+            tmp_path, [0.5, -0.2, 0.3], [-0.1, 0.4, -0.6], [0.01, 2.0, 0.7]))
+        level = engine_level(harness.build_params(cfg), 3, "quantizer")
+        assert level.path == "indices" and len(level.tables) == 4
+        rng = np.random.default_rng(3)
+        cdfs = np.concatenate([cdf[:, :-1].ravel() for cdf, *_ in level.tables])
+        u = np.concatenate([[0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], cdfs, np.nextafter(cdfs, 0.0),
+                            np.nextafter(cdfs, 1.0), rng.random(2000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        tables, labels = (np.repeat(np.arange(8) // 2, u.size).astype(np.int8),
+                          np.repeat(np.arange(8) % 2, u.size).astype(np.int8))
+        uniforms = np.repeat(np.tile(u, 8), 3).reshape(-1, 3)
+        order = rng.permutation(tables.size)
+        tables, labels, uniforms = tables[order], labels[order], uniforms[order]
+        got = level.lookup(labels, uniforms, tables)
+        crowded = 0
+        for k, (cdf, guide, bounds, _) in enumerate(level.tables):
+            for c in (0, 1):
+                mine = (tables == k) & (labels == c)
+                expected = np.stack([np.searchsorted(cdf[c * 3 + i, :-1], uniforms[mine, i],
+                                                     "right") for i in range(3)], axis=1)
+                np.testing.assert_array_equal(got[mine], expected, err_msg=f"k={k}, class {c}")
+                np.testing.assert_array_equal(
+                    level.lookup(labels[mine], uniforms[mine], k), expected,
+                    err_msg=f"k={k}, class {c}, alone")
+                bins = (uniforms[mine] * (guide.shape[1] - 1)).astype(np.intp)
+                crowded += np.count_nonzero(np.isnan(bounds[c * 3 + np.arange(3), bins]))
+        assert crowded > 0
+
+    def test_levels_share_read_only_tables(self, monkeypatch):
+        # the tables depend on the model, clip, bit level and largest bundle,
+        # not on the channel: two levels with one key share read-only arrays,
+        # and another clip, bundle size or bundle budget gets its own entry
+        dense = dense_config("bits:4", "quantizer")  # d = 20, K = 5: bundles of 1, 2 and 4
+
+        def law(cfg):
+            level = engine_level(harness.build_params(cfg), 4, "quantizer")
+            assert level.path == "indices"
+            return level.law
+        harness._index_law.cache_clear()
+        shared = law(dense)
+        assert law(replace(dense, snr_db=8.0, antennas=4, blocklength=300)) is shared
+        assert harness._index_law.cache_info().misses == 1
+        for array in (shared.cdf, shared.guide, shared.bounds, shared.starts, shared.cells,
+                      *(array for view in shared.views for array in view[:3])):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        others = [law(replace(dense, clip=4.0)), law(replace(dense, observations=3))]
+        # 1,000 values hold no bundle tables: 2 d (2 (2^4 - 1) + 1) = 1,240
+        monkeypatch.setattr(harness, "_BUNDLE_VALUES", 1000)
+        others.append(law(dense))
+        assert harness._index_law.cache_info().misses == 4
+        assert [len(other.views) for other in others] == [3, 2, 1] and len(shared.views) == 3
+        assert all(other is not shared for other in others)
+        np.testing.assert_array_equal(others[2].cdf, shared.views[0][0].ravel())
+
+    def test_rows_independent_of_the_memo(self):
+        # a cold memo, a warm one, and a warm one after another model's tables
+        # give the same rows of a dense sweep; bits:16 takes the features path
+        a = dense_config("bits:4", "quantizer")
+        b = replace(a, clip=3.0)
+        policies = ["bits:2", "bits:4", "bits:16"]
+
+        def rows(cfg):
+            return harness.sweep(cfg, "snr-db", [2.0, 6.0], policies, 3000, seed=5)
+        harness._index_law.cache_clear()
+        cold = rows(a)
+        assert harness._index_law.cache_info().misses == 2
+        assert rows(a) == cold
+        rows(b)
+        assert rows(a) == cold
+
     @pytest.mark.parametrize("dim, bits, observations, budget, sizes", [
         pytest.param(2, 1, 3, None, [2, 1], id="2-1-3"),
         pytest.param(3, 1, 2, None, [2], id="3-1-2"),
