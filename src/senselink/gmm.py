@@ -26,8 +26,10 @@ class InferenceModel:
     One eigendecomposition is cached at construction, as ``quant.klt``
     orders it (``eigvals``, ``basis``, ``sd`` = sqrt(eigvals)), with the class
     means in that basis (``means``, rows basis @ mu1 and basis @ mu2) and ``gap``
-    = basis @ (mu1 - mu2); a Cholesky factor, which only sampling uses, on
-    first use. Instances are immutable and safe to share across threads.
+    = basis @ (mu1 - mu2); on first use, a Cholesky factor, which only
+    sampling uses, and the groups of exchangeable eigen-coordinates
+    (``groups``), which the engine uses. Instances are immutable and safe to
+    share across threads.
     """
 
     mu1: np.ndarray
@@ -63,6 +65,26 @@ class InferenceModel:
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance."""
         return np.linalg.cholesky(self.sigma)
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigen-coordinates grouped by exact equality of their class
+        means and eigenvalue, so that a group's coordinates are i.i.d. given
+        the class: the first coordinate of each group, in increasing order,
+        and each group's size. Identity covariance with a constant mean is
+        one group of d; distinct eigenvalues are d groups of one."""
+        lam, means = self.eigvals, self.means
+        if np.all(lam == lam[0]) and np.all(means == means[:, :1]):
+            first, sizes = np.zeros(1, dtype=np.intp), np.full(1, self.dim, dtype=np.intp)
+        elif np.all(lam[1:] != lam[:-1]):  # distinct eigenvalues, as they are sorted
+            first, sizes = np.arange(self.dim), np.ones(self.dim, dtype=np.intp)
+        else:  # a sort, which the cases above do without
+            _, first, sizes = np.unique(np.vstack([means, lam]), axis=1,
+                                        return_index=True, return_counts=True)
+            order = np.argsort(first)
+            first, sizes = first[order], sizes[order]
+        first.flags.writeable = sizes.flags.writeable = False
+        return first, sizes
 
 
 def discriminant_gain(model: InferenceModel) -> float:

@@ -5,8 +5,8 @@ made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
 sweep builds its model once. Trials run in blocks sized by their packets,
 and every path's draws come in chunks of at most 2^14 values, so a block's
 arrays stay small whatever the trial count, dimension or antenna count. A
-row of draws serves one packet, or on the indices path one bundle of 2^k
-packets of an episode, whose index sums it draws from their exact law.
+row of draws serves one packet, or on the table path one bundle of 2^k
+packets of an episode, whose groups' index sums it draws from their exact law.
 Each block draws from its own random stream: keyed by (seed, cell, block)
 for a single cell, and by (seed, swept value, block, sweep parameter) for a
 sweep point, whose policies are all scored on the same episodes. Any output
@@ -16,6 +16,7 @@ parameters or values draw different numbers.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
@@ -39,28 +40,22 @@ from .numerics import require_counts, require_finite, require_positive
 # thin, few enough that a block's arrays stay near a megabyte whatever the
 # trial count, bit levels or dimension.
 _BLOCK_VALUES = 2 ** 14
-# Most index-sum points d (2^b - 1) + 1 a level is simulated on: its law
-# then takes a few milliseconds to build, and it covers the levels that
-# adaptive, brute force and urllc pick at d = 50 below 11 bits.
-_LATTICE_SPAN = 2 ** 16
-# Lattice laws kept per process (see ``_lattice_law``): a sweep over the
-# default model revisits seven, the levels of 1 to 7 bits at d = 50.
-_LATTICE_LAWS = 8
-# Guide cells per grid index in an indices-path level's tables for one
-# packet (see ``_Level``): with one, as on the lattice, 12.5% of the uniforms
-# of a dense 4-bit cell fall in bins holding two or more CDF values; with
-# four, about 3%. Its tables for bundles of two or more packets take one cell
-# per value, which ran faster there than four.
+# Most grid-index sums d (2^b - 1) a packet's coordinates span on the table
+# path (see ``_Level``): it covers the levels that adaptive, brute force and
+# urllc pick at d = 50 below 11 bits.
+_TABLE_SPAN = 2 ** 16
+# Guide cells per grid index in a table of one coordinate over one packet
+# (see ``_Level``): with one, 12.5% of the uniforms of a dense 4-bit cell fall
+# in bins holding two or more CDF values; with four, 3%. Other tables take one.
 _INDEX_CELLS = 4
-# Most values the CDF tables of an indices-path level's bundles of 2, 4, ...
-# packets hold in all, 2 d (2^k (2^b - 1) + 1) for bundles of 2^k: a dense
-# 4-bit level at d = 128 gets bundles of up to 8 packets, whose tables take
-# 1.1 MB with their guides and bounds. Bundles of up to 16 packets there took
-# 5.6 MB more of RSS and ran no faster.
+# Most values the CDF tables of a level's bundles of 2, 4, ... packets hold in
+# all, 2 n (g 2^k (2^b - 1) + 1) for bundles of 2^k and n groups of at most g:
+# a dense 4-bit level at d = 128 gets bundles of up to 8 packets, 1.1 MB with
+# guides and bounds; bundles of 16 took 5.6 MB more of RSS and ran no faster.
 _BUNDLE_VALUES = 2 ** 16
-# Indices-path tables kept per process (see ``_index_law``): a sweep over a
-# dense model simulates two or three indices-path levels at each value.
-_INDEX_LAWS = 4
+# Memo entries kept per process (see ``_table_law``): a sweep over the default
+# model meets seven table-path levels, those of 1 to 7 bits at d = 50.
+_TABLE_LAWS = 8
 
 
 @dataclass(frozen=True)
@@ -206,47 +201,36 @@ class _Level:
     isotropic, so y is Gaussian with covariance diag(lambda + sigma_q2) and
     the score of one packet is exactly Normal(w @ mu_c + const,
     sum w_i^2 (lambda_i + sigma_q2)): one draw per packet, ``path`` "lemma1".
+    On every path ``row_values`` maps a row of draws to what the level keeps.
 
-    The real quantizer's paths draw from exact CDFs: ``tables[k]`` holds a
-    float ``cdf`` table with its ``guide`` and ``bounds``, views of the flat
-    read-only arrays of ``law`` (``_guide_tables``), and ``lookup`` inverts
-    each uniform through the table of its row; ``cdf``, ``guide`` and
-    ``bounds`` name those of ``tables[0]``. On every path ``row_values``
-    maps a row of draws to one value and ``episode_totals`` sums the values
-    per episode.
-
-    When the real quantizer sees i.i.d. coordinates given the class (equal
-    eigenvalues, and each class mean constant across coordinates), all
-    weights are equal and a packet's score is an affine function of the sum
-    of its d grid indices. If that sum spans at most ``_LATTICE_SPAN``
-    points, ``path`` is "lattice": row c is class c's law of the sum, with
-    ``cells`` the power of two above its span, so a packet takes one
-    uniform, and its value is its index sum t in 0..``span``, which scores
-    (2 t - span) ``half_step`` + const in ``episode_totals``, exactly. The
-    tables are built once per process for each model, clip, bit level and d
-    (``_lattice_law``) and shared read-only; the step, which follows the
-    level's weights, is computed here.
-
-    Otherwise, if d (2^b - 1) is still at most ``_LATTICE_SPAN``, ``path`` is
-    "indices". Coordinate i's grid index in class c has the law
-    ``quant.index_pmf``, and its index sum over a bundle of 2^k packets of
-    one episode has that law's 2^k-fold convolution
-    (``quant.index_sum_law``). Row c d + i of ``tables[k]`` inverts that
-    law, with ``_INDEX_CELLS`` cells per index at k = 0 and one cell per
-    value above. The level has bundles of 2^k packets for k = 0 .. top, the
+    The real quantizer takes the "table" path if d (2^b - 1) is at most
+    ``_TABLE_SPAN``, else the "features" path: Gaussian features, quantized.
+    The coordinates of a group of ``model.groups`` are i.i.d. given the class
+    and share a weight, so a packet's score needs only each group's sum of
+    grid indices: identity Sigma is one group of d, a dense one d groups of
+    one. (Were the single-packet table, its rows padded to the widest group's,
+    to hold more values than both ``_BUNDLE_VALUES`` and 2 d 2^b, those of d
+    groups of one, each coordinate is its own group.) A group of g
+    coordinates has over a bundle of 2^k packets of one episode the
+    (g 2^k)-fold law of one index, which row c n + j of ``tables[k]`` inverts
+    for group j of n (``width``) in class c: the float ``cdf`` table with its
+    ``guide`` and ``bounds``, views of the flat read-only arrays of ``law``
+    (``_guide_tables``; ``cdf``, ``guide`` and ``bounds`` name those of
+    ``tables[0]``). The bundles hold 2^k packets, k = 0 .. ``top``, the
     largest top with 2^top <= K whose tables for k >= 1 hold at most
-    ``_BUNDLE_VALUES`` values in all; top reads only d, b and K. The tables
-    are built once per process for each model (its ``means`` and
-    eigenvalues), clip, bit level and top (``_index_law``) and shared
-    read-only; the weights are computed here. An episode that receives m
-    packets sends m >> top bundles of 2^top packets, then one of 2^k for
-    each set bit k of m mod 2^top, highest first (``bundles``,
-    ``bundle_tables``). A bundle takes one row of d uniforms, one per
-    coordinate, which look up its index sums s, and it scores s @
-    ``index_weights``; the episode adds m ``index_const`` once. Its total is
-    the sum over its packets, with indices k, of w @ (-clip + k delta) +
-    const. Wider levels take the "features" path: Gaussian features,
-    quantized.
+    ``_BUNDLE_VALUES`` values in all. The tables are built once per process
+    for each group law, clip and bit level (``_table_law``), grown when a
+    level needs larger bundles, and shared read-only.
+
+    An episode that receives m packets sends m >> top bundles of 2^top
+    packets, then one of 2^k for each set bit k of m mod 2^top, highest
+    first (``bundles``, ``bundle_tables``). A bundle takes one uniform per
+    group, which looks up its index sum (``lookup``). An episode whose groups'
+    index sums add up to T_j totals sum_j (2 T_j - m g_j (2^b - 1)) h_j +
+    m const (``episode_totals``), h_j the half step clip / (2^b - 1) times
+    group j's weight: the sum over its packets, with indices k, of
+    w @ (-clip + k delta) + const. T and m are exact integers, so an episode
+    at the centre of every group, a tie at symmetric class means, totals 0.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
@@ -258,231 +242,224 @@ class _Level:
         inflated = lam + opt.sigma_q2_of_rate(self.rate, params)
         self.weights = (means[1] - means[0]) / inflated
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
-        self.score_means = means @ self.weights + self.const
-        self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
         self.path = "features" if noise_model == "quantizer" else "lemma1"
-        if self.path == "features" and dim * (2 ** bits - 1) <= _LATTICE_SPAN:
-            if np.all(lam == lam[0]) and np.all(means == means[:, :1]):
-                self.path = "lattice"
-                self.law = _lattice_law(float(means[0, 0]), float(means[1, 0]), float(lam[0]),
-                                        params.clip, bits, dim)
-                self.span = dim * (2 ** bits - 1)
-                self.half_step = params.clip / (2 ** bits - 1) * float(self.weights[0])
-            else:
-                self.path = "indices"
-                top, held = 0, 0  # bundles of up to 2^top packets
-                while 2 << top <= params.observations:
-                    held += 2 * dim * ((2 << top) * (2 ** bits - 1) + 1)
-                    if held > _BUNDLE_VALUES:
-                        break
-                    top += 1
-                self.law = _index_law(means.tobytes(), lam.tobytes(), params.clip, bits, top)
-                self.index_weights = 2.0 * params.clip / (2 ** bits - 1) * self.weights
-                self.index_const = self.const - params.clip * float(np.sum(self.weights))
-            self.tables = self.law.views
-            self.cdf, self.guide, self.bounds, _ = self.tables[0]
+        span = 2 ** bits - 1
+        if self.path == "lemma1":
+            self.score_means = means @ self.weights + self.const
+            self.score_sd = math.sqrt(float(np.sum(self.weights ** 2 * inflated)))
+        elif dim * span <= _TABLE_SPAN:
+            self.path = "table"
+            first, sizes = params.model.groups
+            widest = int(sizes.max())
+            if 2 * sizes.size * (widest * span + 1) > max(_BUNDLE_VALUES, 2 * dim * (span + 1)):
+                first, sizes, widest = np.arange(dim), np.ones(dim, dtype=np.intp), 1
+            self.top, held = 0, 0  # bundles of up to 2^top packets
+            while 2 << self.top <= params.observations:
+                held += 2 * sizes.size * ((2 << self.top) * widest * span + 1)
+                if held > _BUNDLE_VALUES:
+                    break
+                self.top += 1
+            self.law = _table_law(means[:, first].tobytes(), lam[first].tobytes(),
+                                  sizes.tobytes(), params.clip, bits).upto(self.top)
+            self.tables = self.law.views[:self.top + 1]
+            self.cdf, self.guide, self.bounds = self.tables[0]
+            self.width, self.group_span = sizes.size, (sizes * span).astype(np.int32)
+            self.half_steps = params.clip / span * self.weights[first]
 
     def row_values(self, labels: np.ndarray, draws: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        """One value per row of ``draws``, from its class in ``labels``: the
-        score of a packet's quantized features, or of its lemma-1 normal z,
-        score_sd z + score_means[c]; on the lattice, the index sum a packet's
-        uniform looks up; on the indices path, s @ index_weights for the
-        index sums s that a bundle's uniforms look up in the table of its
-        bundle, ``tables[k]`` for its k in ``tables``."""
+        """For each row of ``draws``, of its class in ``labels``: the score of
+        a packet's quantized features, or of its lemma-1 normal z, score_sd z
+        + score_means[c]; on the table path, the groups' index sums that its
+        first ``width`` uniforms look up in ``tables[k]``, k its bundle's."""
         if self.path == "features":
             return quant.scalar_quantize(draws, self.clip, self.bits) @ self.weights + self.const
         if self.path == "lemma1":
             return draws[:, 0] * self.score_sd + self.score_means[labels]
-        places = self.lookup(labels, draws, tables)
-        if self.path == "lattice":
-            return places[:, 0]
-        return places @ self.index_weights
+        return self.lookup(labels, draws[:, :self.width], tables)
 
-    def episode_totals(self, owner: np.ndarray, values: np.ndarray, n: int,
-                       packets: np.ndarray | None = None) -> np.ndarray:
-        """Each of ``n`` episodes' total score, from the ``row_values`` of its
-        rows (``owner`` their episodes) and the number of ``packets`` it
-        received, by default its number of rows. On the lattice, m packets
-        whose index sums add up to T total (2 T - m span) half_step + m
-        const, with T and m summed exactly, so a tie at symmetric class means
-        is exactly 0; on the indices path, the rows' values plus m
-        index_const."""
-        if self.path in ("features", "lemma1"):
-            return np.bincount(owner, weights=values, minlength=n)
-        if packets is None:
-            packets = np.bincount(owner, minlength=n)
-        if self.path == "indices":
-            return np.bincount(owner, weights=values, minlength=n) + packets * self.index_const
-        excess = 2.0 * np.bincount(owner, weights=values, minlength=n) - packets * self.span
-        return excess * self.half_step + packets * self.const
+    def episode_totals(self, sums: np.ndarray, packets: np.ndarray) -> np.ndarray:
+        """Each table-path episode's total score from its groups' index sums
+        ``sums`` (one row per episode) and its number of ``packets``:
+        sum_j (2 T_j - m g_j (2^b - 1)) h_j + m const, exact but for the h."""
+        excess = packets[:, None] * -self.group_span
+        excess += sums
+        excess += sums
+        return excess @ self.half_steps + packets * self.const
 
     def bundles(self, packets: np.ndarray) -> np.ndarray:
-        """How many bundles an indices-path episode that receives ``packets``
-        packets sends: m >> top, plus the set bits of m mod 2^top."""
-        top = len(self.tables) - 1
-        return (packets >> top) + sum(packets >> k & 1 for k in range(top))
+        """How many bundles an episode that receives ``packets`` packets
+        sends: m >> top, plus the set bits of m mod 2^top."""
+        return (packets >> self.top) + np.bitwise_count(packets & ((1 << self.top) - 1))
 
     def bundle_tables(self, packets: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """For bundle ``slot`` of an indices-path episode that receives
-        ``packets`` packets, the k of its 2^k packets, which index its
-        table, or -1 past the episode's last bundle."""
-        top = len(self.tables) - 1
-        rest = slot - (packets >> top)  # its place among the bundles of m mod 2^top
-        table = np.where(rest < 0, top, -1).astype(np.int8)
-        for k in range(top - 1, -1, -1):
-            bit = packets >> k & 1
-            table[(rest == 0) & (bit == 1)] = k
-            rest -= bit
-        return table
+        """For bundle ``slot`` of an episode that receives ``packets``
+        packets, the k of its 2^k packets, or -1 past its last bundle: one
+        less than the number of j = 0 .. top for which it sends more than
+        ``slot`` bundles of 2^j packets or more, m >> top plus the set bits
+        of m mod 2^top from bit j on."""
+        full = packets >> self.top
+        rest = (packets & ((1 << self.top) - 1)) >> np.arange(self.top)[:, None]
+        larger = np.bitwise_count(rest) > slot - full
+        return larger.sum(axis=0, dtype=np.int8) + (slot < full) - 1
 
     def lookup(self, labels: np.ndarray, uniforms: np.ndarray,
                tables: np.ndarray | int = 0) -> np.ndarray:
         """For uniforms of shape (n, m), classes ``labels`` and table numbers
         ``tables``, one per row or one for all, each uniform's place in the
-        CDF of row c m + i of ``tables[k]``, for its row's class c and table
-        k and its column i (see ``_guide_tables``): one guide read and one
-        comparison. The few uniforms in bins that hold two or more CDF
-        values, mostly in the tails, are bisected between their bin's guide
-        entries, all in one bisection whose steps reach across the
-        most crowded bin of any table."""
+        CDF of row c m + j of ``tables[k]``, for its row's class c and table
+        k and its column j (see ``_guide_tables``): one guide read and one
+        comparison. The few in bins that hold two or more CDF values, mostly
+        in the tails, are bisected between their bin's guide entries, all in
+        steps that reach across the most crowded of their bins."""
         law = self.law
-        if len(law.views) == 1:
+        if self.top == 0:
             tables = 0  # as a scalar, which takes no gather per row
         rows = labels + 2 * tables  # each row's rows in ``law.starts``
         at = np.empty(uniforms.shape, dtype=np.intp)
         np.multiply(uniforms, law.cells[tables, None], out=at, casting="unsafe")  # floor(u cells)
         at += law.starts[0].take(rows, axis=0)
-        bound = law.bounds[at]
+        bound = law.bounds.take(at)  # take gathers faster than indexing
         crowded = np.flatnonzero(np.isnan(bound))
         above = uniforms >= bound
         del bound
-        places = law.guide[at]
+        places = law.guide.take(at)
         places += above
         if crowded.size:
             at, u = at.ravel()[crowded], uniforms.ravel()[crowded]
             row, column = np.divmod(crowded, uniforms.shape[1])
             base = law.starts[1][rows[row], column]  # where each CDF row starts
             # the place lies in lo..hi, where cdf[hi] > u, so steps of
-            # 2^(steps - 1) .. 1 reach it
-            lo, hi = law.guide[at] + base, law.guide[at + 1] + base
-            for step in (1 << np.arange(law.steps)[::-1]).tolist():
-                np.add(lo, step, out=lo, where=u >= law.cdf[np.minimum(lo + (step - 1), hi)])
+            # 2^(s - 1) .. 1 reach it, with 2^s above every hi - lo
+            lo, hi = law.guide.take(at) + base, law.guide.take(at + 1) + base
+            for step in (1 << np.arange(int((hi - lo).max()).bit_length())[::-1]).tolist():
+                np.add(lo, step, out=lo, where=u >= law.cdf.take(np.minimum(lo + (step - 1), hi)))
             np.put(places, crowded, lo - base)
         return places
 
 
 class _Tables(NamedTuple):
     """Guide tables stored one after another in flat arrays (see ``_guide_tables``)."""
-    views: tuple  # per table: its cdf, guide and bounds, 2-D views, and its steps
+    views: tuple  # per table: its cdf, guide and bounds, as 2-D views
     cdf: np.ndarray
     guide: np.ndarray
     bounds: np.ndarray
     starts: np.ndarray
     cells: np.ndarray
-    steps: int
 
 
-def _guide_tables(laws: list[tuple[np.ndarray, int]]) -> _Tables:
+def _guide_tables(laws: list[tuple[np.ndarray, int]], old: _Tables | None = None) -> _Tables:
     """The tables that invert the laws in the rows of each (pmfs, cells) of
-    ``laws`` (see ``_Level``): every ``pmfs`` has 2 m rows, m columns for
-    each of two classes; ``cells`` is a power of two, so that u cells and
-    j / cells are exact, and at least the number of values in a row's CDF
-    F, which leaves out its final 1.
-
-    Table t's arrays come one after another in the flat read-only ``cdf``,
-    ``guide`` and ``bounds``, each table with its own row widths, and
-    ``views[t]`` holds them as 2-D views, with the table's own step count.
-    ``starts[0, 2 t + c, i]`` is where row c m + i of table t starts in the
-    flat ``guide`` and ``bounds``, ``starts[1, 2 t + c, i]`` where it starts
-    in the flat ``cdf``, and ``cells[t]`` is the table's cells, as a float.
-    ``steps`` is the most steps of any table. In one table:
+    ``laws`` (see ``_Level``), after copies of those of ``old`` if given:
+    every ``pmfs`` has 2 n rows, n for each class, +inf past each row's last
+    value but one; ``cells`` is a power of two, so that u cells and j / cells
+    are exact, and at least the number of values in a row's CDF F, which
+    leaves out its final 1. Table t's arrays come one after another in the
+    flat read-only ``cdf``, ``guide`` and ``bounds``, each table with its own
+    row widths, with 2-D views in ``views[t]``. ``starts[0, 2 t + c, j]`` is
+    where row c n + j of table t starts in the flat ``guide`` and ``bounds``,
+    ``starts[1, 2 t + c, j]`` where it starts in the flat ``cdf``, and
+    ``cells[t]`` is the table's cells, as a float. In one table:
 
     ``guide[r, j]`` is the number of values of F <= j / cells, so a uniform
     u in bin j = floor(u cells) has its place ``np.searchsorted(F, u,
     "right")`` between guide[r, j] and guide[r, j + 1]. It is counted, as
-    F <= j / cells exactly when ceil(F cells) <= j, by one bincount of every
-    row's keys, summed along the row; the inf padding and any F past 1 fall
+    F <= j / cells exactly when ceil(F cells) <= j, by a bincount of the
+    rows' keys, summed along each row; the inf padding and any F past 1 fall
     in a last key, cells + 1, which is dropped. ``bounds[r, j]`` is
     F[guide[r, j]] (inf past F's end), where the bin holds at most one value
     of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
     where the bin holds more, and the place is then bisected in ``cdf[r]``,
-    which holds F, then inf. A table's step count is the number of bisection
-    steps that find a place within any of its bins: the bit length of the
-    most values a bin holds.
+    which holds F, then inf. They are made over blocks of rows of at most
+    ``_BLOCK_VALUES`` cells, so the temporaries stay small.
     """
-    rows = len(laws[0][0])
-    widths = np.array([[cells + 1, pmfs.shape[1]] for pmfs, cells in laws])  # guide, cdf
+    rows, views = len(laws[0][0]), old.views if old else ()
+    widths = np.array([(guide.shape[1], cdf.shape[1]) for cdf, guide, _ in views]
+                      + [(cells + 1, pmfs.shape[1]) for pmfs, cells in laws])  # guide, cdf
     firsts = np.cumsum(rows * widths, axis=0) - rows * widths  # where each table starts
     cdf, guide = np.empty(rows * widths[:, 1].sum()), np.empty(rows * widths[:, 0].sum(), np.int32)
     bounds = np.empty(guide.size)
-    views = []
-    for (pmfs, cells), (first, cdf_first), (width, cdf_width) in zip(laws, firsts, widths):
+    for array, kept in zip((cdf, guide, bounds), (old.cdf, old.guide, old.bounds) if old else ()):
+        array[:kept.size] = kept
+    for (pmfs, cells), (first, cdf_first), (width, cdf_width) in zip(
+            laws, firsts[len(views):], widths[len(views):]):
         table_cdf = cdf[cdf_first:cdf_first + rows * cdf_width].reshape(rows, cdf_width)
         table_guide = guide[first:first + rows * width].reshape(rows, width)
         table_bounds = bounds[first:first + rows * width].reshape(rows, width)
         np.cumsum(pmfs[:, :-1], axis=1, out=table_cdf[:, :-1])
         table_cdf[:, -1] = np.inf
-        keys = np.minimum(np.ceil(table_cdf * cells), cells + 1).astype(np.intp)
-        keys += np.arange(rows)[:, None] * (cells + 2)
-        counts = np.bincount(keys.ravel(), minlength=rows * (cells + 2)).reshape(rows, cells + 2)
-        del keys
-        crowded = counts[:, 1:-1] > 1  # bins that hold two or more values
-        steps = int(counts[:, 1:-1].max()).bit_length()
-        table_guide[:] = np.cumsum(counts, axis=1, out=counts)[:, :-1]
-        del counts
-        np.take(table_cdf, table_guide + np.arange(0, rows * cdf_width, cdf_width)[:, None],
-                out=table_bounds, mode="clip")  # in range; "clip" writes without a buffer
-        table_bounds[:, :-1][crowded] = np.nan
-        views.append((table_cdf, table_guide, table_bounds, steps))
+        block = max(1, _BLOCK_VALUES // (cells + 2))
+        for lo in range(0, rows, block):
+            part = slice(lo, lo + block)
+            keys = np.minimum(np.ceil(table_cdf[part] * cells), cells + 1).astype(np.intp)
+            n = len(keys)
+            keys += np.arange(n)[:, None] * (cells + 2)
+            counts = np.bincount(keys.ravel(), minlength=n * (cells + 2)).reshape(n, cells + 2)
+            del keys
+            crowded = counts[:, 1:-1] > 1  # bins that hold two or more values
+            table_guide[part] = np.cumsum(counts, axis=1, out=counts)[:, :-1]
+            del counts
+            np.take(table_cdf[part], table_guide[part] + np.arange(0, n * cdf_width, cdf_width)[:, None],
+                    out=table_bounds[part], mode="clip")  # in range; "clip" writes without a buffer
+            table_bounds[part, :-1][crowded] = np.nan
+    views = tuple((cdf[cdf_first:cdf_first + rows * cdf_width].reshape(rows, cdf_width),
+                   guide[first:first + rows * width].reshape(rows, width),
+                   bounds[first:first + rows * width].reshape(rows, width))
+                  for (first, cdf_first), (width, cdf_width) in zip(firsts, widths))
     starts = firsts.T[..., None] + widths.T[..., None] * np.arange(rows)
-    tables = _Tables(tuple(views), cdf, guide, bounds, starts.reshape(2, 2 * len(laws), -1),
-                     widths[:, 0] - 1.0, max(steps for *_, steps in views))
+    tables = _Tables(views, cdf, guide, bounds, starts.reshape(2, 2 * len(widths), -1),
+                     widths[:, 0] - 1.0)
     for array in (cdf, guide, bounds, tables.starts, tables.cells,
-                  *(array for view in views for array in view[:3])):
+                  *(array for view in views for array in view)):
         array.flags.writeable = False
     return tables
 
 
-@functools.lru_cache(maxsize=_LATTICE_LAWS)
-def _lattice_law(mean1: float, mean2: float, lam: float, clip: float, bits: int,
-                 dim: int) -> _Tables:
-    """The tables of a lattice level's index sums (see ``_Level``) whose
-    classes have coordinate means ``mean1`` and ``mean2`` and every
-    eigenvalue ``lam``, one table of two rows; the arrays are read-only.
-
-    They depend only on these arguments, not on the channel, the observation
-    count or the score weights, so every point of a sweep, and every sweep in
-    the process, shares them. An entry at the widest span, 2^16 + 1 index
-    sums, holds 1.0 MB of CDF, 1.0 MB of guide table and 2.1 MB of bounds,
-    so ``_LATTICE_LAWS`` entries retain at most about 34 MB.
+class _TableLaw:
+    """The memo entry (``_table_law``) of table-path levels (see ``_Level``)
+    whose groups have class means ``means`` (2 by n), eigenvalues ``eigvals``
+    and ``sizes``, as the bytes of float64 and intp arrays, at ``clip`` and
+    ``bits``: the tables built so far, which depend on nothing else, so every
+    point and sweep in the process shares them; a level with a larger K
+    appends those of its larger bundles. The widest entries, such as d = 512
+    groups of one at 7 bits, hold one table, 1.0 MB of CDF, 2.1 MB of guide
+    and 4.2 MB of bounds, and its 1.0 MB law; an entry with bundles at most
+    about 3.5 MB. So ``_TABLE_LAWS`` entries retain at most about 66 MB.
     """
-    _, pmfs = quant.index_sum_law(np.array([[mean1], [mean2]]), lam, clip, bits, dim)
-    return _guide_tables([(pmfs, 1 << (pmfs.shape[1] - 1).bit_length())])
+
+    def __init__(self, means: bytes, eigvals: bytes, sizes: bytes, clip: float, bits: int):
+        self.lam = np.frombuffer(eigvals)[:, None]
+        self.means = np.frombuffer(means).reshape(2, -1, 1)
+        self.sizes = np.frombuffer(sizes, dtype=np.intp)
+        self.clip, self.bits, self.tables, self.laws = clip, bits, None, {}
+
+    def upto(self, top: int) -> _Tables:
+        """The tables of bundles of 2^k packets, k = 0 .. ``top`` at least."""
+        built = len(self.tables.views) if self.tables else 0
+        if top >= built:
+            self.tables = _guide_tables([self.law(k) for k in range(built, top + 1)], self.tables)
+        return self.tables
+
+    def law(self, k: int) -> tuple[np.ndarray, int]:
+        """The (pmfs, cells) of the table of bundles of 2^k packets (see
+        ``_guide_tables``): row c n + j is the law of group j's index sum in
+        class c, padded with +inf to the widest group's. Table k's law of a
+        group is that of table k - 1 summed with itself (``quant.doubled``),
+        so ``laws`` keeps the last one built for each group size."""
+        span = 2 ** self.bits - 1
+        width = (int(self.sizes.max()) << k) * span + 1
+        pmfs = np.full((2, self.sizes.size, width), np.inf)
+        for size in np.unique(self.sizes).tolist():
+            mine = self.sizes == size
+            one = self.means[:, mine], self.lam[mine], self.clip, self.bits
+            law = (quant.doubled(self.laws[size]) if k else quant.index_pmf(*one) if size == 1
+                   else quant.index_sum_law(*one, size)[1])
+            self.laws[size] = law
+            pmfs[:, mine, :law.shape[-1] - 1] = law[..., :-1]
+        cells = _INDEX_CELLS << self.bits if width == span + 1 else 1 << (width - 1).bit_length()
+        return pmfs.reshape(-1, width), cells
 
 
-@functools.lru_cache(maxsize=_INDEX_LAWS)
-def _index_law(means: bytes, eigvals: bytes, clip: float, bits: int, top: int) -> _Tables:
-    """The tables of an indices-path level (see ``_Level``) whose model has
-    class means ``means`` (2 by d) and eigenvalues ``eigvals`` in its
-    eigenbasis, given as the bytes of their float64 arrays: table k inverts
-    the index sums over bundles of 2^k packets, for k = 0 .. ``top``. The
-    arrays are read-only.
-
-    They depend only on these arguments, not on the channel or the score
-    weights, so every point of a sweep, and every sweep in the process,
-    shares them. The widest entries, such as d = 512 at 7 bits, have one
-    table, with 1.0 MB of CDF, 2.1 MB of guide table and 4.2 MB of bounds;
-    a level with bundles holds at most 3.2 MB. So ``_INDEX_LAWS`` entries
-    retain at most about 30 MB.
-    """
-    lam = np.frombuffer(eigvals)[:, None]
-    means = np.frombuffer(means).reshape(2, -1, 1)
-    pmfs = quant.index_pmf(means, lam, clip, bits)
-    laws = [(pmfs.reshape(2 * lam.size, -1), _INDEX_CELLS << bits)]
-    for k in range(1, top + 1):
-        _, pmfs = quant.index_sum_law(means, lam, clip, bits, 1 << k)
-        laws.append((pmfs.reshape(2 * lam.size, -1), 1 << (pmfs.shape[-1] - 1).bit_length()))
-    return _guide_tables(laws)
+_table_law = functools.lru_cache(maxsize=_TABLE_LAWS)(_TableLaw)
 
 
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
@@ -497,23 +474,25 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
     Then each path (see ``_Level``) draws rows, in chunks of
     ``_feature_rows`` rows and in this order: d features, coloured by the
     model's ``means`` and ``sd``, for each packet that arrives under any of
-    its levels; d index uniforms for each bundle slot, slot 0 of every
-    episode that has one, then slot 1, and so on, where an episode has as
-    many slots as the level with the most bundles there (``_Level.bundles``)
-    and levels with a bundle in a slot share its row; one lemma-1 normal and
-    one lattice uniform for each packet that arrives under any of their
-    levels. Each level maps its own rows of a chunk to one value each in one
-    call (``_Level.row_values``), on the indices path each row through the
-    table of its bundle, and sums the values per episode
-    (``_Level.episode_totals``). Split draws keep their values, so no count
-    depends on the chunk size. An episode decides class 1 iff its total is
-    < 0, so one that receives nothing, or whose lattice total is an exact
-    tie, decides class 2: a silent episode is wrong with probability 1/2, as
-    the class is a fair draw. A level's outcome depends on the other levels
-    only through the rows its path draws, the union of arriving packets or,
-    on the indices path, the most bundles per episode, not on their order;
-    with one level, or none on the lattice, the stream is consumed as by a
-    single-policy engine of the same path.
+    its levels; one uniform per group of the widest level for each bundle
+    slot, slot 0 of every episode that has one, then slot 1, and so on, an
+    episode having as many slots as the level with the most bundles there
+    (``_Level.bundles``), more first, and levels with a bundle in a slot
+    sharing its row;
+    one lemma-1 normal for each packet that arrives under any of its levels.
+    Each level maps its own rows of a chunk in one call
+    (``_Level.row_values``), on the table path each row through the table of
+    its bundle. Feature and lemma-1 levels sum their rows' scores per
+    episode; table-path levels add their rows' index sums per episode and
+    group as exact integers and total them (``_Level.episode_totals``). Split
+    draws keep their values, so no count depends on the chunk size. An
+    episode decides class 1 iff its total is < 0, so one that receives
+    nothing, or whose total is an exact tie, decides class 2: a silent
+    episode is wrong with probability 1/2, as the class is a fair draw. A
+    level's outcome depends on the other levels only through the rows its
+    path draws, the union of arriving packets or, on the table path, the
+    most bundles per episode and groups per row, not on their order; with
+    one level the stream is consumed as by a single-policy engine.
     """
     k, model = params.observations, params.model
     classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
@@ -523,26 +502,34 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         params.channel.blocklength, rng.random((n, k)))
     first = classes == 0
     wrong = [0] * len(levels)
-    for path, width, draw in (("features", model.dim, rng.standard_normal),
-                              ("indices", model.dim, rng.random),
-                              ("lemma1", 1, rng.standard_normal), ("lattice", 1, rng.random)):
+    for path, draw in (("features", rng.standard_normal), ("table", rng.random),
+                       ("lemma1", rng.standard_normal)):
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
         arrivals = success[mine]
-        packets = arrivals.sum(axis=2)  # each level's packets per episode
+        # each level's packets per episode, in a type that holds 2 K 2^16
+        packets = arrivals.sum(axis=2, dtype=np.int32 if k < 2 ** 14 else np.int64)
         # each row's episode, and for each level each row's table, -1 for none
-        if path == "indices":
-            slots = np.max([levels[i].bundles(m) for i, m in zip(mine, packets)], axis=0)
-            slot, episode = np.nonzero(np.arange(slots.max())[:, None] < slots)
-            episode = episode.astype(np.int32)
+        if path == "table":
+            slots = functools.reduce(np.maximum, [levels[i].bundles(m)
+                                                  for i, m in zip(mine, packets)])
+            # episodes with the most bundles first: a slot's rows are then a
+            # prefix of this order, whose index sums add up in place
+            order = np.argsort(-slots, kind="stable")
+            slot, place = np.nonzero(np.arange(slots.max())[:, None] < slots[order])
+            episode = order[place].astype(np.int32)
+            firsts = [*np.flatnonzero(place == 0).tolist(), place.size]  # each slot's first row
             tables = [levels[i].bundle_tables(m[episode], slot) for i, m in zip(mine, packets)]
+            width = max(levels[i].width for i in mine)
+            sums = [np.zeros((n, levels[i].width), packets.dtype) for i in mine]
         else:
-            reached = arrivals.any(axis=0)
+            order, reached = slice(None), arrivals.any(axis=0)
             episode = np.nonzero(reached)[0].astype(np.int32)
             tables = arrivals[:, reached].view(np.int8) - 1
+            width = model.dim if path == "features" else 1
+            sums = np.zeros((len(mine), episode.size))
         arrived = classes[episode]  # 5 bytes a row while the draws run
-        values = np.zeros((len(mine), episode.size))
         rows = _feature_rows(width)
         for start in range(0, episode.size, rows):
             labels = arrived[start:start + rows]
@@ -550,18 +537,29 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
             if path == "features":
                 draws *= model.sd
                 draws += model.means[labels]
-            for i, table, out in zip(mine, tables, values):
+            for i, table, out in zip(mine, tables, sums):
                 table = table[start:start + rows]
                 pick = table >= 0
                 if pick.all():  # a slice, whose indexing takes no copy
                     pick = slice(None)
                 elif not pick.any():
                     continue
-                out[start:start + rows][pick] = levels[i].row_values(
-                    labels[pick], draws[pick], table[pick])
-        for i, m, out in zip(mine, packets, values):
-            total = levels[i].episode_totals(episode, out, n, m)
-            wrong[i] = int(np.count_nonzero((total < 0.0) != first))
+                values = levels[i].row_values(labels[pick], draws[pick], table[pick])
+                if path != "table":
+                    out[start:start + rows][pick] = values
+                    continue
+                if isinstance(pick, np.ndarray):  # rows past the level's last bundle add 0
+                    values, picked = np.zeros((table.size, values.shape[1]), values.dtype), values
+                    values[pick] = picked
+                # row r of slot s adds to the sums of place r - firsts[s]
+                for s in range(bisect.bisect_right(firsts, start) - 1,
+                               bisect.bisect_left(firsts, start + table.size)):
+                    lo, hi = max(start, firsts[s]), min(start + table.size, firsts[s + 1])
+                    out[lo - firsts[s]:hi - firsts[s]] += values[lo - start:hi - start]
+        for i, m, out in zip(mine, packets, sums):
+            total = (levels[i].episode_totals(out, m[order]) if path == "table"
+                     else np.bincount(episode, weights=out, minlength=n))
+            wrong[i] = int(np.count_nonzero((total < 0.0) != first[order]))
     return wrong
 
 

@@ -133,6 +133,18 @@ def index_sum_law(mean, var, clip: float, bits: int,
     return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum(axis=-1, keepdims=True)
 
 
+def doubled(pmf) -> np.ndarray:
+    """Law of the sum of two independent values with the law ``pmf`` on
+    0, 1, ..., along the last axis: its convolution with itself, one FFT
+    square at a fast length that does not wrap, clipped at 0 and normalised.
+    The sum of 2^k values that each sum g quantized values, as
+    ``index_sum_law`` gives them, has k such doublings of that law."""
+    size = 2 * pmf.shape[-1] - 1
+    fast = next_fast_len(size, real=True)
+    doubled = np.clip(np.fft.irfft(np.fft.rfft(pmf, fast) ** 2, fast)[..., :size], 0.0, None)
+    return doubled / doubled.sum(axis=-1, keepdims=True)
+
+
 def encode(x, config: QuantizerConfig) -> tuple[np.ndarray, int]:
     """Transform then quantize a feature vector (or rows of a 2-D batch).
 

@@ -44,6 +44,26 @@ class TestInferenceModel:
         with pytest.raises(ValueError, match=field):
             gmm.InferenceModel(**fields)
 
+    @pytest.mark.parametrize("mu1, sigma, first, sizes", [
+        ([0.1] * 4, np.eye(4), [0], [4]),
+        ([0.1, 0.1, 0.2, 0.1], np.eye(4), [0, 2], [3, 1]),
+        ([0.1] * 4, np.diag([1.0, 3.0, 1.0, 2.0]), [0, 1, 2], [1, 1, 2]),
+        ([0.1] * 3, [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]], [0, 1, 2], [1, 1, 1]),
+    ], ids=["identity", "one-mean-apart", "repeated-diagonal", "dense"])
+    def test_groups_share_means_and_eigenvalue(self, mu1, sigma, first, sizes):
+        # coordinates in the eigenbasis (eigenvalues descending) group by
+        # exact equality of both class means and the eigenvalue, in the
+        # order of their first coordinates
+        model = gmm.InferenceModel(np.array(mu1), -np.array(mu1), np.array(sigma, dtype=float))
+        got_first, got_sizes = model.groups
+        assert got_first.tolist() == first and got_sizes.tolist() == sizes
+        key = np.vstack([model.means, model.eigvals])
+        matches = [[np.array_equal(key[:, i], key[:, j]) for j in got_first]
+                   for i in range(model.dim)]
+        assert all(sum(row) == 1 for row in matches)
+        assert np.sum(matches, axis=0).tolist() == sizes
+        assert model.groups is model.groups and not got_first.flags.writeable
+
 
 class TestDiscriminantGain:
     def test_default_model_is_unit_gain(self, default_model):

@@ -282,15 +282,15 @@ class TestLemma1EngineMatchesPrediction:
 
 class TestGoldenRows:
     """``estimate_error`` rows pinned from the engine, one per path and noise
-    model: identity ``bits:4`` on the lattice, identity ``bits:16`` (50
-    (2^16 - 1) index sums, too many for the lattice) and the dense row on
-    quantized features, and one lemma-1 row. A change to a path's stream
-    moves its row."""
+    model: identity ``bits:4`` through one group's tables, the dense row
+    through 20 groups of one, identity ``bits:16`` (50 (2^16 - 1) index sums,
+    too many for the tables) on quantized features, and one lemma-1 row. A
+    change to a path's stream moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 72),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 70),
         (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 84),
-        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 511),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 531),
         (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 37),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
@@ -299,13 +299,13 @@ class TestGoldenRows:
         assert row.ci95 == 1.96 * math.sqrt(row.error * (1.0 - row.error) / trials)
 
     @pytest.mark.parametrize("cfg, value, policies, wrong", [
-        # two lattice levels (8 and 10 bits, 1.7% and 14% average loss) and
-        # two feature-path levels (11 and 12 bits, 31% and 56%)
+        # two one-group table levels (8 and 10 bits, 1.7% and 14% average
+        # loss) and two feature-path levels (11 and 12 bits, 31% and 56%)
         (harness.ExperimentConfig(observations=3), 12.0,
-         ["bits:8", "bits:10", "bits:11", "bits:12"], (2256, 2617, 3366, 4968)),
-        # two indices-path levels (2 and 6 bits) and a feature-path level (12 bits)
+         ["bits:8", "bits:10", "bits:11", "bits:12"], (2213, 2547, 3366, 4968)),
+        # two table levels of 20 groups (2 and 6 bits) and a feature-path level
         (replace(dense_config("bits:2", "quantizer"), observations=3), 6.0,
-         ["bits:2", "bits:6", "bits:12"], (4720, 4583, 6761)),
+         ["bits:2", "bits:6", "bits:12"], (4742, 4656, 6761)),
         # three lemma-1 levels
         (harness.ExperimentConfig(observations=3, noise_model="lemma1"), 12.0,
          ["bits:8", "bits:10", "bits:12"], (2250, 2665, 4976)),
@@ -325,33 +325,35 @@ def engine_level(params, bits, noise_model):
 
 def asymmetric_model_file(tmp_path):
     """Equal eigenvalues (2) and class means constant across coordinates but
-    not opposite: a lattice cell that is not the identity default."""
+    not opposite: a one-group cell that is not the identity default."""
     path = tmp_path / "asymmetric.json"
     path.write_text(json.dumps({"mu1": [0.6] * 4, "mu2": [0.2] * 4, "sigma": [2.0] * 4}))
     return str(path)
 
 
 class TestLatticePath:
-    """Cells whose eigen-coordinates are i.i.d. given the class draw one
-    uniform per arriving packet and invert the exact law of its index sum."""
+    """Cells whose eigen-coordinates form one group, i.i.d. given the class,
+    draw each bundle's index sum over all d coordinates from one uniform and
+    invert its exact law: the table path's one-group case."""
 
     @staticmethod
-    def on_lattice(cfg, bits):
-        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).path == "lattice"
+    def one_group(cfg, bits):
+        level = engine_level(harness.build_params(cfg), bits, cfg.noise_model)
+        return level.path == "table" and level.width == 1
 
     def test_eligibility_is_derived(self, tmp_path):
         default = harness.ExperimentConfig()
-        assert self.on_lattice(default, 4) and self.on_lattice(default, 10)
-        assert not self.on_lattice(default, 11)  # 50 (2^11 - 1) index sums
-        assert not self.on_lattice(replace(default, noise_model="lemma1"), 4)
-        assert not self.on_lattice(dense_config("bits:4", "quantizer"), 4)
-        assert not self.on_lattice(replace(default, dim=3, sigma_spec=[1.0, 2.0, 3.0]), 4)
-        assert self.on_lattice(harness.ExperimentConfig(
+        assert self.one_group(default, 4) and self.one_group(default, 10)
+        assert not self.one_group(default, 11)  # 50 (2^11 - 1) index sums
+        assert not self.one_group(replace(default, noise_model="lemma1"), 4)
+        assert not self.one_group(dense_config("bits:4", "quantizer"), 4)
+        assert not self.one_group(replace(default, dim=3, sigma_spec=[1.0, 2.0, 3.0]), 4)
+        assert self.one_group(harness.ExperimentConfig(
             dim=4, model_file=asymmetric_model_file(tmp_path)), 4)
         unequal = tmp_path / "unequal.json"
         unequal.write_text(json.dumps({"mu1": [0.1, 0.2], "mu2": [-0.1, -0.2],
                                        "sigma": "identity"}))
-        assert not self.on_lattice(harness.ExperimentConfig(dim=2, model_file=str(unequal)), 4)
+        assert not self.one_group(harness.ExperimentConfig(dim=2, model_file=str(unequal)), 4)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 50])
     def test_lookup_is_the_binary_search(self, dim):
@@ -364,8 +366,10 @@ class TestLatticePath:
         crowded = 0
         for bits in range(1, 11):
             level = engine_level(params, bits, "quantizer")
-            assert level.path == "lattice"
-            _, pmfs = quant.index_sum_law(np.array([[0.1], [-0.1]]), 1.0, 5.0, bits, dim)
+            assert level.path == "table" and level.width == 1
+            means = np.array([[0.1], [-0.1]])
+            pmfs = (quant.index_pmf(means, 1.0, 5.0, bits) if dim == 1
+                    else quant.index_sum_law(means, 1.0, 5.0, bits, dim)[1])
             cdf = np.cumsum(pmfs, axis=1)[:, :-1]
             cells = level.guide.shape[1] - 1
             u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], np.arange(cells) / cells, cdf.ravel(),
@@ -382,21 +386,23 @@ class TestLatticePath:
     @pytest.mark.parametrize("bits", [4, 10])
     def test_guide_is_the_binary_search(self, bits):
         # each guide row is the binary search of its class's CDF at every
-        # bin edge, as on the indices path
+        # bin edge, as for groups of one
         level = engine_level(harness.build_params(harness.ExperimentConfig()), bits, "quantizer")
-        assert level.path == "lattice"
+        assert level.path == "table" and level.width == 1
         cells = level.guide.shape[1] - 1
         grid = np.arange(cells + 1) / cells
         for row, guide in zip(level.cdf[:, :-1], level.guide):
             np.testing.assert_array_equal(guide, np.searchsorted(row, grid, "right"))
 
     def test_points_share_read_only_tables(self):
-        # the law depends on the model, clip, bit level and d, not on the
-        # channel or the observation count
+        # the tables depend on the model, clip, bit level and d, not on the
+        # channel or the observation count: a level with fewer bundles reads
+        # the first tables of the same memo entry
         default = harness.ExperimentConfig()
         a = engine_level(harness.build_params(default), 4, "quantizer")
         b = engine_level(harness.build_params(replace(default, snr_db=8.0, observations=3,
                                                       antennas=1)), 4, "quantizer")
+        assert (a.top, b.top) == (3, 1) and b.law is a.law
         assert a.cdf is b.cdf and a.guide is b.guide
         for table in (a.cdf, a.guide):
             assert not table.flags.writeable
@@ -410,7 +416,7 @@ class TestLatticePath:
     def test_law_follows_its_key(self, change, bits):
         def tables(cfg, bits):
             level = engine_level(harness.build_params(cfg), bits, "quantizer")
-            assert level.path == "lattice"
+            assert level.path == "table" and level.width == 1
             return level.cdf, level.guide
         default = harness.ExperimentConfig()
         cdf, guide = tables(default, 4)
@@ -427,9 +433,9 @@ class TestLatticePath:
 
         def rows(cfg):
             return harness.sweep(cfg, "snr-db", [2.0, 6.0], policies, 3000, seed=5)
-        harness._lattice_law.cache_clear()
+        harness._table_law.cache_clear()
         cold = rows(a)
-        assert harness._lattice_law.cache_info().misses == 2
+        assert harness._table_law.cache_info().misses == 2
         assert rows(a) == cold
         rows(b)
         assert rows(a) == cold
@@ -446,17 +452,18 @@ class TestLatticePath:
         inflated = 1.0 + 2.0 * real(params.level_rate(4), params)
         sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
 
-        def scores(level):  # one episode of one packet at each index sum 0..span
-            t = np.arange(level.span + 1)
-            return level.episode_totals(t, t, t.size)
+        def scores(level):  # one episode of one packet at each index sum 0..50 (2^4 - 1)
+            t = np.arange(level.group_span[0] + 1)
+            return level.episode_totals(t[:, None], np.ones(t.size, dtype=np.int64))
         np.testing.assert_allclose(scores(patched), sums * -0.2 / inflated,
                                    rtol=1e-12, atol=1e-12)
         assert not np.allclose(scores(patched), scores(plain), rtol=1e-6)
 
     @pytest.mark.parametrize("case", ["identity", "asymmetric"])
     def test_matches_feature_path(self, case, tmp_path, monkeypatch):
-        # the same arrivals scored on the lattice and, with the cap at 0, on
-        # quantized features; bits:16 (and urllc's 6 bits) share the point
+        # the same arrivals scored through the tables (bundles of 2 and 1
+        # packets) and, with the span cap at 0, on quantized features;
+        # bits:16 (and urllc's 6 bits) share the point
         if case == "identity":
             cfg = harness.ExperimentConfig(dim=4, centroid=0.3, observations=3)
             policies = ["bits:1", "bits:2", "bits:3", "bits:16"]
@@ -465,40 +472,47 @@ class TestLatticePath:
                                            observations=3, clip=3.0)
             policies = ["bits:1", "bits:2", "urllc"]
         trials = 200_000
-        lattice = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=13)
-        monkeypatch.setattr(harness, "_LATTICE_SPAN", 0)
+        tables = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=13)
+        monkeypatch.setattr(harness, "_TABLE_SPAN", 0)
         features = harness.sweep(cfg, "snr-db", [cfg.snr_db], policies, trials, seed=13)
-        for a, b in zip(lattice, features):
+        for a, b in zip(tables, features):
             spread = math.sqrt((a.error * (1 - a.error) + b.error * (1 - b.error)) / trials)
             assert abs(a.error - b.error) <= 3.0 * spread, a.policy
 
     def test_tied_totals_are_exact_zeros(self):
-        # at symmetric means an episode whose index sums add up to m span / 2
-        # totals exactly 0, and every other total has the sign of its excess
+        # at symmetric means an episode whose index sums add up to m d / 2
+        # (1 bit, d = 50) totals exactly 0, and every other total has the
+        # sign of its excess; its rows are bundles of 1 to 8 packets
         level = engine_level(harness.build_params(harness.ExperimentConfig()), 1, "quantizer")
+        assert level.width == 1 and level.top == 3
         rng = np.random.default_rng(1)
         n, owner = 5000, np.sort(rng.integers(0, 5000, size=15_000))
-        u = rng.random(owner.size)
-        sums = level.lookup(rng.integers(0, 2, size=owner.size), u[:, None])[:, 0]
-        total = level.episode_totals(owner, sums, n)
-        excess = np.bincount(owner, weights=2 * sums - level.span, minlength=n)
+        tables = rng.integers(0, level.top + 1, size=owner.size)
+        sums = level.lookup(rng.integers(0, 2, size=owner.size), rng.random((owner.size, 1)),
+                            tables)[:, 0]
+        index_sums = np.bincount(owner, weights=sums, minlength=n).astype(np.int64)[:, None]
+        packets = np.bincount(owner, weights=1 << tables, minlength=n).astype(np.int64)
+        total = level.episode_totals(index_sums, packets)
+        excess = 2 * index_sums[:, 0] - packets * level.group_span[0]
         assert np.count_nonzero(excess == 0) > 100
         np.testing.assert_array_equal(total == 0.0, excess == 0)
-        np.testing.assert_array_equal(total < 0.0, excess * level.half_step < 0.0)
+        np.testing.assert_array_equal(total < 0.0, excess * level.half_steps[0] < 0.0)
 
     @pytest.mark.parametrize("dim, bits, observations", [
         (1, 1, 4), (2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2),
     ])
     def test_exact_ties_match_enumeration(self, dim, bits, observations):
         # every packet arrives, so an episode sums the K d grid indices of
-        # class means +0.3 (class 1) and -0.3; at symmetric means a total at
-        # the centre c = K d (2^b - 1) / 2 is an exact tie, which decides
-        # class 2. By the grid's symmetry the error is then
-        # P1(T < c) + P1(T = c) / 2, enumerated here over every index tuple
+        # class means +0.3 (class 1) and -0.3, drawn over bundles of 2 or 4
+        # packets; at symmetric means a total at the centre c = K d (2^b - 1)
+        # / 2 is an exact tie, which decides class 2. By the grid's symmetry
+        # the error is then P1(T < c) + P1(T = c) / 2, enumerated here over
+        # every index tuple
         cfg = harness.ExperimentConfig(dim=dim, centroid=0.3, snr_db=60.0,
                                        observations=observations, policy=f"bits:{bits}")
         decision = harness.decide(cfg)
-        assert engine_level(decision.params, bits, "quantizer").path == "lattice"
+        level = engine_level(decision.params, bits, "quantizer")
+        assert level.path == "table" and level.width == 1 and level.top >= 1
         assert ch.avg_packet_loss_approx(decision.params.channel, decision.rounded_rate) < 1e-12
         levels = 2 ** bits
         delta = 2.0 * cfg.clip / (levels - 1)
@@ -525,25 +539,28 @@ def diagonal_model_file(tmp_path, mu1, mu2, sigma):
 
 
 class TestIndicesPath:
-    """Levels of the real quantizer whose coordinates are not i.i.d. draw
-    each coordinate's grid index sum over a bundle of 2^k packets from one
-    uniform through its own exact CDF, if d (2^b - 1) is at most the
-    lattice's span."""
+    """Table-path levels of several groups draw each group's grid index sum
+    over a bundle of 2^k packets from one uniform through its own exact CDF;
+    a dense Sigma has d groups of one."""
 
     @staticmethod
-    def path(cfg, bits):
-        return engine_level(harness.build_params(cfg), bits, cfg.noise_model).path
+    def level(cfg, bits):
+        return engine_level(harness.build_params(cfg), bits, cfg.noise_model)
 
     def test_eligibility_is_derived(self, tmp_path):
         dense = dense_config("bits:4", "quantizer")  # d = 20
-        assert self.path(dense, 4) == "indices" and self.path(dense, 11) == "indices"
-        assert self.path(dense, 12) == "features"  # 20 (2^12 - 1) index sums
-        assert self.path(replace(dense, noise_model="lemma1"), 4) == "lemma1"
-        diagonal = harness.ExperimentConfig(sigma_spec=[1.0] * 49 + [2.0])
-        assert self.path(diagonal, 10) == "indices" and self.path(diagonal, 11) == "features"
+        assert [(self.level(dense, b).path, self.level(dense, b).width)
+                for b in (4, 11)] == [("table", 20)] * 2
+        assert self.level(dense, 12).path == "features"  # 20 (2^12 - 1) index sums
+        assert self.level(replace(dense, noise_model="lemma1"), 4).path == "lemma1"
+        diagonal = harness.ExperimentConfig(sigma_spec=[1.0] * 49 + [2.0])  # groups of 1 and 49
+        # at 10 bits a single-packet table padded to 49 coordinates would hold
+        # 2 2 (49 (2^10 - 1) + 1) > 2 50 2^10 values, so each is its own group
+        assert [self.level(diagonal, b).width for b in (4, 10)] == [2, 50]
+        assert self.level(diagonal, 11).path == "features"
         unequal = diagonal_model_file(tmp_path, [0.1, 0.2], [-0.1, -0.2], [1.0, 1.0])
-        assert self.path(harness.ExperimentConfig(dim=2, model_file=unequal), 4) == "indices"
-        assert self.path(harness.ExperimentConfig(), 4) == "lattice"
+        assert self.level(harness.ExperimentConfig(dim=2, model_file=unequal), 4).width == 2
+        assert self.level(harness.ExperimentConfig(), 4).width == 1
 
     @pytest.mark.parametrize("bits", range(1, 8))
     def test_lookup_is_the_binary_search(self, bits):
@@ -557,7 +574,7 @@ class TestIndicesPath:
                                        sigma_spec=[1e-4, 0.01, 0.2, 1.0, 4.0, 25.0])
         params = harness.build_params(cfg)
         level = engine_level(params, bits, "quantizer")
-        assert level.path == "indices"
+        assert level.path == "table" and level.width == 6
         means, lam = params.model.means, params.model.eigvals
         cdfs = np.cumsum(quant.index_pmf(means[..., None], lam[:, None], cfg.clip, bits),
                          axis=-1)[..., :-1]
@@ -611,8 +628,8 @@ class TestIndicesPath:
             tmp_path, [0.5, -0.2, 0.3], [-0.1, 0.4, -0.6], [0.01, 2.0, 0.7]))
         params = harness.build_params(cfg)
         level = engine_level(params, 3, "quantizer")
-        assert level.path == "indices" and len(level.tables) == 4
-        cdf, guide, bounds, _ = level.tables[k]
+        assert level.path == "table" and level.width == 3 and len(level.tables) == 4
+        cdf, guide, bounds = level.tables[k]
         model = params.model
         pmfs = quant.index_pmf(model.means[..., None], model.eigvals[:, None], cfg.clip, 3)
         values = 2 ** k * 7 + 1
@@ -636,7 +653,7 @@ class TestIndicesPath:
         cfg = harness.ExperimentConfig(dim=3, observations=8, model_file=diagonal_model_file(
             tmp_path, [0.5, -0.2, 0.3], [-0.1, 0.4, -0.6], [0.01, 2.0, 0.7]))
         level = engine_level(harness.build_params(cfg), 3, "quantizer")
-        assert level.path == "indices" and len(level.tables) == 4
+        assert level.path == "table" and level.width == 3 and len(level.tables) == 4
         rng = np.random.default_rng(3)
         cdfs = np.concatenate([cdf[:, :-1].ravel() for cdf, *_ in level.tables])
         u = np.concatenate([[0.0, 2.0 ** -53, 1.0 - 2.0 ** -53], cdfs, np.nextafter(cdfs, 0.0),
@@ -649,7 +666,7 @@ class TestIndicesPath:
         tables, labels, uniforms = tables[order], labels[order], uniforms[order]
         got = level.lookup(labels, uniforms, tables)
         crowded = 0
-        for k, (cdf, guide, bounds, _) in enumerate(level.tables):
+        for k, (cdf, guide, bounds) in enumerate(level.tables):
             for c in (0, 1):
                 mine = (tables == k) & (labels == c)
                 expected = np.stack([np.searchsorted(cdf[c * 3 + i, :-1], uniforms[mine, i],
@@ -663,32 +680,33 @@ class TestIndicesPath:
         assert crowded > 0
 
     def test_levels_share_read_only_tables(self, monkeypatch):
-        # the tables depend on the model, clip, bit level and largest bundle,
-        # not on the channel: two levels with one key share read-only arrays,
-        # and another clip, bundle size or bundle budget gets its own entry
+        # the tables depend on the model, clip and bit level, not on the
+        # channel or K: levels with one key share one memo entry and its
+        # read-only arrays, reading as many of its tables as their bundles
+        # need, and another clip gets its own entry
         dense = dense_config("bits:4", "quantizer")  # d = 20, K = 5: bundles of 1, 2 and 4
 
-        def law(cfg):
+        def level(cfg):
             level = engine_level(harness.build_params(cfg), 4, "quantizer")
-            assert level.path == "indices"
-            return level.law
-        harness._index_law.cache_clear()
-        shared = law(dense)
-        assert law(replace(dense, snr_db=8.0, antennas=4, blocklength=300)) is shared
-        assert harness._index_law.cache_info().misses == 1
+            assert level.path == "table" and level.width == 20
+            return level
+        harness._table_law.cache_clear()
+        shared = level(dense).law
+        assert level(replace(dense, snr_db=8.0, antennas=4, blocklength=300)).law is shared
+        assert harness._table_law.cache_info().misses == 1
         for array in (shared.cdf, shared.guide, shared.bounds, shared.starts, shared.cells,
-                      *(array for view in shared.views for array in view[:3])):
+                      *(array for view in shared.views for array in view)):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        others = [law(replace(dense, clip=4.0)), law(replace(dense, observations=3))]
+        others = [level(replace(dense, clip=4.0)), level(replace(dense, observations=3))]
         # 1,000 values hold no bundle tables: 2 d (2 (2^4 - 1) + 1) = 1,240
         monkeypatch.setattr(harness, "_BUNDLE_VALUES", 1000)
-        others.append(law(dense))
-        assert harness._index_law.cache_info().misses == 4
-        assert [len(other.views) for other in others] == [3, 2, 1] and len(shared.views) == 3
-        assert all(other is not shared for other in others)
-        np.testing.assert_array_equal(others[2].cdf, shared.views[0][0].ravel())
+        others.append(level(dense))
+        assert harness._table_law.cache_info().misses == 2
+        assert [len(other.tables) for other in others] == [3, 2, 1] and len(shared.views) == 3
+        assert others[0].law is not shared and others[1].law is others[2].law is shared
+        np.testing.assert_array_equal(others[2].cdf, shared.views[0][0])
 
     def test_rows_independent_of_the_memo(self):
         # a cold memo, a warm one, and a warm one after another model's tables
@@ -699,41 +717,66 @@ class TestIndicesPath:
 
         def rows(cfg):
             return harness.sweep(cfg, "snr-db", [2.0, 6.0], policies, 3000, seed=5)
-        harness._index_law.cache_clear()
+        harness._table_law.cache_clear()
         cold = rows(a)
-        assert harness._index_law.cache_info().misses == 2
+        assert harness._table_law.cache_info().misses == 2
         assert rows(a) == cold
         rows(b)
         assert rows(a) == cold
 
-    @pytest.mark.parametrize("dim, bits, observations, budget, sizes", [
-        pytest.param(2, 1, 3, None, [2, 1], id="2-1-3"),
-        pytest.param(3, 1, 2, None, [2], id="3-1-2"),
-        pytest.param(2, 2, 3, None, [2, 1], id="2-2-3"),
-        pytest.param(3, 2, 2, None, [2], id="3-2-2"),
-        pytest.param(2, 1, 5, None, [4, 1], id="2-1-5"),
-        pytest.param(2, 1, 7, None, [4, 2, 1], id="2-1-7"),
+    def test_memo_misses_once_per_bit_level(self):
+        # a sweep of the observation count, then of the SNR, at the default
+        # model reads one memo entry per bit level on the table path, however
+        # large K grows; a second pass reads them all warm, with the same rows
+        policies = ["adaptive", "brute", "urllc", "bits:32", "bits:16"]
+        config = harness.ExperimentConfig()
+
+        def rows():
+            return (harness.sweep(config, "observations", [1, 2, 5, 10, 20], policies, 50, 0)
+                    + harness.sweep(config, "snr-db", [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+                                    policies, 50, 0))
+        harness._table_law.cache_clear()
+        cold = rows()
+        levels = {row.bits for row in cold if 50 * (2 ** row.bits - 1) <= harness._TABLE_SPAN}
+        assert 3 <= len(levels) <= harness._TABLE_LAWS
+        assert harness._table_law.cache_info().misses == len(levels)
+        assert rows() == cold
+        assert harness._table_law.cache_info().misses == len(levels)
+
+    @pytest.mark.parametrize("dim, bits, observations, budget, sizes, sigma", [
+        pytest.param(2, 1, 3, None, [2, 1], None, id="2-1-3"),
+        pytest.param(3, 1, 2, None, [2], None, id="3-1-2"),
+        pytest.param(2, 2, 3, None, [2, 1], None, id="2-2-3"),
+        pytest.param(3, 2, 2, None, [2], None, id="3-2-2"),
+        pytest.param(2, 1, 5, None, [4, 1], None, id="2-1-5"),
+        pytest.param(2, 1, 7, None, [4, 2, 1], None, id="2-1-7"),
         # a budget of 12 values holds the tables of bundles of 2 alone (2 d
         # (2 (2^b - 1) + 1) = 12), so 7 packets send that bundle three times
-        pytest.param(2, 1, 7, 12, [2, 2, 2, 1], id="2-1-7-budget12"),
+        pytest.param(2, 1, 7, 12, [2, 2, 2, 1], None, id="2-1-7-budget12"),
+        # two groups of two coordinates, each drawn from its 2- or 4-fold law
+        pytest.param(4, 1, 3, None, [2, 1], [1.0, 1.0, 0.5, 0.5], id="4-1-3-two-groups"),
     ])
-    def test_matches_enumeration(self, dim, bits, observations, budget, sizes, tmp_path,
+    def test_matches_enumeration(self, dim, bits, observations, budget, sizes, sigma, tmp_path,
                                  monkeypatch):
         # every packet arrives, so an episode decides on the sum of K scores
         # w @ (-clip + k delta) + const over the grid indices k of its K d
         # coordinates, each with its own law (quant.index_pmf): unequal
-        # eigenvalues and unequal class means. The engine draws the index
-        # sums of bundles of ``sizes`` packets. P(wrong) is enumerated here
-        # over every index tuple, class 1 wrong at a total >= 0
+        # eigenvalues and unequal class means, or two groups of equal ones.
+        # The engine draws the index sums of bundles of ``sizes`` packets.
+        # P(wrong) is enumerated here over every index tuple, class 1 wrong at
+        # a total >= 0
         if budget is not None:
             monkeypatch.setattr(harness, "_BUNDLE_VALUES", budget)
-        mu1, mu2 = [0.5, -0.2, 0.3][:dim], [-0.1, 0.4, -0.6][:dim]
+        if sigma is None:
+            mu1, mu2, sigma = [0.5, -0.2, 0.3][:dim], [-0.1, 0.4, -0.6][:dim], [0.5, 2.0, 1.0][:dim]
+        else:
+            mu1, mu2 = [0.5, 0.5, -0.2, -0.2], [-0.1, -0.1, 0.4, 0.4]
         cfg = harness.ExperimentConfig(
             dim=dim, snr_db=60.0, observations=observations, clip=2.0, policy=f"bits:{bits}",
-            model_file=diagonal_model_file(tmp_path, mu1, mu2, [0.5, 2.0, 1.0][:dim]))
+            model_file=diagonal_model_file(tmp_path, mu1, mu2, sigma))
         decision = harness.decide(cfg)
         level = engine_level(decision.params, bits, "quantizer")
-        assert level.path == "indices"
+        assert level.path == "table" and level.width == len(set(sigma))
         every = np.full(observations, observations)
         assert level.bundles(every[:1]).tolist() == [len(sizes)]
         assert [1 << int(k) for k in level.bundle_tables(every, np.arange(observations))
@@ -759,17 +802,46 @@ class TestIndicesPath:
         row = harness.estimate_error(cfg, decision, trials, seed=47)
         assert abs(row.error - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / trials)
 
+    def test_spiked_model_matches_feature_path(self, monkeypatch):
+        # four spikes over 60 equal eigenvalues (Johnstone's spiked model) are
+        # five groups, one uniform each per bundle row, against 64 for groups
+        # of one; the same arrivals scored through the tables and, with the
+        # span cap at 0, on quantized features agree at |Z| <= 5
+        cfg = harness.ExperimentConfig(dim=64, centroid=0.05, observations=5, policy="bits:2",
+                                       sigma_spec=[9.0, 6.0, 4.0, 2.5] + [1.0] * 60)
+        decision = harness.decide(cfg)
+        assert engine_level(decision.params, 2, "quantizer").width == 5
+        drawn = []
+        lookup = harness._Level.lookup
+
+        def counted(self, labels, uniforms, tables=0):
+            drawn[-1] += uniforms.size
+            return lookup(self, labels, uniforms, tables)
+        monkeypatch.setattr(harness._Level, "lookup", counted)
+        trials = 60_000
+        drawn.append(0)
+        grouped = harness.estimate_error(cfg, decision, trials, seed=53)
+        singles = (np.arange(64), np.ones(64, dtype=np.intp))
+        monkeypatch.setattr(gmm.InferenceModel, "groups", property(lambda model: singles))
+        drawn.append(0)
+        harness.estimate_error(cfg, decision, trials, seed=53)
+        assert drawn[1] >= 3 * drawn[0] > 0
+        monkeypatch.setattr(harness, "_TABLE_SPAN", 0)
+        features = harness.estimate_error(cfg, decision, trials, seed=53)
+        p, q = grouped.error, features.error
+        assert abs(p - q) <= 5.0 * math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+
 
 class TestEstimateError:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_feature_chunks_keep_counts(self, rows, monkeypatch):
         # splitting a path's draws into chunks keeps their values, so the
         # wrong counts of levels on the features path, here with different
-        # arrivals, and of the lattice level drawn after them do not move
+        # arrivals, and of the table level drawn after them do not move
         policies = ["bits:11", "bits:12", "bits:16", "bits:4"]
         cfg = harness.ExperimentConfig(observations=3)
         chunked = harness.sweep(cfg, "snr-db", [12.0], policies, 3000, seed=8)
-        # the same for uniforms split into chunks on the indices path (2 and
+        # the same for uniforms split into chunks on the table path (2 and
         # 6 bits at the dense point), drawn after the features of 12 bits
         dense = replace(dense_config("bits:2", "quantizer"), observations=3)
         dense_policies = ["bits:2", "bits:6", "bits:12"]
@@ -1036,7 +1108,7 @@ def test_engine_over_operating_envelope(snr_db, antennas, blocklength, dim, obse
     # memory, and so is a two-value sweep of them. Bounds hold under
     # tracemalloc, about 5x the worst CPU time and 3x the worst peak measured
     # over these examples on a 2 vCPU VM: 0.095 s and 5.2 MB (bits:16 at
-    # d = 1, building its 2^16-sum lattice law) for 20 trials, 0.32 s and
+    # d = 1, building its 2^16-sum table) for 20 trials, 0.32 s and
     # 8.3 MB for the sweep, both CPU worst cases at the slowest corner
     config = harness.ExperimentConfig(dim=dim, centroid=centroid, antennas=antennas,
                                       snr_db=snr_db, blocklength=blocklength,
@@ -1064,22 +1136,43 @@ def test_engine_over_operating_envelope(snr_db, antennas, blocklength, dim, obse
     assert all(0.0 <= row.error <= 1.0 for row in rows)
 
 
+# d = 512 groups of one: eigenvalues from 0.01, which against a clip of 5
+# crowds the tail bins of the rows, to 4
+WIDEST = harness.ExperimentConfig(dim=512, sigma_spec=np.geomspace(0.01, 4.0, 512).tolist(),
+                                  antennas=256, snr_db=60.0, blocklength=2000,
+                                  observations=200, policy="bits:7")
+
+
 def test_widest_index_tables_within_envelope():
-    # the widest level on the indices path, d (2^b - 1) = 512 x 127, at the
-    # envelope's slowest corner, keeps the envelope's bounds for
-    # estimate_error; two eigenvalues, 0.01 against a clip of 5, crowd the
-    # tail bins of half the rows
-    config = harness.ExperimentConfig(dim=512, sigma_spec=[0.01] * 256 + [4.0] * 256,
-                                      antennas=256, snr_db=60.0, blocklength=2000,
-                                      observations=200, policy="bits:7")
-    decision = harness.decide(config)
+    # the widest table-path level, d (2^b - 1) = 512 x 127 in groups of one,
+    # at the envelope's slowest corner, keeps the envelope's bounds for
+    # estimate_error
+    decision = harness.decide(WIDEST)
     level = engine_level(decision.params, 7, "quantizer")
     # one table, for bundles of one packet: those of two would exceed the budget
-    assert level.path == "indices" and len(level.tables) == 1
+    assert level.path == "table" and level.width == 512 and len(level.tables) == 1
     assert level.guide.shape == (1024, 4 * 2 ** 7 + 1)
-    row, cpu, peak = traced_run(lambda: harness.estimate_error(config, decision, 20, seed=0))
+    row, cpu, peak = traced_run(lambda: harness.estimate_error(WIDEST, decision, 20, seed=0))
     assert cpu < 0.5 and peak < 16 * 2 ** 20
     assert row.trials == 20 and 0.0 <= row.error <= 1.0
+
+
+def test_widest_table_build_memory():
+    # a fresh process, whose memo is cold, builds the widest level's tables
+    # (7.3 MB of CDF, guide and bounds) within 11.0 MB of traced memory: the
+    # guide is counted over blocks of rows, so no temporary spans the table
+    script = f"""
+import tracemalloc
+from senselink import harness
+params = harness.build_params(harness.ExperimentConfig(**{WIDEST.__dict__!r}))
+tracemalloc.start()
+level = harness._Level(params, 7, "quantizer")
+print(level.width, len(level.tables), tracemalloc.get_traced_memory()[1])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out[:2] == ["512", "1"] and int(out[2]) <= 11.0 * 2 ** 20
 
 
 def test_bundled_index_tables_within_envelope():
@@ -1092,7 +1185,7 @@ def test_bundled_index_tables_within_envelope():
                                       policy="bits:4")
     decision = harness.decide(config)
     level = engine_level(decision.params, 4, "quantizer")
-    assert level.path == "indices" and len(level.tables) == 4
+    assert level.path == "table" and level.width == 128 and len(level.tables) == 4
     row, cpu, peak = traced_run(lambda: harness.estimate_error(config, decision, 20, seed=0))
     assert cpu < 0.5 and peak < 16 * 2 ** 20
     assert row.trials == 20 and 0.0 <= row.error <= 1.0

@@ -163,6 +163,20 @@ class TestIndexSumLaw:
         want = index_sum_law_unflushed(means, 1.0, 5.0, bits, dim)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("dim, bits", [(1, 1), (1, 3), (3, 2), (50, 4)])
+    def test_doubled_is_the_self_convolution(self, dim, bits):
+        # the law of two independent index sums of d values is the index sum
+        # law of 2 d values, up to the FFT's rounding
+        means = np.array([[0.3], [-0.7]])
+        law = (quant.index_pmf(means, 1.5, 4.0, bits) if dim == 1
+               else quant.index_sum_law(means, 1.5, 4.0, bits, dim)[1])
+        doubled = quant.doubled(law)
+        np.testing.assert_allclose(doubled, [np.convolve(row, row) for row in law],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(doubled, quant.index_sum_law(means, 1.5, 4.0, bits, 2 * dim)[1],
+                                   rtol=0, atol=1e-15)
+        assert doubled.min() >= 0.0 and np.all(doubled.sum(axis=1) == pytest.approx(1.0, abs=1e-15))
+
     def test_independent_of_the_benchmark_oracle(self):
         # perfbench/checks.py holds the benchmark's own oracle for this law
         source = inspect.getsource(quant)
