@@ -53,8 +53,9 @@ _INDEX_CELLS = 4
 # a dense 4-bit level at d = 128 gets bundles of up to 8 packets, 1.1 MB with
 # guides and bounds; bundles of 16 took 5.6 MB more of RSS and ran no faster.
 _BUNDLE_VALUES = 2 ** 16
-# Memo entries kept per process (see ``_table_law``): a sweep over the default
-# model meets seven table-path levels, those of 1 to 7 bits at d = 50.
+# Memo entries kept per process (see ``_table_law``), each built whole for
+# every K: a sweep over the default model meets seven table-path levels,
+# those of 1 to 7 bits at d = 50.
 _TABLE_LAWS = 8
 
 
@@ -218,9 +219,10 @@ class _Level:
     (``_guide_tables``; ``cdf``, ``guide`` and ``bounds`` name those of
     ``tables[0]``). The bundles hold 2^k packets, k = 0 .. ``top``, the
     largest top with 2^top <= K whose tables for k >= 1 hold at most
-    ``_BUNDLE_VALUES`` values in all. The tables are built once per process
-    for each group law, clip and bit level (``_table_law``), grown when a
-    level needs larger bundles, and shared read-only.
+    ``_BUNDLE_VALUES`` values in all. The tables are built once per process,
+    whole, for each group law, clip and bit level (``_table_law``: those of
+    every bundle the budget allows, whatever K), and shared read-only; a
+    level reads the first top + 1.
 
     An episode that receives m packets sends m >> top bundles of 2^top
     packets, then one of 2^k for each set bit k of m mod 2^top, highest
@@ -238,8 +240,8 @@ class _Level:
         lam, means, dim = params.model.eigvals, params.model.means, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume,
-        # at the noise variance the bit-level table takes.
-        inflated = lam + opt.sigma_q2_of_rate(self.rate, params)
+        # at the noise variance the bit-level table takes (one array pass).
+        inflated = lam + params.sigma_q2[bits - 1]
         self.weights = (means[1] - means[0]) / inflated
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
         self.path = "features" if noise_model == "quantizer" else "lemma1"
@@ -250,17 +252,12 @@ class _Level:
         elif dim * span <= _TABLE_SPAN:
             self.path = "table"
             first, sizes = params.model.groups
-            widest = int(sizes.max())
-            if 2 * sizes.size * (widest * span + 1) > max(_BUNDLE_VALUES, 2 * dim * (span + 1)):
-                first, sizes, widest = np.arange(dim), np.ones(dim, dtype=np.intp), 1
-            self.top, held = 0, 0  # bundles of up to 2^top packets
-            while 2 << self.top <= params.observations:
-                held += 2 * sizes.size * ((2 << self.top) * widest * span + 1)
-                if held > _BUNDLE_VALUES:
-                    break
-                self.top += 1
+            if 2 * sizes.size * (sizes.max() * span + 1) > max(_BUNDLE_VALUES, 2 * dim << bits):
+                first, sizes = np.arange(dim), np.ones(dim, dtype=np.intp)
             self.law = _table_law(means[:, first].tobytes(), lam[first].tobytes(),
-                                  sizes.tobytes(), params.clip, bits).upto(self.top)
+                                  sizes.tobytes(), params.clip, bits)
+            # bundles of up to 2^top packets, 2^top <= K
+            self.top = min(len(self.law.views), params.observations.bit_length()) - 1
             self.tables = self.law.views[:self.top + 1]
             self.cdf, self.guide, self.bounds = self.tables[0]
             self.width, self.group_span = sizes.size, (sizes * span).astype(np.int32)
@@ -347,18 +344,18 @@ class _Tables(NamedTuple):
     cells: np.ndarray
 
 
-def _guide_tables(laws: list[tuple[np.ndarray, int]], old: _Tables | None = None) -> _Tables:
+def _guide_tables(laws: list[tuple[np.ndarray, int]]) -> _Tables:
     """The tables that invert the laws in the rows of each (pmfs, cells) of
-    ``laws`` (see ``_Level``), after copies of those of ``old`` if given:
-    every ``pmfs`` has 2 n rows, n for each class, +inf past each row's last
-    value but one; ``cells`` is a power of two, so that u cells and j / cells
-    are exact, and at least the number of values in a row's CDF F, which
-    leaves out its final 1. Table t's arrays come one after another in the
-    flat read-only ``cdf``, ``guide`` and ``bounds``, each table with its own
-    row widths, with 2-D views in ``views[t]``. ``starts[0, 2 t + c, j]`` is
-    where row c n + j of table t starts in the flat ``guide`` and ``bounds``,
-    ``starts[1, 2 t + c, j]`` where it starts in the flat ``cdf``, and
-    ``cells[t]`` is the table's cells, as a float. In one table:
+    ``laws`` (see ``_Level``): every ``pmfs`` has 2 n rows, n for each class,
+    +inf past each row's last value but one; ``cells`` is a power of two, so
+    that u cells and j / cells are exact, and at least the number of values
+    in a row's CDF F, which leaves out its final 1. Table t's arrays come one
+    after another in the flat read-only ``cdf``, ``guide`` and ``bounds``,
+    each table with its own row widths, with 2-D views in ``views[t]``.
+    ``starts[0, 2 t + c, j]`` is where row c n + j of table t starts in the
+    flat ``guide`` and ``bounds``, ``starts[1, 2 t + c, j]`` where it starts
+    in the flat ``cdf``, and ``cells[t]`` is the table's cells, as a float.
+    In one table:
 
     ``guide[r, j]`` is the number of values of F <= j / cells, so a uniform
     u in bin j = floor(u cells) has its place ``np.searchsorted(F, u,
@@ -372,16 +369,12 @@ def _guide_tables(laws: list[tuple[np.ndarray, int]], old: _Tables | None = None
     which holds F, then inf. They are made over blocks of rows of at most
     ``_BLOCK_VALUES`` cells, so the temporaries stay small.
     """
-    rows, views = len(laws[0][0]), old.views if old else ()
-    widths = np.array([(guide.shape[1], cdf.shape[1]) for cdf, guide, _ in views]
-                      + [(cells + 1, pmfs.shape[1]) for pmfs, cells in laws])  # guide, cdf
+    rows = len(laws[0][0])
+    widths = np.array([(cells + 1, pmfs.shape[1]) for pmfs, cells in laws])  # guide, cdf
     firsts = np.cumsum(rows * widths, axis=0) - rows * widths  # where each table starts
     cdf, guide = np.empty(rows * widths[:, 1].sum()), np.empty(rows * widths[:, 0].sum(), np.int32)
     bounds = np.empty(guide.size)
-    for array, kept in zip((cdf, guide, bounds), (old.cdf, old.guide, old.bounds) if old else ()):
-        array[:kept.size] = kept
-    for (pmfs, cells), (first, cdf_first), (width, cdf_width) in zip(
-            laws, firsts[len(views):], widths[len(views):]):
+    for (pmfs, cells), (first, cdf_first), (width, cdf_width) in zip(laws, firsts, widths):
         table_cdf = cdf[cdf_first:cdf_first + rows * cdf_width].reshape(rows, cdf_width)
         table_guide = guide[first:first + rows * width].reshape(rows, width)
         table_bounds = bounds[first:first + rows * width].reshape(rows, width)
@@ -414,52 +407,39 @@ def _guide_tables(laws: list[tuple[np.ndarray, int]], old: _Tables | None = None
     return tables
 
 
-class _TableLaw:
-    """The memo entry (``_table_law``) of table-path levels (see ``_Level``)
-    whose groups have class means ``means`` (2 by n), eigenvalues ``eigvals``
-    and ``sizes``, as the bytes of float64 and intp arrays, at ``clip`` and
-    ``bits``: the tables built so far, which depend on nothing else, so every
-    point and sweep in the process shares them; a level with a larger K
-    appends those of its larger bundles. The widest entries, such as d = 512
-    groups of one at 7 bits, hold one table, 1.0 MB of CDF, 2.1 MB of guide
-    and 4.2 MB of bounds, and its 1.0 MB law; an entry with bundles at most
-    about 3.5 MB. So ``_TABLE_LAWS`` entries retain at most about 66 MB.
+@functools.lru_cache(maxsize=_TABLE_LAWS)
+def _table_law(means: bytes, eigvals: bytes, sizes: bytes, clip: float, bits: int) -> _Tables:
+    """The tables of table-path levels (see ``_Level``) whose groups have
+    class means ``means`` (2 by n), eigenvalues ``eigvals`` and ``sizes``, as
+    the bytes of float64 and intp arrays, at ``clip`` and ``bits``, built
+    once, whole, so every point and sweep in the process shares them: those
+    of bundles of 2^k packets, k = 0, 1, ... while the tables for k >= 1 hold
+    at most ``_BUNDLE_VALUES`` values in all. Row c n + j of table k inverts
+    the law of group j's index sum in class c, padded with +inf to the
+    widest group's; a group's law is table k - 1's summed with itself
+    (``quant.doubled``). The widest entries, such as d = 512 groups of one at
+    7 bits, hold one table, 1.0 MB of CDF, 2.1 MB of guide and 4.2 MB of
+    bounds; an entry with bundles at most about 3.5 MB. So ``_TABLE_LAWS``
+    entries retain at most about 66 MB.
     """
-
-    def __init__(self, means: bytes, eigvals: bytes, sizes: bytes, clip: float, bits: int):
-        self.lam = np.frombuffer(eigvals)[:, None]
-        self.means = np.frombuffer(means).reshape(2, -1, 1)
-        self.sizes = np.frombuffer(sizes, dtype=np.intp)
-        self.clip, self.bits, self.tables, self.laws = clip, bits, None, {}
-
-    def upto(self, top: int) -> _Tables:
-        """The tables of bundles of 2^k packets, k = 0 .. ``top`` at least."""
-        built = len(self.tables.views) if self.tables else 0
-        if top >= built:
-            self.tables = _guide_tables([self.law(k) for k in range(built, top + 1)], self.tables)
-        return self.tables
-
-    def law(self, k: int) -> tuple[np.ndarray, int]:
-        """The (pmfs, cells) of the table of bundles of 2^k packets (see
-        ``_guide_tables``): row c n + j is the law of group j's index sum in
-        class c, padded with +inf to the widest group's. Table k's law of a
-        group is that of table k - 1 summed with itself (``quant.doubled``),
-        so ``laws`` keeps the last one built for each group size."""
-        span = 2 ** self.bits - 1
-        width = (int(self.sizes.max()) << k) * span + 1
-        pmfs = np.full((2, self.sizes.size, width), np.inf)
-        for size in np.unique(self.sizes).tolist():
-            mine = self.sizes == size
-            one = self.means[:, mine], self.lam[mine], self.clip, self.bits
-            law = (quant.doubled(self.laws[size]) if k else quant.index_pmf(*one) if size == 1
-                   else quant.index_sum_law(*one, size)[1])
-            self.laws[size] = law
+    lam, means = np.frombuffer(eigvals)[:, None], np.frombuffer(means).reshape(2, -1, 1)
+    sizes = np.frombuffer(sizes, dtype=np.intp)
+    span, n, widest = 2 ** bits - 1, sizes.size, int(sizes.max())
+    k, held, laws, tables = 0, 0, {}, []  # laws: the last law of each group size
+    while held <= _BUNDLE_VALUES:
+        width = (widest << k) * span + 1
+        pmfs = np.full((2, n, width), np.inf)
+        for size in np.unique(sizes).tolist():
+            mine = sizes == size
+            one = means[:, mine], lam[mine], clip, bits
+            law = laws[size] = (quant.doubled(laws[size]) if k else quant.index_pmf(*one)
+                                if size == 1 else quant.index_sum_law(*one, size)[1])
             pmfs[:, mine, :law.shape[-1] - 1] = law[..., :-1]
-        cells = _INDEX_CELLS << self.bits if width == span + 1 else 1 << (width - 1).bit_length()
-        return pmfs.reshape(-1, width), cells
-
-
-_table_law = functools.lru_cache(maxsize=_TABLE_LAWS)(_TableLaw)
+        cells = _INDEX_CELLS << bits if width == span + 1 else 1 << (width - 1).bit_length()
+        tables.append((pmfs.reshape(-1, width), cells))
+        k += 1
+        held += 2 * n * ((widest << k) * span + 1)
+    return _guide_tables(tables)
 
 
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,

@@ -61,6 +61,13 @@ class TradeoffParams:
         return bits * self.dim / self.channel.blocklength
 
     @cached_property
+    def sigma_q2(self) -> np.ndarray:
+        """The quantization noise variance of every level 1.._MAX_BITS, level
+        b at index b - 1, in one array pass; the bit-level table and the
+        engine's levels read it."""
+        return sigma_q2_of_rate(self.level_rate(np.arange(1, _MAX_BITS + 1)), self)
+
+    @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The bit-level table: (error bound, exact error) of every level
         1.._MAX_BITS, level b at index b - 1, shared by every policy that
@@ -72,7 +79,7 @@ class TradeoffParams:
         loss mixed over the binomial received count.
         """
         rates = self.level_rate(np.arange(1, _MAX_BITS + 1))
-        gains = _gains(self.model, sigma_q2_of_rate(rates, self))
+        gains = _gains(self.model, self.sigma_q2)
         loss = avg_packet_loss_approx(self.channel, rates)
         exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
         return sensing_error_bound(gains, loss, self.observations), exact

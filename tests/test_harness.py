@@ -323,6 +323,17 @@ def engine_level(params, bits, noise_model):
     return harness._Level(params, bits, noise_model)
 
 
+@pytest.fixture
+def bundle_budget(monkeypatch):
+    """Set the bundle budget, which fixes the tables a memo entry holds when
+    it is built, and clear the memo; its entries leave with the test."""
+    def set_budget(values):
+        monkeypatch.setattr(harness, "_BUNDLE_VALUES", values)
+        harness._table_law.cache_clear()
+    yield set_budget
+    harness._table_law.cache_clear()
+
+
 def asymmetric_model_file(tmp_path):
     """Equal eigenvalues (2) and class means constant across coordinates but
     not opposite: a one-group cell that is not the identity default."""
@@ -442,12 +453,14 @@ class TestLatticePath:
 
     def test_scores_follow_the_noise_variance(self, monkeypatch):
         # the scores come from the level's own weights, so a patched
-        # distortion variance moves them while the shared law stays
+        # distortion variance moves them while the shared law stays; a point
+        # keeps its levels' variances once read, so the patched level is
+        # built at a fresh point
         params = harness.build_params(harness.ExperimentConfig())
         plain = engine_level(params, 4, "quantizer")
         real = opt.sigma_q2_of_rate
         monkeypatch.setattr(opt, "sigma_q2_of_rate", lambda rate, point: 2.0 * real(rate, point))
-        patched = engine_level(params, 4, "quantizer")
+        patched = engine_level(harness.build_params(harness.ExperimentConfig()), 4, "quantizer")
         assert patched.cdf is plain.cdf
         inflated = 1.0 + 2.0 * real(params.level_rate(4), params)
         sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
@@ -679,11 +692,12 @@ class TestIndicesPath:
                 crowded += np.count_nonzero(np.isnan(bounds[c * 3 + np.arange(3), bins]))
         assert crowded > 0
 
-    def test_levels_share_read_only_tables(self, monkeypatch):
+    def test_levels_share_read_only_tables(self, bundle_budget):
         # the tables depend on the model, clip and bit level, not on the
         # channel or K: levels with one key share one memo entry and its
         # read-only arrays, reading as many of its tables as their bundles
-        # need, and another clip gets its own entry
+        # need, and another clip gets its own entry; the entry holds every
+        # table the budget allows, and a smaller budget builds its own
         dense = dense_config("bits:4", "quantizer")  # d = 20, K = 5: bundles of 1, 2 and 4
 
         def level(cfg):
@@ -700,13 +714,53 @@ class TestIndicesPath:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         others = [level(replace(dense, clip=4.0)), level(replace(dense, observations=3))]
-        # 1,000 values hold no bundle tables: 2 d (2 (2^4 - 1) + 1) = 1,240
-        monkeypatch.setattr(harness, "_BUNDLE_VALUES", 1000)
-        others.append(level(dense))
         assert harness._table_law.cache_info().misses == 2
-        assert [len(other.tables) for other in others] == [3, 2, 1] and len(shared.views) == 3
-        assert others[0].law is not shared and others[1].law is others[2].law is shared
+        # bundles of 2^k packets hold 2 d (2^k (2^4 - 1) + 1) values: 37,400
+        # for k = 1 .. 5, 75,840 with k = 6
+        assert len(shared.views) == 6 and len(others[0].law.views) == 6
+        # 1,000 values hold no bundle tables: 2 d (2 (2^4 - 1) + 1) = 1,240
+        bundle_budget(1000)
+        others.append(level(dense))
+        assert harness._table_law.cache_info().misses == 1 and len(others[2].law.views) == 1
+        assert [len(other.tables) for other in others] == [3, 2, 1]
+        assert others[0].law is not shared and others[1].law is shared
+        assert others[2].law is not shared
         np.testing.assert_array_equal(others[2].cdf, shared.views[0][0])
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense", "repeated"])
+    def test_top_follows_the_bundle_rule(self, kind):
+        # a level's largest bundle is 2^top packets, the largest top with
+        # 2^top <= K whose tables for k = 1 .. top hold at most
+        # _BUNDLE_VALUES values in all, 2 n (g 2^k (2^b - 1) + 1) for n
+        # groups of at most g; the levels of one key share one memo entry
+        # whatever their K
+        def reference(level, observations):
+            n, widest = level.width, int(level.group_span.max()) // (2 ** level.bits - 1)
+            top, held = 0, 0
+            while 2 << top <= observations:
+                held += 2 * n * ((2 << top) * widest * (2 ** level.bits - 1) + 1)
+                if held > harness._BUNDLE_VALUES:
+                    break
+                top += 1
+            return top
+
+        for dim in (1, 2, 50, 128):
+            sigma = {"identity": "identity",
+                     "diagonal": np.geomspace(0.1, 4.0, dim).tolist(),
+                     "dense": validation._random_spd(np.random.default_rng(dim), dim,
+                                                     (0.1, 5.0)).tolist(),
+                     "repeated": ([4.0] + [1.0] * (dim - 2) + [0.25])[-dim:]}[kind]
+            config = harness.ExperimentConfig(dim=dim, sigma_spec=sigma)
+            model = harness.build_model(config)
+            points = {k: harness.build_params(replace(config, observations=k), model)
+                      for k in (1, 2, 3, 7, 8, 10, 50, 200)}
+            for bits in range(1, 9):
+                levels = {k: engine_level(point, bits, "quantizer") for k, point in points.items()}
+                for k, level in levels.items():
+                    assert level.path == "table"
+                    assert level.top == reference(level, k), (dim, bits, k)
+                    assert len(level.tables) == level.top + 1
+                assert levels[1].law is levels[200].law
 
     def test_rows_independent_of_the_memo(self):
         # a cold memo, a warm one, and a warm one after another model's tables
@@ -757,7 +811,7 @@ class TestIndicesPath:
         pytest.param(4, 1, 3, None, [2, 1], [1.0, 1.0, 0.5, 0.5], id="4-1-3-two-groups"),
     ])
     def test_matches_enumeration(self, dim, bits, observations, budget, sizes, sigma, tmp_path,
-                                 monkeypatch):
+                                 bundle_budget):
         # every packet arrives, so an episode decides on the sum of K scores
         # w @ (-clip + k delta) + const over the grid indices k of its K d
         # coordinates, each with its own law (quant.index_pmf): unequal
@@ -766,7 +820,7 @@ class TestIndicesPath:
         # P(wrong) is enumerated here over every index tuple, class 1 wrong at
         # a total >= 0
         if budget is not None:
-            monkeypatch.setattr(harness, "_BUNDLE_VALUES", budget)
+            bundle_budget(budget)
         if sigma is None:
             mu1, mu2, sigma = [0.5, -0.2, 0.3][:dim], [-0.1, 0.4, -0.6][:dim], [0.5, 2.0, 1.0][:dim]
         else:
