@@ -910,6 +910,55 @@ class TestEstimateError:
         assert harness.sweep(lemma1, "snr-db", [12.0], lemma1_policies, 3000,
                              seed=8) == lemma1_chunked
 
+    @pytest.mark.parametrize("cell", [
+        "identity_bits4", "identity_bits8", "dense_bits4_k50", "features_bits16_40db",
+        "lemma1", "sweep_point_k20", "identity_bits1_k200", "diagonal_bits8_k50"])
+    def test_rows_independent_of_the_batch(self, cell, monkeypatch):
+        # the stream blocks define the rows; a batch only sets how many
+        # consecutive blocks one pass simulates, so one block a batch and
+        # one batch a cell give the rows of the default batches. bits:8 at
+        # the default point sends no bundle in many episodes, which a
+        # segment that ran on from one block's slot-0 rows into the next's
+        # would add to the wrong episodes
+        if cell == "sweep_point_k20":
+            cfg = harness.ExperimentConfig(observations=10)
+            run = lambda: harness.sweep(cfg, "observations", [20.0], [
+                "adaptive", "brute", "urllc", "bits:32", "bits:16"], 10_000, seed=5)
+        else:
+            cfg, trials = {
+                "identity_bits4": (harness.ExperimentConfig(policy="bits:4"), 20_000),
+                "identity_bits8": (harness.ExperimentConfig(policy="bits:8"), 20_000),
+                "dense_bits4_k50": (replace(dense_config("bits:4", "quantizer"),
+                                            observations=50), 3000),
+                "features_bits16_40db": (harness.ExperimentConfig(policy="bits:16",
+                                                                  snr_db=40.0), 5000),
+                "lemma1": (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"),
+                           20_000),
+                "identity_bits1_k200": (harness.ExperimentConfig(policy="bits:1",
+                                                                 observations=200), 2000),
+                "diagonal_bits8_k50": (harness.ExperimentConfig(
+                    dim=4, sigma_spec=[0.01, 0.1, 1.0, 4.0], centroid=0.02, observations=50,
+                    policy="bits:8"), 5000),
+            }[cell]
+            decision = harness.decide(cfg)
+            run = lambda: [harness.estimate_error(cfg, decision, trials, seed=5)]
+        simulate, batches = harness._simulate_block, []
+        monkeypatch.setattr(harness, "_simulate_block", lambda params, levels, blocks: (
+            batches.append(len(blocks)) or simulate(params, levels, blocks)))
+        rows = {}
+        for bound in (harness._BATCH_VALUES, 0, 2 ** 40):
+            monkeypatch.setattr(harness, "_BATCH_VALUES", bound)
+            batches.clear()
+            rows[bound] = run()
+            if bound == 0:
+                assert set(batches) == {1} and len(batches) > 1
+            elif bound == 2 ** 40:
+                assert batches == [sum(blocks)]
+            else:
+                blocks = batches[:]
+                assert max(blocks) > 1
+        assert rows[0] == rows[harness._BATCH_VALUES] == rows[2 ** 40]
+
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
         # second block and leaves the first one's outcomes as they were; a
@@ -933,7 +982,8 @@ class TestEstimateError:
 
     def test_block_memory_follows_the_antennas(self):
         # 256 antennas, but one gamma draw per packet: the fading gains do not
-        # size the block, which holds 2^14 one-level packets here
+        # size the block, which holds 2^14 one-level packets here, nor the
+        # batch, which holds four blocks
         cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
         decision = harness.decide(cfg)
         tracemalloc.start()
@@ -944,6 +994,31 @@ class TestEstimateError:
             tracemalloc.stop()
         assert row.trials == 65_536
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("cell", ["sweep_point_k20", "identity_bits4_k200"])
+    def test_batch_memory(self, cell):
+        # a batch holds at most 2^16 arrival flags, four blocks of 2^14 here,
+        # so its arrays stay small. Traced peaks with the tables built, on a
+        # 2 vCPU VM: 0.46 MB for the five-policy point at K = 20 and 0.82 MB
+        # for bits:4 at K = 200, against 0.24 and 0.75 MB with one block per
+        # pass; the bounds leave 2.2x and 1.8x
+        if cell == "sweep_point_k20":
+            cfg = harness.ExperimentConfig(observations=10)
+            run, bound = lambda: harness.sweep(cfg, "observations", [20.0], [
+                "adaptive", "brute", "urllc", "bits:32", "bits:16"], 10_000, seed=0), 1.0
+        else:
+            cfg = harness.ExperimentConfig(policy="bits:4", observations=200, snr_db=10.0)
+            decision = harness.decide(cfg)
+            run, bound = lambda: [harness.estimate_error(cfg, decision, 10_000, seed=0)], 1.5
+        run()  # builds the point's tables, which the memo keeps
+        tracemalloc.start()
+        try:
+            rows = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.trials == 10_000 for row in rows)
+        assert peak < bound * 2 ** 20
 
     def test_deterministic(self, default_config, default_decision):
         a = harness.estimate_error(default_config, default_decision, 500, seed=11)
