@@ -2,14 +2,12 @@
 
 The engine simulates each decision at its bit level and at the point it was
 made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
-sweep builds its model once. Trials come in stream blocks sized by their
-packets, each drawing from its own random stream: keyed by (seed, cell,
-block) for a single cell, and by (seed, swept value, block, sweep parameter)
-for a sweep point, whose policies are all scored on the same episodes. The
-blocks define every output. They are simulated in batches of consecutive
-blocks, sized so a batch's arrays stay small whatever the trial count,
-dimension or antenna count, and every path's draws come in chunks of at
-most 2^14 values; neither the batch nor the chunk moves any output. A row
+sweep builds its model once. Trials come in stream blocks, each drawing from
+its own random stream: keyed by (seed, cell, block) for a single cell, and by
+(seed, swept value, block, sweep parameter) for a sweep point, whose policies
+are all scored on the same episodes. A block is sized so its arrays stay
+small whatever the trial count, dimension or antenna count, and every path's
+draws come in chunks of at most 2^14 values, which move no output. A row
 of draws serves one packet, or on the table path one bundle of 2^k packets
 of an episode, whose groups' index sums it draws from their exact law. Any
 output is a pure function of its configuration and seed, and sweeps over
@@ -22,7 +20,6 @@ import bisect
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import numbers
@@ -38,17 +35,19 @@ from . import optimizer as opt
 from . import quant
 from .numerics import require_counts, require_finite, require_positive
 
-# Values in a stream block's largest per-packet array (see ``_block_size``),
-# which fixes the blocks and so every output, and in a chunk of any path's
-# draws: enough that numpy's fixed cost per call is spread thin, few enough
-# that a chunk's arrays stay near a megabyte whatever the dimension.
-_BLOCK_VALUES = 2 ** 14
-# Values in a batch's largest arrays (see ``_batch_blocks``): blocks are
-# simulated about four at a time, which cut the CPU time of a 4,000-trial
-# identity bits:4 cell at K = 10 by 10%; bounding the per-episode sums too
-# keeps a dense d = 128 cell at one block a batch, where four blocks took
-# its traced peak from 0.9 to 2.3 MB. It moves no output.
-_BATCH_VALUES = 2 ** 16
+# Values in a stream block's largest arrays (see ``_block_size``), which
+# fixes the blocks and so every output: its arrival flags, one per packet and
+# level, its per-episode sums and a few words per episode. At four times
+# ``_CHUNK_VALUES`` a block spreads numpy's fixed cost per call over four
+# chunks' worth of packets, and its arrays stay near a megabyte.
+_BLOCK_VALUES = 2 ** 16
+# Values in a chunk of any path's draws, which moves no output, and in a run
+# of a block's SNRs and arrival uniforms (see ``_simulate_block``), which is
+# part of the streams' definition: changing it moves every output with a
+# block of more than one run. Enough that numpy's fixed cost per call is
+# spread thin, few enough that a chunk's arrays stay near a megabyte
+# whatever the dimension.
+_CHUNK_VALUES = 2 ** 14
 # Most grid-index sums d (2^b - 1) a packet's coordinates span on the table
 # path (see ``_Level``): it covers the levels that adaptive, brute force and
 # urllc pick at d = 50 below 11 bits.
@@ -225,8 +224,7 @@ class _Level:
     (g 2^k)-fold law of one index, which row c n + j of ``tables[k]`` inverts
     for group j of n (``width``) in class c: the float ``cdf`` table with its
     ``guide`` and ``bounds``, views of the flat read-only arrays of ``law``
-    (``_guide_tables``; ``cdf``, ``guide`` and ``bounds`` name those of
-    ``tables[0]``). The bundles hold 2^k packets, k = 0 .. ``top``, the
+    (``_guide_tables``). The bundles hold 2^k packets, k = 0 .. ``top``, the
     largest top with 2^top <= K whose tables for k >= 1 hold at most
     ``_BUNDLE_VALUES`` values in all. The tables are built once per process,
     whole, for each group law, clip and bit level (``_table_law``: those of
@@ -268,7 +266,6 @@ class _Level:
             # bundles of up to 2^top packets, 2^top <= K
             self.top = min(len(self.law.views), params.observations.bit_length()) - 1
             self.tables = self.law.views[:self.top + 1]
-            self.cdf, self.guide, self.bounds = self.tables[0]
             self.width, self.group_span = sizes.size, (sizes * span).astype(np.int32)
             self.half_steps = params.clip / span * self.weights[first]
 
@@ -376,7 +373,7 @@ def _guide_tables(laws: list[tuple[np.ndarray, int]]) -> _Tables:
     of F, so that the place is guide[r, j] + (u >= bounds[r, j]); it is NaN
     where the bin holds more, and the place is then bisected in ``cdf[r]``,
     which holds F, then inf. They are made over blocks of rows of at most
-    ``_BLOCK_VALUES`` cells, so the temporaries stay small.
+    ``_CHUNK_VALUES`` cells, so the temporaries stay small.
     """
     rows = len(laws[0][0])
     widths = np.array([(cells + 1, pmfs.shape[1]) for pmfs, cells in laws])  # guide, cdf
@@ -389,7 +386,7 @@ def _guide_tables(laws: list[tuple[np.ndarray, int]]) -> _Tables:
         table_bounds = bounds[first:first + rows * width].reshape(rows, width)
         np.cumsum(pmfs[:, :-1], axis=1, out=table_cdf[:, :-1])
         table_cdf[:, -1] = np.inf
-        block = max(1, _BLOCK_VALUES // (cells + 2))
+        block = max(1, _CHUNK_VALUES // (cells + 2))
         for lo in range(0, rows, block):
             part = slice(lo, lo + block)
             keys = np.minimum(np.ceil(table_cdf[part] * cells), cells + 1).astype(np.intp)
@@ -451,60 +448,54 @@ def _table_law(means: bytes, eigvals: bytes, sizes: bytes, clip: float, bits: in
     return _guide_tables(tables)
 
 
-def _simulate_block(params: opt.TradeoffParams, levels: list[_Level],
-                    blocks: list[tuple[int, np.random.Generator]]) -> list[int]:
-    """Simulate a batch of consecutive stream blocks, ``n`` sensing episodes
-    from each (n, generator) of ``blocks``, and return, for each level, how
-    many of the batch's episodes decide the wrong class.
+def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
+                    rng: np.random.Generator) -> list[int]:
+    """Simulate ``n`` sensing episodes from one stream and return, for each
+    level, how many of them decide the wrong class.
 
     Each episode draws a class and sends K packets over the fading channel.
-    Each block draws from its own generator, in this order. Its classes, its
-    post-combining SNRs (one gamma draw per packet) and its arrival uniforms
-    are drawn once for every level, which only compares its own rate with
-    each packet's decodable rate (``channel.decodable_rate``). Then each
-    path (see ``_Level``) draws rows: d features, coloured by the model's
-    ``means`` and ``sd``, for each packet that arrives under any of its
-    levels; one uniform per group of the widest level for each bundle slot,
-    slot 0 of every episode that has one, then slot 1, and so on, an
-    episode having as many slots as the level with the most bundles there
-    (``_Level.bundles``), more first, and levels with a bundle in a slot
-    sharing its row; one lemma-1 normal for each packet that arrives under
-    any of its levels. The batch does the rest of the array work once: its
-    rows come block after block, in chunks of ``_feature_rows`` rows, each
-    part of a chunk drawn from its own block's generator, and each level
-    maps its own rows of a chunk in one call (``_Level.row_values``), on the
-    table path each row through the table of its bundle. Feature and
-    lemma-1 levels sum their rows' scores per episode; table-path levels add
-    their rows' index sums per episode and group as exact integers, one
-    (block, slot) segment at a time, and total them
+    The classes are drawn first; then, for each run of floor(2^14 / K)
+    episodes (``_CHUNK_VALUES``), the post-combining SNRs (one gamma draw
+    per packet) and then the arrival uniforms. Both are drawn once for every
+    level, which only compares its own rate with each packet's decodable
+    rate (``channel.decodable_rate``). Then each path (see ``_Level``) draws
+    rows, in chunks of ``_feature_rows`` rows and in this order: d features,
+    coloured by the model's ``means`` and ``sd``, for each packet that
+    arrives under any of its levels; one uniform per group of the widest
+    level for each bundle slot, slot 0 of every episode that has one, then
+    slot 1, and so on, an episode having as many slots as the level with the
+    most bundles there (``_Level.bundles``), more first, and levels with a
+    bundle in a slot sharing its row; one lemma-1 normal for each packet
+    that arrives under any of its levels. Each level maps its own rows of a
+    chunk in one call (``_Level.row_values``), on the table path each row
+    through the table of its bundle. Feature and lemma-1 levels sum their
+    rows' scores per episode; table-path levels add their rows' index sums
+    per episode and group as exact integers and total them
     (``_Level.episode_totals``). Split draws keep their values, so no count
-    depends on the chunk or the batch. An episode decides class 1 iff its
-    total is < 0, so one that receives nothing, or whose total is an exact
-    tie, decides class 2: a silent episode is wrong with probability 1/2,
-    as the class is a fair draw. A level's outcome depends on the other
-    levels only through the rows its path draws, the union of arriving
-    packets or, on the table path, the most bundles per episode and groups
-    per row, not on their order; with one level each stream is consumed as
-    by a single-policy engine.
+    depends on the chunk size. An episode decides class 1 iff its total is
+    < 0, so one that receives nothing, or whose total is an exact tie,
+    decides class 2: a silent episode is wrong with probability 1/2, as the
+    class is a fair draw. A level's outcome depends on the other levels only
+    through the rows its path draws, the union of arriving packets or, on
+    the table path, the most bundles per episode and groups per row, not on
+    their order; with one level the stream is consumed as by a single-policy
+    engine.
     """
     k, model = params.observations, params.model
-    sizes = [size for size, _ in blocks]
-    starts = [0, *itertools.accumulate(sizes)]  # each block's first episode
-    n = starts[-1]
-    classes = np.empty(n, dtype=np.int8)  # 0 for class 1, 1 for class 2
+    classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
     success = np.empty((len(levels), n, k), dtype=bool)
     rates = np.array([lvl.rate for lvl in levels])[:, None, None]
-    for (size, rng), lo in zip(blocks, starts):
-        classes[lo:lo + size] = rng.integers(0, 2, size=size)
+    run = max(1, _CHUNK_VALUES // k)
+    for lo in range(0, n, run):
+        size = min(run, n - lo)
         # the SNRs, then the arrival uniforms; neither outlives the comparison
         np.less_equal(rates, ch.decodable_rate(
             ch.sample_post_mrc_snr(params.channel, rng, size=size * k).reshape(size, k),
             params.channel.blocklength, rng.random((size, k))), out=success[:, lo:lo + size])
     first = classes == 0
     wrong = [0] * len(levels)
-    for path, draw in (("features", np.random.Generator.standard_normal),
-                       ("table", np.random.Generator.random),
-                       ("lemma1", np.random.Generator.standard_normal)):
+    for path, draw in (("features", rng.standard_normal), ("table", rng.random),
+                       ("lemma1", rng.standard_normal)):
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
@@ -515,45 +506,26 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level],
         if path == "table":
             slots = functools.reduce(np.maximum, [levels[i].bundles(m)
                                                   for i, m in zip(mine, packets)])
-            most = max(int(slots.max()), 1)  # slots an episode may have; 1 gives every block a slot
-            # episodes by block, each block's with the most bundles first: a
-            # block's rows of a slot are then a prefix of its episodes in this
-            # order, whose index sums add up in place
-            key = np.repeat(np.arange(most, len(blocks) * (most + 1), most + 1), sizes)
-            key -= slots
-            order = np.argsort(key, kind="stable")
-            # rows in (block, slot) segments: slot s of block b has a row for
-            # each of b's episodes with more than s bundles, those whose keys
-            # lie below b (most + 1) + most - s
-            below = np.bincount(key, minlength=len(blocks) * (most + 1)).tolist()
-            lows, counts = [], []  # each segment's first place and its rows
-            for lo, at in zip(starts, range(0, len(below), most + 1)):
-                lows += [lo] * most
-                counts += [*itertools.accumulate(below[at:at + most])][::-1]
-            segment_firsts = [0, *itertools.accumulate(counts)]
-            bases = [lo - first for lo, first in zip(lows, segment_firsts)]  # row r's place - r
-            block_firsts = segment_firsts[::most]
-            episode = np.concatenate([order[lo:lo + count]
-                                      for lo, count in zip(lows, counts)]).astype(np.int32)
-            slot = np.repeat(np.arange(len(counts)) % most, counts)
+            # episodes with the most bundles first: a slot's rows are then a
+            # prefix of this order, whose index sums add up in place
+            order = np.argsort(-slots, kind="stable")
+            slot, place = np.nonzero(np.arange(slots.max())[:, None] < slots[order])
+            episode = order[place].astype(np.int32)
+            firsts = [*np.flatnonzero(place == 0).tolist(), place.size]  # each slot's first row
             tables = [levels[i].bundle_tables(m[episode], slot) for i, m in zip(mine, packets)]
             width = max(levels[i].width for i in mine)
             sums = [np.zeros((n, levels[i].width), packets.dtype) for i in mine]
         else:
             order, reached = slice(None), arrivals.any(axis=0)
             episode = np.nonzero(reached)[0].astype(np.int32)
-            block_firsts = np.searchsorted(episode, starts).tolist()
             tables = arrivals[:, reached].view(np.int8) - 1
             width = model.dim if path == "features" else 1
             sums = np.zeros((len(mine), episode.size))
         arrived = classes[episode]  # 5 bytes a row while the draws run
         rows = _feature_rows(width)
-        chunk = np.empty((min(rows, episode.size), width))
         for start in range(0, episode.size, rows):
             labels = arrived[start:start + rows]
-            draws = chunk[:labels.size]
-            for b, lo, hi in _spans(block_firsts, start, start + labels.size):
-                draw(blocks[b][1], out=draws[lo - start:hi - start])
+            draws = draw((labels.size, width))
             if path == "features":
                 draws *= model.sd
                 draws += model.means[labels]
@@ -571,8 +543,11 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level],
                 if isinstance(pick, np.ndarray):  # rows past the level's last bundle add 0
                     values, picked = np.zeros((table.size, values.shape[1]), values.dtype), values
                     values[pick] = picked
-                for s, lo, hi in _spans(segment_firsts, start, start + table.size):
-                    out[lo + bases[s]:hi + bases[s]] += values[lo - start:hi - start]
+                # row r of slot s adds to the sums of place r - firsts[s]
+                for s in range(bisect.bisect_right(firsts, start) - 1,
+                               bisect.bisect_left(firsts, start + table.size)):
+                    lo, hi = max(start, firsts[s]), min(start + table.size, firsts[s + 1])
+                    out[lo - firsts[s]:hi - firsts[s]] += values[lo - start:hi - start]
         for i, m, out in zip(mine, packets, sums):
             total = (levels[i].episode_totals(out, m[order]) if path == "table"
                      else np.bincount(episode, weights=out, minlength=n))
@@ -580,39 +555,23 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level],
     return wrong
 
 
-def _spans(firsts: list[int], start: int, stop: int):
-    """Rows ``start`` .. ``stop`` - 1 cut where parts begin, at the ascending
-    ``firsts`` (with the row count last): each part's number and its rows
-    lo .. hi - 1 among them."""
-    for part in range(bisect.bisect_right(firsts, start) - 1, bisect.bisect_left(firsts, stop)):
-        yield part, max(start, firsts[part]), min(stop, firsts[part + 1])
-
-
 def _feature_rows(width: int) -> int:
-    """Packets drawn at a time, ``width`` values each: at most ``_BLOCK_VALUES`` values."""
-    return max(1, _BLOCK_VALUES // width)
+    """Packets drawn at a time, ``width`` values each: at most ``_CHUNK_VALUES`` values."""
+    return max(1, _CHUNK_VALUES // width)
 
 
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:
-    """Trials per stream block at a point simulated at ``levels``: a block's
-    largest per-packet array, one arrival flag per packet and level, holds
-    at most ``_BLOCK_VALUES`` values. Each packet draws one SNR and one
-    uniform whatever L, and every path draws in chunks of at most
-    ``_BLOCK_VALUES`` values whatever d, so neither sizes the block. The
-    blocks and their streams define every output: changing it moves every
-    multi-block output."""
-    return max(1, _BLOCK_VALUES // (params.observations * len(levels)))
-
-
-def _batch_blocks(params: opt.TradeoffParams, levels: list[_Level], block_size: int) -> int:
-    """Stream blocks simulated together (see ``_simulate_block``): as many
-    as keep the batch's largest arrays, its arrival flags (one per packet
-    and level) and its per-episode sums (as many per table-path level as
-    the widest level has groups), within ``_BATCH_VALUES`` values. It sets
-    only how much array work one pass does: no output depends on it."""
+    """Trials per stream block at a point simulated at ``levels``: as many
+    as keep the block's largest arrays within ``_BLOCK_VALUES`` values. Per
+    episode these are its arrival flags, one per packet and level, its index
+    sums on the table path, as many as the widest level has groups, and at
+    least 8 words: its sort key and order, row indices, packets and sums.
+    Each packet draws one SNR and one uniform whatever L, and every path
+    draws in chunks, so L never sizes the block and d only through the
+    groups. The blocks and their streams define every output: changing it
+    moves every multi-block output."""
     widest = max([lvl.width for lvl in levels if lvl.path == "table"], default=1)
-    per_trial = max(params.observations * len(levels), widest)
-    return max(1, _BATCH_VALUES // (block_size * per_trial))
+    return max(1, _BLOCK_VALUES // max(params.observations * len(levels), widest, 8))
 
 
 def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
@@ -623,20 +582,15 @@ def _count_errors(params: opt.TradeoffParams, noise_model: str, bits: list[int],
     ``params`` is the whole point: model, clip, channel (with its
     blocklength) and observation count. The episodes come in stream blocks
     of ``_block_size`` trials, block b drawing from the stream keyed
-    (*key, b, *tag); consecutive blocks are simulated in batches of
-    ``_batch_blocks``, which move no count. Repeats of a bit level share
-    its work and its count.
+    (*key, b, *tag). Repeats of a bit level share its work and its count.
     """
     distinct = list(dict.fromkeys(bits))
     levels = [_Level(params, b, noise_model) for b in distinct]
     block_size = _block_size(params, levels)
-    firsts = range(0, trials, block_size)
-    batch = _batch_blocks(params, levels, block_size)
     wrong = np.zeros(len(levels), dtype=np.int64)
-    for lo in range(0, len(firsts), batch):
-        wrong += _simulate_block(params, levels, [
-            (min(block_size, trials - firsts[block]), np.random.default_rng([*key, block, *tag]))
-            for block in range(lo, min(lo + batch, len(firsts)))])
+    for block, start in enumerate(range(0, trials, block_size)):
+        rng = np.random.default_rng([*key, block, *tag])
+        wrong += _simulate_block(params, levels, min(block_size, trials - start), rng)
     return [int(wrong[distinct.index(b)]) for b in bits]
 
 

@@ -288,10 +288,10 @@ class TestGoldenRows:
     change to a path's stream moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 70),
-        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 84),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 67),
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 53),
         (dense_config("bits:6", "quantizer"), 2000, 19, 1, 531),
-        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 37),
+        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 26),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
         row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
@@ -302,13 +302,13 @@ class TestGoldenRows:
         # two one-group table levels (8 and 10 bits, 1.7% and 14% average
         # loss) and two feature-path levels (11 and 12 bits, 31% and 56%)
         (harness.ExperimentConfig(observations=3), 12.0,
-         ["bits:8", "bits:10", "bits:11", "bits:12"], (2213, 2547, 3366, 4968)),
+         ["bits:8", "bits:10", "bits:11", "bits:12"], (2256, 2734, 3391, 4923)),
         # two table levels of 20 groups (2 and 6 bits) and a feature-path level
         (replace(dense_config("bits:2", "quantizer"), observations=3), 6.0,
-         ["bits:2", "bits:6", "bits:12"], (4742, 4656, 6761)),
+         ["bits:2", "bits:6", "bits:12"], (4704, 4546, 6747)),
         # three lemma-1 levels
         (harness.ExperimentConfig(observations=3, noise_model="lemma1"), 12.0,
-         ["bits:8", "bits:10", "bits:12"], (2250, 2665, 4976)),
+         ["bits:8", "bits:10", "bits:12"], (2211, 2642, 4955)),
     ], ids=["lattice_and_features", "indices_and_features", "lemma1"])
     def test_shared_episode_rows_unchanged(self, cfg, value, policies, wrong):
         # one sweep point whose episodes feed levels on each path: pins the
@@ -382,7 +382,8 @@ class TestLatticePath:
             pmfs = (quant.index_pmf(means, 1.0, 5.0, bits) if dim == 1
                     else quant.index_sum_law(means, 1.0, 5.0, bits, dim)[1])
             cdf = np.cumsum(pmfs, axis=1)[:, :-1]
-            cells = level.guide.shape[1] - 1
+            _, guides, _ = level.tables[0]
+            cells = guides.shape[1] - 1
             u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], np.arange(cells) / cells, cdf.ravel(),
                                 np.nextafter(cdf, 0.0).ravel(), np.nextafter(cdf, 1.0).ravel(),
                                 rng.random(10_000)])
@@ -391,7 +392,7 @@ class TestLatticePath:
             expected = np.concatenate([np.searchsorted(row, u, "right") for row in cdf])
             np.testing.assert_array_equal(got, expected, err_msg=f"bits={bits}")
             bins = (u * cells).astype(np.intp)
-            crowded += sum(np.count_nonzero(np.diff(row)[bins] >= 2) for row in level.guide)
+            crowded += sum(np.count_nonzero(np.diff(row)[bins] >= 2) for row in guides)
         assert crowded > 0
 
     @pytest.mark.parametrize("bits", [4, 10])
@@ -400,9 +401,10 @@ class TestLatticePath:
         # bin edge, as for groups of one
         level = engine_level(harness.build_params(harness.ExperimentConfig()), bits, "quantizer")
         assert level.path == "table" and level.width == 1
-        cells = level.guide.shape[1] - 1
+        cdf, guides, _ = level.tables[0]
+        cells = guides.shape[1] - 1
         grid = np.arange(cells + 1) / cells
-        for row, guide in zip(level.cdf[:, :-1], level.guide):
+        for row, guide in zip(cdf[:, :-1], guides):
             np.testing.assert_array_equal(guide, np.searchsorted(row, grid, "right"))
 
     def test_points_share_read_only_tables(self):
@@ -414,8 +416,8 @@ class TestLatticePath:
         b = engine_level(harness.build_params(replace(default, snr_db=8.0, observations=3,
                                                       antennas=1)), 4, "quantizer")
         assert (a.top, b.top) == (3, 1) and b.law is a.law
-        assert a.cdf is b.cdf and a.guide is b.guide
-        for table in (a.cdf, a.guide):
+        assert a.tables[0][0] is b.tables[0][0] and a.tables[0][1] is b.tables[0][1]
+        for table in a.tables[0][:2]:
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0
@@ -428,7 +430,7 @@ class TestLatticePath:
         def tables(cfg, bits):
             level = engine_level(harness.build_params(cfg), bits, "quantizer")
             assert level.path == "table" and level.width == 1
-            return level.cdf, level.guide
+            return level.tables[0][:2]
         default = harness.ExperimentConfig()
         cdf, guide = tables(default, 4)
         other_cdf, other_guide = tables(replace(default, **change), bits)
@@ -461,7 +463,7 @@ class TestLatticePath:
         real = opt.sigma_q2_of_rate
         monkeypatch.setattr(opt, "sigma_q2_of_rate", lambda rate, point: 2.0 * real(rate, point))
         patched = engine_level(harness.build_params(harness.ExperimentConfig()), 4, "quantizer")
-        assert patched.cdf is plain.cdf
+        assert patched.tables[0][0] is plain.tables[0][0]
         inflated = 1.0 + 2.0 * real(params.level_rate(4), params)
         sums, _ = quant.index_sum_law(0.1, 1.0, 5.0, 4, 50)
 
@@ -597,7 +599,8 @@ class TestIndicesPath:
                             rng.random(20_000)])
         u = u[(u >= 0.0) & (u < 1.0)]
         uniforms = np.repeat(u, 6).reshape(-1, 6)
-        cells = level.guide.shape[1] - 1
+        _, guides, _ = level.tables[0]
+        cells = guides.shape[1] - 1
         crowded = 0
         for c in (0, 1):
             labels = np.full(u.size, c, dtype=np.int8)
@@ -608,7 +611,7 @@ class TestIndicesPath:
                 np.testing.assert_array_equal(
                     level.lookup(labels[start:start + 4], uniforms[start:start + 4]),
                     expected[start:start + 4], err_msg=f"class {c}, from {start}")
-            crowded += sum(np.count_nonzero(np.diff(level.guide[c * 6 + i])[
+            crowded += sum(np.count_nonzero(np.diff(guides[c * 6 + i])[
                 (u * cells).astype(np.intp)] >= 2) for i in range(6))
         assert crowded > 0 or bits == 1  # one CDF value a row at 1 bit
 
@@ -620,12 +623,13 @@ class TestIndicesPath:
         model = params.model
         cdf = np.cumsum(quant.index_pmf(model.means[..., None], model.eigvals[:, None], 5.0, 5),
                         axis=-1)[..., :-1].reshape(2 * model.dim, -1)
-        np.testing.assert_array_equal(level.cdf[:, :-1], cdf)
-        assert np.all(level.cdf[:, -1] == np.inf)
-        cells = level.guide.shape[1] - 1
+        table_cdf, guides, table_bounds = level.tables[0]
+        np.testing.assert_array_equal(table_cdf[:, :-1], cdf)
+        assert np.all(table_cdf[:, -1] == np.inf)
+        cells = guides.shape[1] - 1
         assert cells == 4 * 2 ** 5
         grid = np.arange(cells + 1) / cells
-        for row, guide, bounds in zip(cdf, level.guide, level.bounds):
+        for row, guide, bounds in zip(cdf, guides, table_bounds):
             np.testing.assert_array_equal(guide, np.searchsorted(row, grid, "right"))
             crowded = np.diff(guide) >= 2
             assert np.all(np.isnan(bounds[:-1]) == crowded)
@@ -725,7 +729,7 @@ class TestIndicesPath:
         assert [len(other.tables) for other in others] == [3, 2, 1]
         assert others[0].law is not shared and others[1].law is shared
         assert others[2].law is not shared
-        np.testing.assert_array_equal(others[2].cdf, shared.views[0][0])
+        np.testing.assert_array_equal(others[2].tables[0][0], shared.views[0][0])
 
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense", "repeated"])
     def test_top_follows_the_bundle_rule(self, kind):
@@ -914,12 +918,12 @@ class TestEstimateError:
         "identity_bits4", "identity_bits8", "dense_bits4_k50", "features_bits16_40db",
         "lemma1", "sweep_point_k20", "identity_bits1_k200", "diagonal_bits8_k50"])
     def test_rows_independent_of_the_batch(self, cell, monkeypatch):
-        # the stream blocks define the rows; a batch only sets how many
-        # consecutive blocks one pass simulates, so one block a batch and
-        # one batch a cell give the rows of the default batches. bits:8 at
-        # the default point sends no bundle in many episodes, which a
-        # segment that ran on from one block's slot-0 rows into the next's
-        # would add to the wrong episodes
+        # draws split into chunks of 7 rows keep their values, so a block's
+        # rows do not move, though chunks straddle the table path's slot
+        # segments: bits:8 at the default point sends no bundle in many
+        # episodes, which a segment added at the wrong offset would count
+        # for the wrong episodes; the cells reach K = 200, the diagonal model
+        # and blocks of several runs of SNR draws
         if cell == "sweep_point_k20":
             cfg = harness.ExperimentConfig(observations=10)
             run = lambda: harness.sweep(cfg, "observations", [20.0], [
@@ -942,28 +946,16 @@ class TestEstimateError:
             }[cell]
             decision = harness.decide(cfg)
             run = lambda: [harness.estimate_error(cfg, decision, trials, seed=5)]
-        simulate, batches = harness._simulate_block, []
-        monkeypatch.setattr(harness, "_simulate_block", lambda params, levels, blocks: (
-            batches.append(len(blocks)) or simulate(params, levels, blocks)))
-        rows = {}
-        for bound in (harness._BATCH_VALUES, 0, 2 ** 40):
-            monkeypatch.setattr(harness, "_BATCH_VALUES", bound)
-            batches.clear()
-            rows[bound] = run()
-            if bound == 0:
-                assert set(batches) == {1} and len(batches) > 1
-            elif bound == 2 ** 40:
-                assert batches == [sum(blocks)]
-            else:
-                blocks = batches[:]
-                assert max(blocks) > 1
-        assert rows[0] == rows[harness._BATCH_VALUES] == rows[2 ** 40]
+        rows = run()
+        monkeypatch.setattr(harness, "_feature_rows", lambda width: 7)
+        assert run() == rows
 
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
         # second block and leaves the first one's outcomes as they were; a
-        # block holds 2^14 arrival flags, one per packet and level, on every
-        # path: features are drawn in chunks, so d does not size the block
+        # block holds 2^16 values per largest array, here K = 10 arrival flags
+        # of one level per episode (more than its 8 words) on every path:
+        # features are drawn in chunks, so d does not size the block
         sizes = []
         for cfg in (harness.ExperimentConfig(policy="bits:4"),
                     harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"),
@@ -978,14 +970,16 @@ class TestEstimateError:
             one = harness.estimate_error(cfg, decision, 1, seed=6)
             assert one.trials == 1 and one.error in (0.0, 1.0)
             sizes.append(size)
-        assert sizes == [1638, 1638, 1638]  # 2^14 // (K levels), K = 10 and one level
+        assert sizes == [6553, 6553, 6553]  # 2^16 // max(K levels, groups, 8), K = 10
 
     def test_block_memory_follows_the_antennas(self):
         # 256 antennas, but one gamma draw per packet: the fading gains do not
-        # size the block, which holds 2^14 one-level packets here, nor the
-        # batch, which holds four blocks
+        # size the block, which holds 2^13 one-packet episodes here, 8 words
+        # each. Traced peak with the tables built, on a 2 vCPU VM: 0.71 MB;
+        # building them first takes it to 2.2 MB
         cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
         decision = harness.decide(cfg)
+        harness.estimate_error(cfg, decision, 1, seed=0)  # builds the tables, which the memo keeps
         tracemalloc.start()
         try:
             row = harness.estimate_error(cfg, decision, 65_536, seed=0)
@@ -993,15 +987,14 @@ class TestEstimateError:
         finally:
             tracemalloc.stop()
         assert row.trials == 65_536
-        assert peak < 8 * 2 ** 20
+        assert peak < 2 * 2 ** 20
 
     @pytest.mark.parametrize("cell", ["sweep_point_k20", "identity_bits4_k200"])
     def test_batch_memory(self, cell):
-        # a batch holds at most 2^16 arrival flags, four blocks of 2^14 here,
-        # so its arrays stay small. Traced peaks with the tables built, on a
-        # 2 vCPU VM: 0.46 MB for the five-policy point at K = 20 and 0.82 MB
-        # for bits:4 at K = 200, against 0.24 and 0.75 MB with one block per
-        # pass; the bounds leave 2.2x and 1.8x
+        # a block holds at most 2^16 arrival flags, so its arrays stay small.
+        # Traced peaks with the tables built, on a 2 vCPU VM: 0.87 MB for the
+        # five-policy point at K = 20 and 0.81 MB for bits:4 at K = 200; the
+        # bounds leave 1.1x and 1.8x
         if cell == "sweep_point_k20":
             cfg = harness.ExperimentConfig(observations=10)
             run, bound = lambda: harness.sweep(cfg, "observations", [20.0], [
@@ -1280,7 +1273,7 @@ def test_widest_index_tables_within_envelope():
     level = engine_level(decision.params, 7, "quantizer")
     # one table, for bundles of one packet: those of two would exceed the budget
     assert level.path == "table" and level.width == 512 and len(level.tables) == 1
-    assert level.guide.shape == (1024, 4 * 2 ** 7 + 1)
+    assert level.tables[0][1].shape == (1024, 4 * 2 ** 7 + 1)
     row, cpu, peak = traced_run(lambda: harness.estimate_error(WIDEST, decision, 20, seed=0))
     assert cpu < 0.5 and peak < 16 * 2 ** 20
     assert row.trials == 20 and 0.0 <= row.error <= 1.0
