@@ -5,13 +5,14 @@ made at, its ``TradeoffParams`` (model, clip, channel, observation count); a
 sweep builds its model once. Trials come in stream blocks, each drawing from
 its own random stream: keyed by (seed, cell, block) for a single cell, and by
 (seed, swept value, block, sweep parameter) for a sweep point, whose policies
-are all scored on the same episodes. A block is sized so its arrays stay
-small whatever the trial count, dimension or antenna count, and every path's
-draws come in chunks of at most 2^14 values, which move no output. A row
-of draws serves one packet, or on the table path one bundle of 2^k packets
-of an episode, whose groups' index sums it draws from their exact law. Any
-output is a pure function of its configuration and seed, and sweeps over
-different parameters or values draw different numbers.
+are all scored on the same episodes. A block is sized so its arrays stay small
+whatever the trial count, dimension or antenna count, and every path's draws
+come in chunks of at most 2^14 values, which move no output. Each level's
+received count per episode is drawn from the exact loss law; a row of draws
+serves one packet, or on the table path one bundle of 2^k packets, whose
+groups' index sums it draws from their exact law. Any output is a pure
+function of its configuration and seed, and sweeps over different parameters
+or values draw different numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import bisect
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import numbers
@@ -36,17 +38,14 @@ from . import quant
 from .numerics import require_counts, require_finite, require_positive
 
 # Values in a stream block's largest arrays (see ``_block_size``), which
-# fixes the blocks and so every output: its arrival flags, one per packet and
+# fixes the blocks and so every output: its rows' tables, one per row and
 # level, its per-episode sums and a few words per episode. At four times
 # ``_CHUNK_VALUES`` a block spreads numpy's fixed cost per call over four
 # chunks' worth of packets, and its arrays stay near a megabyte.
 _BLOCK_VALUES = 2 ** 16
-# Values in a chunk of any path's draws, which moves no output, and in a run
-# of a block's SNRs and arrival uniforms (see ``_simulate_block``), which is
-# part of the streams' definition: changing it moves every output with a
-# block of more than one run. Enough that numpy's fixed cost per call is
-# spread thin, few enough that a chunk's arrays stay near a megabyte
-# whatever the dimension.
+# Values in a chunk of any path's draws, which moves no output. Enough that
+# numpy's fixed cost per call is spread thin, few enough that a chunk's
+# arrays stay near a megabyte whatever the dimension.
 _CHUNK_VALUES = 2 ** 14
 # Most grid-index sums d (2^b - 1) a packet's coordinates span on the table
 # path (see ``_Level``): it covers the levels that adaptive, brute force and
@@ -163,14 +162,26 @@ def _sigma_from_spec(spec, dim: int) -> np.ndarray:
 
 
 def build_model(config: ExperimentConfig) -> gmm.InferenceModel:
-    """The model of ``config``; one read from ``model_file`` must have ``config.dim``."""
+    """The model of ``config``; one read from ``model_file`` must have
+    ``config.dim``, and any other is built once per dimension, centroid and
+    covariance spec (to the bit) and shared, as models are immutable."""
     if config.model_file is not None:
         model = load_model_file(config.model_file)
         if model.dim != config.dim:
             raise ValueError(f"model file has dimension {model.dim}, not dim={config.dim}")
         return model
-    mu = config.centroid * np.ones(config.dim)
-    return gmm.InferenceModel(mu, -mu, _sigma_from_spec(config.sigma_spec, config.dim))
+    spec = config.sigma_spec
+    if not isinstance(spec, str):
+        spec = (array := np.asarray(spec, dtype=float)).shape, array.tobytes()
+    return _model(config.dim, config.centroid + 0.0, spec)  # -0.0 as 0.0
+
+
+@functools.lru_cache(maxsize=8)
+def _model(dim: int, centroid: float, spec) -> gmm.InferenceModel:
+    if not isinstance(spec, str):  # a covariance spec's shape and float64 bytes
+        spec = np.frombuffer(spec[1]).reshape(spec[0])
+    mu = centroid * np.ones(dim)
+    return gmm.InferenceModel(mu, -mu, _sigma_from_spec(spec, dim))
 
 
 def build_params(config: ExperimentConfig, model: gmm.InferenceModel | None = None) -> opt.TradeoffParams:
@@ -232,18 +243,19 @@ class _Level:
     level reads the first top + 1.
 
     An episode that receives m packets sends m >> top bundles of 2^top
-    packets, then one of 2^k for each set bit k of m mod 2^top, highest
-    first (``bundles``, ``bundle_tables``). A bundle takes one uniform per
-    group, which looks up its index sum (``lookup``). An episode whose groups'
-    index sums add up to T_j totals sum_j (2 T_j - m g_j (2^b - 1)) h_j +
-    m const (``episode_totals``), h_j the half step clip / (2^b - 1) times
-    group j's weight: the sum over its packets, with indices k, of
-    w @ (-clip + k delta) + const. T and m are exact integers, so an episode
-    at the centre of every group, a tie at symmetric class means, totals 0.
+    packets, then one of 2^k for each set bit k of m mod 2^top, highest first
+    (``bundles``, ``bundle_tables``); off the table path top is 0. A bundle's
+    row holds ``width`` draws: on the table path one uniform per group, which
+    looks up its index sum (``lookup``). An episode whose groups' index sums
+    add up to T_j totals sum_j (2 T_j - m g_j (2^b - 1)) h_j + m const
+    (``episode_totals``), h_j the half step clip / (2^b - 1) times group j's
+    weight: the sum over its packets, with indices k, of w @ (-clip + k delta)
+    + const. T and m are exact integers, so an episode at the centre of every
+    group, a tie at symmetric class means, totals 0.
     """
 
     def __init__(self, params: opt.TradeoffParams, bits: int, noise_model: str):
-        self.bits, self.rate, self.clip = bits, params.level_rate(bits), params.clip
+        self.bits, self.clip = bits, params.clip
         lam, means, dim = params.model.eigvals, params.model.means, params.model.dim
         # Score with the distortion-matched covariance: the Bayes rule for the
         # decoded features, and the one the analytic error expressions assume,
@@ -252,6 +264,7 @@ class _Level:
         self.weights = (means[1] - means[0]) / inflated
         self.const = 0.5 * float(np.sum((means[0] ** 2 - means[1] ** 2) / inflated))
         self.path = "features" if noise_model == "quantizer" else "lemma1"
+        self.top, self.width = 0, dim if self.path == "features" else 1
         span = 2 ** bits - 1
         if self.path == "lemma1":
             self.score_means = means @ self.weights + self.const
@@ -448,50 +461,50 @@ def _table_law(means: bytes, eigvals: bytes, sizes: bytes, clip: float, bits: in
     return _guide_tables(tables)
 
 
+def _received(params: opt.TradeoffParams, bits: list[int], n: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """Each level's received count in ``n`` episodes, a row per level of
+    ``bits``. Packets are lost independently, with ``params.loss``, and one
+    that arrives at a rate arrives at every lower one, so the counts are
+    drawn highest rate first (conditional binomials, Devroye 1986, ch. XI):
+    each level adds Bin(K - m, (before - loss) / before) to the m of the
+    level above, whose loss is before (1 at the top), clamped to [0, 1] (the
+    loss can rise by 1e-38 to a lower rate), and 1 where before is 0."""
+    k, by_rate = params.observations, np.argsort(bits)[::-1]  # highest rate first
+    loss = params.loss[np.asarray(bits)[by_rate] - 1]
+    before = np.concatenate(([1.0], loss[:-1]))
+    odds = np.divide(before - loss, before, out=np.ones_like(loss), where=before > 0.0)
+    counts = np.zeros((len(bits) + 1, n), dtype=np.int32 if k < 2 ** 14 else np.int64)
+    for j, p in enumerate(np.clip(odds, 0.0, 1.0).tolist()):
+        counts[j + 1] = counts[j] + rng.binomial(k - counts[j], p)
+    return counts[1:][np.argsort(by_rate)]
+
+
 def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
                     rng: np.random.Generator) -> list[int]:
     """Simulate ``n`` sensing episodes from one stream and return, for each
     level, how many of them decide the wrong class.
 
-    Each episode draws a class and sends K packets over the fading channel.
-    The classes are drawn first; then, for each run of floor(2^14 / K)
-    episodes (``_CHUNK_VALUES``), the post-combining SNRs (one gamma draw
-    per packet) and then the arrival uniforms. Both are drawn once for every
-    level, which only compares its own rate with each packet's decodable
-    rate (``channel.decodable_rate``). Then each path (see ``_Level``) draws
-    rows, in chunks of ``_feature_rows`` rows and in this order: d features,
-    coloured by the model's ``means`` and ``sd``, for each packet that
-    arrives under any of its levels; one uniform per group of the widest
-    level for each bundle slot, slot 0 of every episode that has one, then
-    slot 1, and so on, an episode having as many slots as the level with the
-    most bundles there (``_Level.bundles``), more first, and levels with a
-    bundle in a slot sharing its row; one lemma-1 normal for each packet
-    that arrives under any of its levels. Each level maps its own rows of a
-    chunk in one call (``_Level.row_values``), on the table path each row
-    through the table of its bundle. Feature and lemma-1 levels sum their
-    rows' scores per episode; table-path levels add their rows' index sums
-    per episode and group as exact integers and total them
-    (``_Level.episode_totals``). Split draws keep their values, so no count
-    depends on the chunk size. An episode decides class 1 iff its total is
-    < 0, so one that receives nothing, or whose total is an exact tie,
-    decides class 2: a silent episode is wrong with probability 1/2, as the
-    class is a fair draw. A level's outcome depends on the other levels only
-    through the rows its path draws, the union of arriving packets or, on
-    the table path, the most bundles per episode and groups per row, not on
-    their order; with one level the stream is consumed as by a single-policy
-    engine.
+    Each episode draws a class, then each level's count of its K packets that
+    arrive (``_received``): the fading channel is not simulated packet by
+    packet. Then each path (see ``_Level``) draws a row per bundle slot, in
+    chunks of ``_feature_rows`` rows: slot 0 of every episode that has one,
+    then slot 1, and so on, an episode having as many slots as its level with
+    the most bundles (``_Level.bundles``), more first, and levels with a
+    bundle in a slot sharing its row. A row holds d features, coloured by the
+    model's ``means`` and ``sd``, a table-path uniform per group of the widest
+    level, or a lemma-1 normal; each level maps its own rows of a chunk in one
+    call (``_Level.row_values``) and adds them up per episode. Split draws
+    keep their values, so no count depends on the chunk size. An episode
+    decides class 1 iff its total is < 0, so a silent one, or an exact tie,
+    decides class 2: wrong with probability 1/2, as the class is a fair draw.
+    A level's outcome depends on the other levels only through their rates,
+    which order the counts' draws, and the rows its path draws, not on their
+    order; with one level the stream is consumed as by a single-policy engine.
     """
-    k, model = params.observations, params.model
+    model = params.model
     classes = rng.integers(0, 2, size=n).astype(np.int8)  # 0 for class 1, 1 for class 2
-    success = np.empty((len(levels), n, k), dtype=bool)
-    rates = np.array([lvl.rate for lvl in levels])[:, None, None]
-    run = max(1, _CHUNK_VALUES // k)
-    for lo in range(0, n, run):
-        size = min(run, n - lo)
-        # the SNRs, then the arrival uniforms; neither outlives the comparison
-        np.less_equal(rates, ch.decodable_rate(
-            ch.sample_post_mrc_snr(params.channel, rng, size=size * k).reshape(size, k),
-            params.channel.blocklength, rng.random((size, k))), out=success[:, lo:lo + size])
+    received = _received(params, [lvl.bits for lvl in levels], n, rng)
     first = classes == 0
     wrong = [0] * len(levels)
     for path, draw in (("features", rng.standard_normal), ("table", rng.random),
@@ -499,28 +512,20 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         mine = [i for i, lvl in enumerate(levels) if lvl.path == path]
         if not mine:
             continue
-        arrivals = success[mine]
-        # each level's packets per episode, in a type that holds 2 K 2^16
-        packets = arrivals.sum(axis=2, dtype=np.int32 if k < 2 ** 14 else np.int64)
-        # each row's episode, and for each level each row's table, -1 for none
-        if path == "table":
-            slots = functools.reduce(np.maximum, [levels[i].bundles(m)
-                                                  for i, m in zip(mine, packets)])
-            # episodes with the most bundles first: a slot's rows are then a
-            # prefix of this order, whose index sums add up in place
-            order = np.argsort(-slots, kind="stable")
-            slot, place = np.nonzero(np.arange(slots.max())[:, None] < slots[order])
-            episode = order[place].astype(np.int32)
-            firsts = [*np.flatnonzero(place == 0).tolist(), place.size]  # each slot's first row
-            tables = [levels[i].bundle_tables(m[episode], slot) for i, m in zip(mine, packets)]
-            width = max(levels[i].width for i in mine)
-            sums = [np.zeros((n, levels[i].width), packets.dtype) for i in mine]
-        else:
-            order, reached = slice(None), arrivals.any(axis=0)
-            episode = np.nonzero(reached)[0].astype(np.int32)
-            tables = arrivals[:, reached].view(np.int8) - 1
-            width = model.dim if path == "features" else 1
-            sums = np.zeros((len(mine), episode.size))
+        packets = received[mine]  # each level's packets per episode
+        slots = functools.reduce(np.maximum, [levels[i].bundles(m) for i, m in zip(mine, packets)])
+        # episodes with the most bundles first: a slot's rows are then a
+        # prefix of this order, whose sums add up in place
+        order = np.argsort(-slots, kind="stable")
+        heads = np.cumsum(np.bincount(slots)[::-1])[-2::-1].tolist()  # rows per slot
+        episode = np.concatenate([order[:0], *(order[:h] for h in heads)]).astype(np.int32)
+        slot = np.repeat(np.arange(len(heads)), heads)
+        firsts = [0, *itertools.accumulate(heads)]  # each slot's first row
+        # for each level each row's table, -1 past its last bundle
+        tables = [levels[i].bundle_tables(m[episode], slot) for i, m in zip(mine, packets)]
+        width = max(levels[i].width for i in mine)
+        sums = [np.zeros((n, levels[i].width), packets.dtype) if path == "table" else np.zeros(n)
+                for i in mine]
         arrived = classes[episode]  # 5 bytes a row while the draws run
         rows = _feature_rows(width)
         for start in range(0, episode.size, rows):
@@ -537,11 +542,8 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
                 elif not pick.any():
                     continue
                 values = levels[i].row_values(labels[pick], draws[pick], table[pick])
-                if path != "table":
-                    out[start:start + rows][pick] = values
-                    continue
                 if isinstance(pick, np.ndarray):  # rows past the level's last bundle add 0
-                    values, picked = np.zeros((table.size, values.shape[1]), values.dtype), values
+                    values, picked = np.zeros((table.size, *values.shape[1:]), values.dtype), values
                     values[pick] = picked
                 # row r of slot s adds to the sums of place r - firsts[s]
                 for s in range(bisect.bisect_right(firsts, start) - 1,
@@ -549,8 +551,7 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
                     lo, hi = max(start, firsts[s]), min(start + table.size, firsts[s + 1])
                     out[lo - firsts[s]:hi - firsts[s]] += values[lo - start:hi - start]
         for i, m, out in zip(mine, packets, sums):
-            total = (levels[i].episode_totals(out, m[order]) if path == "table"
-                     else np.bincount(episode, weights=out, minlength=n))
+            total = levels[i].episode_totals(out, m[order]) if path == "table" else out
             wrong[i] = int(np.count_nonzero((total < 0.0) != first[order]))
     return wrong
 
@@ -563,13 +564,11 @@ def _feature_rows(width: int) -> int:
 def _block_size(params: opt.TradeoffParams, levels: list[_Level]) -> int:
     """Trials per stream block at a point simulated at ``levels``: as many
     as keep the block's largest arrays within ``_BLOCK_VALUES`` values. Per
-    episode these are its arrival flags, one per packet and level, its index
-    sums on the table path, as many as the widest level has groups, and at
-    least 8 words: its sort key and order, row indices, packets and sums.
-    Each packet draws one SNR and one uniform whatever L, and every path
-    draws in chunks, so L never sizes the block and d only through the
-    groups. The blocks and their streams define every output: changing it
-    moves every multi-block output."""
+    episode these are its rows' tables, one per row (at most K) and level,
+    its index sums on the table path, as many as the widest level has
+    groups, and 8 words (sort key and order, row indices, counts, sums).
+    Every path draws in chunks, so L never sizes the block, and d only
+    through the groups. Changing it moves every multi-block output."""
     widest = max([lvl.width for lvl in levels if lvl.path == "table"], default=1)
     return max(1, _BLOCK_VALUES // max(params.observations * len(levels), widest, 8))
 

@@ -68,6 +68,13 @@ class TradeoffParams:
         return sigma_q2_of_rate(self.level_rate(np.arange(1, _MAX_BITS + 1)), self)
 
     @cached_property
+    def loss(self) -> np.ndarray:
+        """The Gauss-Hermite average packet loss of every level 1.._MAX_BITS,
+        level b at index b - 1, in one array pass; the bit-level table's exact
+        error and the engine's received counts read it."""
+        return avg_packet_loss(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+
+    @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The bit-level table: (error bound, exact error) of every level
         1.._MAX_BITS, level b at index b - 1, shared by every policy that
@@ -78,10 +85,9 @@ class TradeoffParams:
         the closed-form loss, and the exact error the Gauss-Hermite average
         loss mixed over the binomial received count.
         """
-        rates = self.level_rate(np.arange(1, _MAX_BITS + 1))
         gains = _gains(self.model, self.sigma_q2)
-        loss = avg_packet_loss_approx(self.channel, rates)
-        exact = sensing_error_exact(gains, avg_packet_loss(self.channel, rates), self.observations)
+        loss = avg_packet_loss_approx(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+        exact = sensing_error_exact(gains, self.loss, self.observations)
         return sensing_error_bound(gains, loss, self.observations), exact
 
 

@@ -1,5 +1,5 @@
-"""Test oracles: per-trial scoring and classification, and the index-sum law
-without its floor.
+"""Test oracles: per-trial scoring and classification, the index-sum law
+without its floor, and each packet's decodable rate.
 
 The engine in ``senselink.harness`` folds decoding, scoring and the decision
 into block-wide array operations; these functions spell out the textbook
@@ -9,6 +9,8 @@ per-episode rule that the engine is checked against.
 import numpy as np
 from scipy import special
 from scipy.fft import next_fast_len
+
+from senselink import channel as ch
 
 
 def discriminant_score(x, model):
@@ -47,3 +49,17 @@ def index_sum_law_unflushed(mean, var, clip, bits, count):
     fast = next_fast_len(size, real=True)
     pmf = np.clip(np.fft.irfft(np.fft.rfft(one, fast) ** count, fast)[..., :size], 0.0, None)
     return (np.arange(size) - (size - 1) / 2) * delta, pmf / pmf.sum(axis=-1, keepdims=True)
+
+
+def decodable_rate(gamma, blocklength: int, uniforms) -> np.ndarray:
+    """The highest coding rate at which each packet arrives, given its receive
+    SNR gamma and its uniform draw u.
+
+    A packet arrives at rate R iff u >= ``channel.packet_loss(gamma, N, R)``,
+    that is iff sqrt(N / V(gamma)) (R - C(gamma)) <= Phi^-1(u), which is
+    R <= C(gamma) + sqrt(V(gamma) / N) Phi^-1(u); at gamma = 0 it is 0, so
+    nothing arrives, as the loss there is 1. So the packets that arrive at a
+    rate arrive at every lower one.
+    """
+    g = np.asarray(gamma, dtype=float)
+    return ch.capacity(g) + np.sqrt(ch.dispersion(g) / blocklength) * special.ndtri(uniforms)

@@ -97,6 +97,25 @@ class TestConfigAndModel:
         cfg = harness.ExperimentConfig(dim=3, sigma_spec=dense)
         assert np.allclose(harness.build_model(cfg).sigma, dense)
 
+    def test_models_built_once_per_spec(self):
+        # a model without a file is built once per dimension, centroid and
+        # covariance spec, whose entries are told apart to the bit, and
+        # shared; a sweep over any parameter builds none after the first
+        dense = [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        cfg = harness.ExperimentConfig(dim=3, sigma_spec=dense)
+        model = harness.build_model(cfg)
+        assert harness.build_model(replace(cfg, sigma_spec=[row[:] for row in dense],
+                                           policy="bits:2", snr_db=9.0)) is model
+        signed = [[2.0, 0.5, -0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        for other in (replace(cfg, centroid=0.2), replace(cfg, sigma_spec=signed),
+                      replace(cfg, sigma_spec=[2.0, 2.0, 1.0])):
+            assert harness.build_model(other) is not model
+        assert np.signbit(harness.build_model(replace(cfg, sigma_spec=signed)).sigma[0, 2])
+        before = harness._model.cache_info().misses
+        for param in harness.SWEEP_FIELDS:
+            harness.sweep(cfg, param, [1.0, 2.0], ["bits:2", "urllc"], 10, seed=0)
+        assert harness._model.cache_info().misses == before
+
     def test_unknown_sigma_spec(self):
         with pytest.raises(ValueError, match="unknown covariance spec 'diagonal'"):
             harness.build_model(harness.ExperimentConfig(dim=3, sigma_spec="diagonal"))
@@ -250,6 +269,71 @@ class TestEngineMatchesReference:
             assert abs(row.error - reference) <= 3.0 * spread, row.policy
 
 
+class TestReceivedCounts:
+    """The engine draws each level's received count from the exact loss law,
+    highest rate first, instead of simulating the channel packet by packet."""
+
+    class Binomials:
+        """A generator's binomial draws, keeping the chances they were drawn at."""
+
+        def __init__(self, rng):
+            self.rng, self.odds = rng, []
+
+        def binomial(self, count, odds):
+            self.odds.append(odds)
+            return self.rng.binomial(count, odds)
+
+    @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 2.0, 20.0, 60.0])
+    def test_arrival_odds_over_envelope(self, snr_db):
+        # the chance that a packet lost at a level arrives at the next lower
+        # one lies in [0, 1] over the envelope, where the loss reaches 0 and
+        # 1 exactly and is not exactly monotone in the rate, and the chances
+        # chain back to each level's loss; the counts are nested in [0, K]
+        rng = np.random.default_rng(int(snr_db) + 30)
+        seen = set()
+        for antennas, blocklength, dim in itertools.product((1, 4, 256), (10, 100, 2000),
+                                                            (1, 7, 50, 512)):
+            cfg = harness.ExperimentConfig(dim=dim, snr_db=snr_db, antennas=antennas,
+                                           blocklength=blocklength, observations=7)
+            params = harness.build_params(cfg)
+            seen |= {0.0, 1.0} & set(params.loss.tolist())
+            for bits in (np.arange(1, 65), np.sort(rng.choice(64, 3, replace=False)) + 1):
+                draws = self.Binomials(rng)
+                counts = harness._received(params, bits.tolist(), 50, draws)
+                odds = np.array(draws.odds)  # highest rate first
+                assert np.all((odds >= 0.0) & (odds <= 1.0)), (antennas, blocklength, dim)
+                np.testing.assert_allclose(np.cumprod(1.0 - odds), params.loss[bits[::-1] - 1],
+                                           rtol=0.0, atol=1e-13)
+                assert np.all((counts[-1] >= 0) & (counts[0] <= 7))
+                assert np.all(np.diff(counts, axis=0) <= 0)  # fewer at a higher rate
+        assert seen >= {-30.0: {1.0}, 60.0: {0.0, 1.0}}.get(snr_db, set())
+
+    @pytest.mark.parametrize("cfg, bits", [
+        # about 13%, 34% and 64% loss at K = 10
+        (harness.ExperimentConfig(), [4, 6, 5]),
+        # about 23%, 45% and 64% loss at K = 5
+        (dense_config("bits:2", "quantizer"), [2, 6, 4]),
+    ], ids=["identity", "dense"])
+    def test_counts_follow_the_per_packet_channel(self, cfg, bits):
+        # the joint law of three levels' counts against a per-packet
+        # simulation of the fading channel (gamma SNRs, each packet's uniform
+        # against its loss at each rate), cell by cell of the histogram
+        params, n, k = harness.build_params(cfg), 100_000, cfg.observations
+        counts = harness._received(params, bits, n, np.random.default_rng(43))
+        rng = np.random.default_rng(47)
+        snrs = ch.sample_post_mrc_snr(params.channel, rng, size=n * k).reshape(n, k)
+        u = rng.random((n, k))
+        reference = [np.count_nonzero(u >= ch.packet_loss(snrs, cfg.blocklength,
+                                                          params.level_rate(b)), axis=1)
+                     for b in bits]
+        got, expected = (np.bincount(np.ravel_multi_index(c, (k + 1,) * 3), minlength=(k + 1) ** 3)
+                         for c in (counts, reference))
+        pooled = (got + expected) / (2 * n)
+        seen = pooled > 0
+        z = (got - expected)[seen] / np.sqrt(2 * n * pooled * (1 - pooled))[seen]
+        assert seen.sum() >= 50 and np.abs(z).max() <= 5.0, np.abs(z).max()
+
+
 class TestLemma1EngineMatchesPrediction:
     """Under the lemma-1 noise model the engine simulates exactly the law that
     ``semi_analytic_error`` integrates: a Gaussian score per packet and
@@ -288,10 +372,10 @@ class TestGoldenRows:
     change to a path's stream moves its row."""
 
     @pytest.mark.parametrize("cfg, trials, seed, cell, wrong", [
-        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 67),
-        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 53),
-        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 531),
-        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 26),
+        (harness.ExperimentConfig(policy="bits:4"), 3000, 7, 2, 42),
+        (harness.ExperimentConfig(policy="bits:4", noise_model="lemma1"), 3000, 7, 0, 80),
+        (dense_config("bits:6", "quantizer"), 2000, 19, 1, 551),
+        (harness.ExperimentConfig(policy="bits:16", snr_db=60.0), 3000, 7, 3, 44),
     ], ids=["identity_bits4", "lemma1_bits4", "dense_bits6", "identity_bits16_60db"])
     def test_rows_unchanged(self, cfg, trials, seed, cell, wrong):
         row = harness.estimate_error(cfg, harness.decide(cfg), trials, seed, cell=cell)
@@ -302,13 +386,13 @@ class TestGoldenRows:
         # two one-group table levels (8 and 10 bits, 1.7% and 14% average
         # loss) and two feature-path levels (11 and 12 bits, 31% and 56%)
         (harness.ExperimentConfig(observations=3), 12.0,
-         ["bits:8", "bits:10", "bits:11", "bits:12"], (2256, 2734, 3391, 4923)),
+         ["bits:8", "bits:10", "bits:11", "bits:12"], (2253, 2653, 3342, 4957)),
         # two table levels of 20 groups (2 and 6 bits) and a feature-path level
         (replace(dense_config("bits:2", "quantizer"), observations=3), 6.0,
-         ["bits:2", "bits:6", "bits:12"], (4704, 4546, 6747)),
+         ["bits:2", "bits:6", "bits:12"], (4769, 4628, 6814)),
         # three lemma-1 levels
         (harness.ExperimentConfig(observations=3, noise_model="lemma1"), 12.0,
-         ["bits:8", "bits:10", "bits:12"], (2211, 2642, 4955)),
+         ["bits:8", "bits:10", "bits:12"], (2260, 2598, 4858)),
     ], ids=["lattice_and_features", "indices_and_features", "lemma1"])
     def test_shared_episode_rows_unchanged(self, cfg, value, policies, wrong):
         # one sweep point whose episodes feed levels on each path: pins the
@@ -922,8 +1006,7 @@ class TestEstimateError:
         # rows do not move, though chunks straddle the table path's slot
         # segments: bits:8 at the default point sends no bundle in many
         # episodes, which a segment added at the wrong offset would count
-        # for the wrong episodes; the cells reach K = 200, the diagonal model
-        # and blocks of several runs of SNR draws
+        # for the wrong episodes; the cells reach K = 200 and the diagonal model
         if cell == "sweep_point_k20":
             cfg = harness.ExperimentConfig(observations=10)
             run = lambda: harness.sweep(cfg, "observations", [20.0], [
@@ -953,7 +1036,7 @@ class TestEstimateError:
     def test_partial_block_and_single_trial(self):
         # blocks keep their streams, so one more trial than a block adds a
         # second block and leaves the first one's outcomes as they were; a
-        # block holds 2^16 values per largest array, here K = 10 arrival flags
+        # block holds 2^16 values per largest array, here K = 10 rows' tables
         # of one level per episode (more than its 8 words) on every path:
         # features are drawn in chunks, so d does not size the block
         sizes = []
@@ -973,10 +1056,10 @@ class TestEstimateError:
         assert sizes == [6553, 6553, 6553]  # 2^16 // max(K levels, groups, 8), K = 10
 
     def test_block_memory_follows_the_antennas(self):
-        # 256 antennas, but one gamma draw per packet: the fading gains do not
-        # size the block, which holds 2^13 one-packet episodes here, 8 words
-        # each. Traced peak with the tables built, on a 2 vCPU VM: 0.71 MB;
-        # building them first takes it to 2.2 MB
+        # 256 antennas, but the channel enters only through the received
+        # counts: the fading gains do not size the block, which holds 2^13
+        # one-packet episodes here, 8 words each. Traced peak with the tables
+        # built, on a 2 vCPU VM: 0.73 MB; building them first takes it to 2.2 MB
         cfg = harness.ExperimentConfig(dim=1, observations=1, antennas=256, policy="bits:4")
         decision = harness.decide(cfg)
         harness.estimate_error(cfg, decision, 1, seed=0)  # builds the tables, which the memo keeps
@@ -991,10 +1074,10 @@ class TestEstimateError:
 
     @pytest.mark.parametrize("cell", ["sweep_point_k20", "identity_bits4_k200"])
     def test_batch_memory(self, cell):
-        # a block holds at most 2^16 arrival flags, so its arrays stay small.
-        # Traced peaks with the tables built, on a 2 vCPU VM: 0.87 MB for the
-        # five-policy point at K = 20 and 0.81 MB for bits:4 at K = 200; the
-        # bounds leave 1.1x and 1.8x
+        # a block holds at most 2^16 rows' tables, one per row and level, so
+        # its arrays stay small. Traced peaks with the tables built, on a 2
+        # vCPU VM: 0.33 MB for the five-policy point at K = 20 and 0.39 MB for
+        # bits:4 at K = 200; the bounds leave 3.0x and 3.8x
         if cell == "sweep_point_k20":
             cfg = harness.ExperimentConfig(observations=10)
             run, bound = lambda: harness.sweep(cfg, "observations", [20.0], [

@@ -571,8 +571,9 @@ class TestRateTable:
         assert exact[1] < exact[0]
 
     def test_sweep_point_builds_once(self, monkeypatch):
-        # one model per sweep, and each distinct bit level's average loss
-        # computed once, for all the policies of a swept value
+        # one model per sweep, built once as no other holds it, and each
+        # distinct bit level's average loss computed once, for all the
+        # policies of a swept value
         rates, models = [], []
         real_loss = opt.avg_packet_loss
         monkeypatch.setattr(opt, "avg_packet_loss",
@@ -583,6 +584,7 @@ class TestRateTable:
         for values in ([2.0], [0.0, 2.0, 4.0]):
             rates.clear()
             models.clear()
+            harness._model.cache_clear()
             rows = harness.sweep(harness.ExperimentConfig(), "snr-db", values, POLICIES,
                                  trials=20, seed=0)
             assert len(models) == 1, values
