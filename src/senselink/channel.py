@@ -178,6 +178,12 @@ def avg_packet_loss(cfg: ChannelConfig, rates) -> np.ndarray:
     ``_margin_form``); both use one 128-node Gauss-Hermite rule. Against
     adaptive quadrature the result is within 2e-10 + 1e-8 min(eps, 1 - eps)
     over the operating envelope. ``avg_packet_loss_exact`` is the oracle.
+    That bound is absolute in the deep tail: there, with 140 or more
+    antennas, the loss can fall from one rate to a higher one (at L = 246,
+    46.86 dB and N = 41, 5.8e-121 at 28 x 26 / 41 bits per use and 5.3e-159
+    at 29 x 26 / 41, where quadrature reads 2.1e-119 and 1.8e-95). Over 64
+    bit levels at 1,000 random envelope points it rises with the rate
+    wherever it is 1e-40 or more.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     if rates.ndim != 1:
@@ -272,8 +278,13 @@ def avg_packet_loss_approx(cfg: ChannelConfig, rate: float) -> float:
     """
     rate = np.asarray(rate, dtype=float)
     require_positive(**{"coding rate": rate})
-    with np.errstate(over="ignore"):  # from 1024 bits per use on, beta is inf and the loss 1
-        out = special.gammainc(cfg.antennas, np.expm1(rate * LN2) / cfg.snr_linear)
+    out = _outage_loss(cfg, rate)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _outage_loss(cfg: ChannelConfig, rates: np.ndarray) -> np.ndarray:
+    """``avg_packet_loss_approx`` of a float array of rates, without its check."""
+    with np.errstate(over="ignore"):  # from 1024 bits per use on, beta is inf and the loss 1
+        return special.gammainc(cfg.antennas, np.expm1(rates * LN2) / cfg.snr_linear)

@@ -150,9 +150,14 @@ def sensing_error_bound(gain, eps_bar, observations: int):
     eps_bar = np.asarray(eps_bar, dtype=float)
     if not np.all((eps_bar >= 0.0) & (eps_bar <= 1.0)):
         raise ValueError("eps_bar must lie in [0, 1]")
-    base = np.exp(-gain / 4.0)
-    out = (base + (1.0 - base) * eps_bar) ** observations
+    out = _error_bound(gain, eps_bar, observations)
     return float(out) if out.ndim == 0 else out
+
+
+def _error_bound(gain: np.ndarray, eps_bar: np.ndarray, observations: int) -> np.ndarray:
+    """``sensing_error_bound`` of float arrays, without its checks."""
+    base = np.exp(-gain / 4.0)
+    return (base + (1.0 - base) * eps_bar) ** observations
 
 
 def sensing_error_exact(gain, eps_bar, observations: int):
@@ -160,8 +165,8 @@ def sensing_error_exact(gain, eps_bar, observations: int):
     eps_bar, independently: ``semi_analytic_error`` with a binomial received
     count, elementwise over arrays of gains and losses; a float for scalar
     arguments."""
-    out = _count_mixed_error(gain, binomial_pmf(1.0 - np.asarray(eps_bar, dtype=float),
-                                                observations))
+    pmf = binomial_pmf(1.0 - np.asarray(eps_bar, dtype=float), observations)
+    out = _count_mixed_error(_require_gain(gain), pmf)
     return float(out) if out.ndim == 0 else out
 
 
@@ -177,13 +182,15 @@ def semi_analytic_error(gain: float, loss_probs) -> float:
     loss = np.asarray(loss_probs, dtype=float)
     if loss.ndim == 1 and loss.size and np.all(loss == loss[0]):
         return sensing_error_exact(gain, float(loss[0]), loss.size)
-    return float(_count_mixed_error(gain, poisson_binomial_pmf(1.0 - loss)))
+    pmf = poisson_binomial_pmf(1.0 - loss)
+    return float(_count_mixed_error(_require_gain(gain), pmf))
 
 
-def _count_mixed_error(gain, pmf: np.ndarray) -> np.ndarray:
+def _count_mixed_error(gain: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     """Q(sqrt(m D / 2)) mixed over a received-count pmf along its last axis,
-    with 1/2 at m = 0, capped at 1/2, and exactly 1/2 at zero gain."""
-    gain = _require_gain(gain)
+    with 1/2 at m = 0, capped at 1/2, and exactly 1/2 at zero gain, for a
+    float array of gains, unchecked: a pmf with all its mass at m = 0 gives
+    exactly 1/2."""
     cond = q_function(np.sqrt(np.arange(pmf.shape[-1]) * gain[..., None] / 2.0))
     cond[..., 0] = 0.5
     return np.where(gain == 0.0, 0.5, np.minimum(np.sum(pmf * cond, axis=-1), 0.5))

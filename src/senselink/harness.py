@@ -312,7 +312,9 @@ class _Level:
         packets, the k of its 2^k packets, or -1 past its last bundle: one
         less than the number of j = 0 .. top for which it sends more than
         ``slot`` bundles of 2^j packets or more, m >> top plus the set bits
-        of m mod 2^top from bit j on."""
+        of m mod 2^top from bit j on; with top = 0, slot < m, less 1."""
+        if self.top == 0:  # every bundle one packet
+            return (slot < packets).view(np.int8) - 1
         full = packets >> self.top
         rest = (packets & ((1 << self.top) - 1)) >> np.arange(self.top)[:, None]
         larger = np.bitwise_count(rest) > slot - full
@@ -513,10 +515,16 @@ def _simulate_block(params: opt.TradeoffParams, levels: list[_Level], n: int,
         if not mine:
             continue
         packets = received[mine]  # each level's packets per episode
+        if not packets.any():  # a silent path draws nothing: every total is 0, class 2
+            for i in mine:
+                wrong[i] = int(np.count_nonzero(first))
+            continue
         slots = functools.reduce(np.maximum, [levels[i].bundles(m) for i, m in zip(mine, packets)])
         # episodes with the most bundles first: a slot's rows are then a
-        # prefix of this order, whose sums add up in place
-        order = np.argsort(-slots, kind="stable")
+        # prefix of this order, whose sums add up in place; numpy's stable
+        # sort is a radix sort on keys of 16 bits, and slots <= K
+        order = np.argsort(-slots.astype(np.int16 if params.observations < 2 ** 15 else np.int64),
+                           kind="stable")
         heads = np.cumsum(np.bincount(slots)[::-1])[-2::-1].tolist()  # rows per slot
         episode = np.concatenate([order[:0], *(order[:h] for h in heads)]).astype(np.int32)
         slot = np.repeat(np.arange(len(heads)), heads)

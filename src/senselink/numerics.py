@@ -122,9 +122,15 @@ def binomial_pmf(success_prob, trials: int) -> np.ndarray:
     space so no binomial coefficient overflows; indexed by the count m = 0..K
     along the last axis, with one row per entry of an array ``success_prob``."""
     require_counts(1, trials=trials)
-    p = np.asarray(success_prob, dtype=float)[..., None]
+    p = np.asarray(success_prob, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("success probabilities must lie in [0, 1]")
+    return _binomial_pmf(p, trials)
+
+
+def _binomial_pmf(p: np.ndarray, trials: int) -> np.ndarray:
+    """``binomial_pmf`` of a float array of probabilities, without its checks."""
+    p = p[..., None]
     m = np.arange(trials + 1)
     log_comb = special.gammaln(trials + 1) - special.gammaln(m + 1) - special.gammaln(trials - m + 1)
     return np.exp(log_comb + special.xlogy(m, p) + special.xlog1py(trials - m, -p))

@@ -11,8 +11,9 @@ gradient is kept for the convergence study.
 
 Every policy (adaptive rounding, exhaustive search, reliability-first,
 fixed resolution) ends in a lookup in one bit-level table per operating
-point, ``TradeoffParams.table``: every level 1..64, filled in one array
-pass the first time a policy reads it. The upper edge of the rate domain
+point, ``TradeoffParams.table``: every level 1..64, filled the first time
+a policy reads it, its Gauss-Hermite loss and count mixing only over the
+levels short of the channel's dead edge. The upper edge of the rate domain
 and the reliability-first rate are closed-form inverses of the closed-form
 loss through scipy's inverse incomplete gamma functions.
 """
@@ -26,11 +27,11 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .channel import LN2, ChannelConfig, avg_packet_loss, avg_packet_loss_approx
-from .gmm import (InferenceModel, _gains, effective_discriminant_gain, sensing_error_bound,
-                  sensing_error_exact)
-from .numerics import (find_root, log_regularized_upper_gamma, require_counts, require_finite,
-                       require_positive)
+from .channel import LN2, ChannelConfig, _outage_loss, avg_packet_loss, avg_packet_loss_approx
+from .gmm import (InferenceModel, _count_mixed_error, _error_bound, _gains,
+                  effective_discriminant_gain)
+from .numerics import (_binomial_pmf, find_root, log_regularized_upper_gamma, require_counts,
+                       require_finite, require_positive)
 
 _MAX_BITS = 64  # every policy decides a bit level in 1.._MAX_BITS
 _EDGE_SURVIVAL = 1e-9  # the rate domain ends where the closed-form loss is 1 - this
@@ -68,11 +69,37 @@ class TradeoffParams:
         return sigma_q2_of_rate(self.level_rate(np.arange(1, _MAX_BITS + 1)), self)
 
     @cached_property
+    def outage_loss(self) -> np.ndarray:
+        """The closed-form average packet loss of every level 1.._MAX_BITS,
+        level b at index b - 1, in one array pass; the bit-level table's error
+        bound reads it, and ``loss`` finds the channel's dead edge in it."""
+        return _outage_loss(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+
+    @cached_property
     def loss(self) -> np.ndarray:
         """The Gauss-Hermite average packet loss of every level 1.._MAX_BITS,
-        level b at index b - 1, in one array pass; the bit-level table's exact
-        error and the engine's received counts read it."""
-        return avg_packet_loss(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
+        level b at index b - 1; the bit-level table's exact error and the
+        engine's received counts read it.
+
+        Past the channel's dead edge, where the coding rate exceeds anything
+        the fading channel carries, the loss is exactly 1, and the closed-form
+        loss reaches 1 there or a little earlier. So the quadrature runs over
+        levels 1..e, e two past the first level whose closed-form loss is
+        exactly 1 (every level if there is none), and the levels past e read
+        1, unless level e still reads below 1: then one more call takes the
+        rest. A level past one that reads exactly 1 reads 1 too, and each
+        rate's loss does not depend on the rates that share its call, so
+        every level reads what a call over all 64 levels gives it, to the
+        bit (checked over the declared envelope).
+        """
+        rates = self.level_rate(np.arange(1, _MAX_BITS + 1))
+        dead = np.flatnonzero(self.outage_loss == 1.0)
+        end = min(int(dead[0]) + 3, _MAX_BITS) if dead.size else _MAX_BITS
+        loss = np.ones(_MAX_BITS)
+        loss[:end] = avg_packet_loss(self.channel, rates[:end])
+        if end < _MAX_BITS and loss[end - 1] < 1.0:
+            loss[end:] = avg_packet_loss(self.channel, rates[end:])
+        return loss
 
     @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -83,12 +110,16 @@ class TradeoffParams:
         One array pass: each level's rate gives the distortion-degraded gain
         (one levels x d sum over the cached eigenbasis); the error bound takes
         the closed-form loss, and the exact error the Gauss-Hermite average
-        loss mixed over the binomial received count.
+        loss mixed over the binomial received count. A level whose loss is 1
+        receives nothing, and its exact error is 1/2, which the mixing gives
+        it to the bit, so only the levels with a loss below 1 are mixed.
         """
         gains = _gains(self.model, self.sigma_q2)
-        loss = avg_packet_loss_approx(self.channel, self.level_rate(np.arange(1, _MAX_BITS + 1)))
-        exact = sensing_error_exact(gains, self.loss, self.observations)
-        return sensing_error_bound(gains, loss, self.observations), exact
+        live = self.loss < 1.0
+        exact = np.full(_MAX_BITS, 0.5)
+        exact[live] = _count_mixed_error(
+            gains[live], _binomial_pmf(1.0 - self.loss[live], self.observations))
+        return _error_bound(gains, self.outage_loss, self.observations), exact
 
 
 @dataclass(frozen=True)

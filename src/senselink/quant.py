@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.fft import next_fast_len
 
 from .numerics import require_counts, require_finite, require_positive
 
@@ -126,7 +125,7 @@ def index_sum_law(mean, var, clip: float, bits: int,
     levels, delta = 2 ** bits, _resolution(clip, bits)
     one = index_pmf(mean, var, clip, bits)
     size = count * (levels - 1) + 1
-    fast = next_fast_len(size, real=True)
+    fast = _fast_len(size)
     terms = np.fft.rfft(one, fast)
     terms[np.abs(terms) < 10.0 ** (-200.0 / count)] = 0.0
     pmf = np.clip(np.fft.irfft(terms ** count, fast)[..., :size], 0.0, None)
@@ -140,9 +139,24 @@ def doubled(pmf) -> np.ndarray:
     The sum of 2^k values that each sum g quantized values, as
     ``index_sum_law`` gives them, has k such doublings of that law."""
     size = 2 * pmf.shape[-1] - 1
-    fast = next_fast_len(size, real=True)
+    fast = _fast_len(size)
     doubled = np.clip(np.fft.irfft(np.fft.rfft(pmf, fast) ** 2, fast)[..., :size], 0.0, None)
     return doubled / doubled.sum(axis=-1, keepdims=True)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length at which numpy's FFT is fast
+    (what ``scipy.fft.next_fast_len(n, real=True)`` gives): for each odd
+    part 3^b 5^c below the power of two at or above n, the least power of
+    two that lifts it to n."""
+    best, odd = 1 << (n - 1).bit_length(), 1
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << (-(-n // part) - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def encode(x, config: QuantizerConfig) -> tuple[np.ndarray, int]:

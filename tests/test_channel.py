@@ -348,6 +348,24 @@ class TestGaussHermiteLoss:
                 for i in range(rates.size):
                     assert got[i] == ch.avg_packet_loss(cfg, rates[i:i + 1])[0], (snr_db, n, i)
 
+    def test_nondecreasing_in_the_rate_above_1e_40(self):
+        # over 64 bit levels b d / N at 1,000 points drawn over the envelope,
+        # the loss never falls from one level to the next where it is 1e-40
+        # or more; deep in the tail, with many antennas, it can, within its
+        # absolute accuracy of 2e-10, as at this point, where quadrature
+        # reads 2.1e-119 and 1.8e-95 at levels 28 and 29
+        cfg = ch.ChannelConfig(246, ch.snr_from_db(46.86), 41)
+        deep = ch.avg_packet_loss(cfg, np.arange(1, 65) * 26 / 41)
+        assert deep[28] < deep[27] < 1e-100
+        rng = np.random.default_rng(37)
+        for _ in range(1000):
+            cfg = ch.ChannelConfig(int(rng.integers(1, 257)),
+                                   ch.snr_from_db(float(rng.uniform(-30.0, 60.0))),
+                                   int(rng.integers(10, 2001)))
+            loss = ch.avg_packet_loss(cfg, np.arange(1, 65) * int(rng.integers(1, 513))
+                                      / cfg.blocklength)
+            assert np.all((np.diff(loss) >= 0.0) | (loss[:-1] < 1e-40)), cfg
+
     @pytest.mark.parametrize("antennas,snr_db,n,rate,over_margin", [
         (1, 10.0, 400, 0.02, True), (1, 40.0, 10, 3.0, True), (2, 10.0, 100, 0.02, True),
         (4, 2.0, 100, 2.0, True), (8, 60.0, 10, 20.0, True), (256, 20.0, 2000, 14.6, True),

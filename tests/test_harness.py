@@ -333,6 +333,38 @@ class TestReceivedCounts:
         z = (got - expected)[seen] / np.sqrt(2 * n * pooled * (1 - pooled))[seen]
         assert seen.sum() >= 50 and np.abs(z).max() <= 5.0, np.abs(z).max()
 
+    @pytest.mark.parametrize("snr_db, noise_model, live", [
+        (2.0, "quantizer", [4]), (2.0, "lemma1", [4]), (-30.0, "quantizer", []),
+    ], ids=["features_silent", "lemma1_partly_silent", "all_silent"])
+    def test_silent_path_changes_no_count(self, snr_db, noise_model, live, monkeypatch):
+        # a level whose loss is 1 receives nothing, and a path none of whose
+        # levels receives a packet builds no slot layout and draws nothing:
+        # each of its levels counts the class-1 episodes, which decide class
+        # 2, and the live levels count what they count alone, as a zero-odds
+        # binomial draw consumes no number
+        params = harness.build_params(harness.ExperimentConfig(snr_db=snr_db))
+        bits, trials, key = [4, 16, 32], 3_000, (5, 1)
+        assert [params.loss[b - 1] == 1.0 for b in bits] == [b not in live for b in bits]
+        laid_out = []
+        real_bundles = harness._Level.bundles
+        monkeypatch.setattr(harness._Level, "bundles",
+                            lambda lvl, m: laid_out.append(lvl.bits) or real_bundles(lvl, m))
+        wrong = harness._count_errors(params, noise_model, bits, trials, key)
+        levels = [harness._Level(params, b, noise_model) for b in bits]
+        live_paths = {lvl.path for lvl in levels if lvl.bits in live}
+        assert not {lvl.bits for lvl in levels if lvl.path not in live_paths} & set(laid_out)
+        size, class_one = harness._block_size(params, levels), 0
+        for block, start in enumerate(range(0, trials, size)):
+            rng = np.random.default_rng([*key, block])
+            class_one += int(np.count_nonzero(rng.integers(0, 2, min(size, trials - start)) == 0))
+        for b, w in zip(bits, wrong):
+            if b not in live:
+                assert w == class_one, b
+        if live:
+            # alone, the live level draws its blocks' streams the same way
+            monkeypatch.setattr(harness, "_block_size", lambda params, levels: size)
+            assert harness._count_errors(params, noise_model, live, trials, key) == wrong[:1]
+
 
 class TestLemma1EngineMatchesPrediction:
     """Under the lemma-1 noise model the engine simulates exactly the law that
@@ -1751,11 +1783,12 @@ class TestCli:
 def test_engine_and_cli_import_without_scipy_stats():
     # scipy.stats is the validation suite's alone and scipy.integrate the
     # quadrature oracle's, which imports it when it runs; the library has no
-    # use for scipy.optimize. The engine and the CLI must not pay for them
+    # use for scipy.optimize or scipy.fft (numpy transforms the index laws).
+    # The engine and the CLI must not pay for them
     src = Path(harness.__file__).resolve().parents[1]
     code = ("import sys, senselink, senselink.harness, senselink.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.optimize', 'scipy.integrate'))))")
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -528,6 +528,20 @@ def reference_decisions(config):
     return {policy: predicted(bits) for policy, bits in levels.items()}
 
 
+def assert_matches_full_evaluation(params):
+    """``params.loss`` and ``params.table`` equal, to the bit, what the public
+    functions give over all 64 levels at once."""
+    rates = params.level_rate(np.arange(1, opt._MAX_BITS + 1))
+    loss = ch.avg_packet_loss(params.channel, rates)
+    gains = gmm.effective_discriminant_gain(params.model, params.sigma_q2)
+    bound = gmm.sensing_error_bound(gains, ch.avg_packet_loss_approx(params.channel, rates),
+                                    params.observations)
+    exact = gmm.sensing_error_exact(gains, loss, params.observations)
+    np.testing.assert_array_equal(params.loss, loss)
+    np.testing.assert_array_equal(params.table[0], bound)
+    np.testing.assert_array_equal(params.table[1], exact)
+
+
 def dense_sigma_spec(dim=20, seed=5):
     rng = np.random.default_rng(seed)
     basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -572,8 +586,9 @@ class TestRateTable:
 
     def test_sweep_point_builds_once(self, monkeypatch):
         # one model per sweep, built once as no other holds it, and each
-        # distinct bit level's average loss computed once, for all the
-        # policies of a swept value
+        # distinct bit level's average loss computed at most once, for all
+        # the policies of a swept value: a row's rate was evaluated, or lies
+        # past the last rate evaluated at its point, where the loss reads 1
         rates, models = [], []
         real_loss = opt.avg_packet_loss
         monkeypatch.setattr(opt, "avg_packet_loss",
@@ -589,11 +604,18 @@ class TestRateTable:
                                  trials=20, seed=0)
             assert len(models) == 1, values
             assert len(rates) == len(set(rates))
-            assert {row.rate for row in rows} <= {x for _, x in rates}
+            evaluated = list(rates)  # the checks below evaluate rates too
+            for row in rows:
+                params = harness.build_params(harness.ExperimentConfig(snr_db=row.value))
+                mine = {x for cfg, x in evaluated if cfg == params.channel}
+                assert row.rate in mine or (row.rate > max(mine)
+                                            and params.loss[row.bits - 1] == 1.0), row
+                assert_matches_full_evaluation(params)
 
     def test_sweep_point_fills_table_once(self, monkeypatch):
         # five policies at one swept value read one table, filled by one
-        # average-loss call over every level
+        # average-loss call: the default point's closed-form loss reaches 1
+        # at level 13 or before, and the quadrature stops two levels past it
         calls = []
         real_loss = opt.avg_packet_loss
         monkeypatch.setattr(opt, "avg_packet_loss",
@@ -602,7 +624,45 @@ class TestRateTable:
                       ["bits:16", "adaptive", "urllc", "brute", "bits:32"], trials=20, seed=0)
         assert len(calls) == 1
         params = harness.build_params(harness.ExperimentConfig())
-        assert calls[0] == list(params.level_rate(np.arange(1, opt._MAX_BITS + 1)))
+        end = int(np.flatnonzero(params.outage_loss == 1.0)[0]) + 3
+        assert end <= 15
+        assert calls[0] == list(params.level_rate(np.arange(1, end + 1)))
+        assert params.loss[end - 1] == 1.0
+        assert_matches_full_evaluation(params)
+
+    def test_loss_and_table_match_full_evaluation_over_sweep_grid(self):
+        # every operating point of the benchmark's sweep grid: run_sweeps.py's
+        # twenty plus 40 dB
+        points = sweep_points() + [harness.build_params(harness.ExperimentConfig(snr_db=40.0))]
+        for params in points:
+            assert_matches_full_evaluation(params)
+
+    @pytest.mark.parametrize("overrides", [
+        {"dim": 14, "antennas": 113, "snr_db": -2.5, "blocklength": 81},
+        {"dim": 5, "antennas": 100, "snr_db": 7.0, "blocklength": 30},
+    ], ids=["ends_at_45", "never_ends"])
+    def test_prefix_extended_where_quadrature_trails(self, overrides, monkeypatch):
+        # the closed-form loss reaches 1 at level 41 (61), yet the quadrature
+        # still reads below 1 two levels on, so a second call takes the rest
+        calls = []
+        real_loss = opt.avg_packet_loss
+        monkeypatch.setattr(opt, "avg_packet_loss",
+                            lambda cfg, r: calls.append(len(r)) or real_loss(cfg, r))
+        params = harness.build_params(harness.ExperimentConfig(**overrides))
+        end = int(np.flatnonzero(params.outage_loss == 1.0)[0]) + 3
+        assert params.loss[end - 1] < 1.0
+        assert calls == [end, opt._MAX_BITS - end]
+        assert_matches_full_evaluation(params)
+
+    def test_loss_and_table_match_full_evaluation_over_envelope(self):
+        # 500 points drawn uniformly over the declared envelope
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            config = harness.ExperimentConfig(
+                snr_db=float(rng.uniform(-30.0, 60.0)), antennas=int(rng.integers(1, 257)),
+                blocklength=int(rng.integers(10, 2001)), dim=int(rng.integers(1, 513)),
+                observations=int(rng.integers(1, 201)), centroid=float(rng.uniform(0.0, 2.0)))
+            assert_matches_full_evaluation(harness.build_params(config))
 
     @pytest.mark.parametrize("antennas", [1, 4, 64, 256])
     def test_closed_form_inverses_round_trip(self, antennas):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.fft import next_fast_len
 
 from senselink import gmm, quant
 
@@ -176,6 +177,13 @@ class TestIndexSumLaw:
         np.testing.assert_allclose(doubled, quant.index_sum_law(means, 1.5, 4.0, bits, 2 * dim)[1],
                                    rtol=0, atol=1e-15)
         assert doubled.min() >= 0.0 and np.all(doubled.sum(axis=1) == pytest.approx(1.0, abs=1e-15))
+
+    def test_fast_length_matches_scipy(self):
+        # the FFT length of every law is the smallest 2^a 3^b 5^c at or above
+        # its size, which scipy gives for a real transform; checked up to 2^17,
+        # past the 2^16 + 1 values of the widest law the table path builds
+        sizes = range(1, 2 ** 17 + 1)
+        assert [quant._fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
 
     def test_independent_of_the_benchmark_oracle(self):
         # perfbench/checks.py holds the benchmark's own oracle for this law
